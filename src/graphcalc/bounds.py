@@ -20,7 +20,7 @@ from .graph import GraphError, WeightedGraph, with_boundary
 from .functions import VertexFunction, lp_norm_vertex, grad_lp_norm
 from .operators import EdgeField, divergence, spectral_decomposition
 from .graph import half_degrees
-from .isoperimetry import iso_constant, magnification, neighborhood
+from .isoperimetry import iso_constant, magnification, neighborhood_measures
 
 __all__ = [
     "BoundValue",
@@ -244,15 +244,10 @@ def certified_magnification(g: WeightedGraph, A) -> Fraction:
     ids = sorted(A, key=str)
     if not ids:
         raise GraphError("A must be nonempty")
-    best = None
-    for mask in range(1, 1 << len(ids)):
-        B = [ids[i] for i in range(len(ids)) if (mask >> i) & 1]
-        gm = neighborhood(g, B)
-        num = sum(Fraction(float(g.vmeasure[g.index(v)])) for v in gm)
-        den = sum(Fraction(float(g.vmeasure[g.index(v)])) for v in B)
-        ratio = num / den - 1
-        best = ratio if best is None else min(best, ratio)
-    return best
+    # over their common denominator, float measures and their sums are exact integers
+    den = math.lcm(*(float(x).as_integer_ratio()[1] for x in g.vmeasure))
+    meas = [int(Fraction(float(x)) * den) for x in g.vmeasure]
+    return min(Fraction(gm, m) for _, m, gm in neighborhood_measures(g, ids, meas)) - 1
 
 
 def alon_field(

@@ -18,7 +18,7 @@ import numpy as np
 from .graph import GraphError, WeightedGraph, half_degrees, with_boundary
 from .functions import VertexFunction, grad_lp_norm
 from .operators import SpectralDecomposition, laplacian_apply, spectral_decomposition
-from .isoperimetry import enumerate_connected_subsets, iso_constant, _mask_area, _mask_set
+from .isoperimetry import DEFAULT_CAP, AdmissibleSet, enumerate_connected_subsets, iso_constant
 
 __all__ = [
     "HeatKernel",
@@ -58,11 +58,6 @@ class HeatKernel:
         """K(x, y, t) over all vertex pairs."""
         d = self.decomposition
         w = np.exp(-t * d.eigenvalues)
-        return (d.eigenfunctions * w) @ d.eigenfunctions.T
-
-    def matrix_dt(self, t: float) -> np.ndarray:
-        d = self.decomposition
-        w = -d.eigenvalues * np.exp(-t * d.eigenvalues)
         return (d.eigenfunctions * w) @ d.eigenfunctions.T
 
     def evaluate(self, x, y, t: float) -> float:
@@ -271,19 +266,15 @@ def power_profile(g: WeightedGraph, nu: float) -> DecayProfile:
 
 def hypothesis_audit(g: WeightedGraph, phi: Callable[[float], float], force=False) -> dict:
     """Check A(boundary Omega) >= V(Omega)/phi(V(Omega)) over admissible sets."""
-    pool = 0
-    for i in range(g.n):
-        if g.interior_mask[i]:
-            pool |= 1 << i
+    pool = sum(1 << int(i) for i in g.interior_indices())
     if pool == 0:
         raise GraphError("no interior vertices")
-    if pool.bit_count() > 22 and not force:
+    if pool.bit_count() > DEFAULT_CAP and not force:
         raise GraphError("interior too large to audit; pass force=True")
-    for mask in enumerate_connected_subsets(g, pool):
-        mass = float(sum(g.vmeasure[i] for i in range(g.n) if (mask >> i) & 1))
-        area = _mask_area(g, mask)
+    for mask, area, mass in enumerate_connected_subsets(g, pool):
         if area + 1e-12 < mass / phi(mass):
-            return {"ok": False, "witness": _mask_set(g, mask), "area": area, "vmass": mass}
+            wit = AdmissibleSet.of_mask(g, mask)
+            return {"ok": False, "witness": wit.vertices, "area": wit.area, "vmass": wit.vmass}
     return {"ok": True}
 
 

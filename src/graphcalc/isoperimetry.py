@@ -4,14 +4,15 @@ The admissible sets can be restricted to connected, vertex-determined subsets
 disjoint from the boundary without changing any of the constants (Yau's
 observation: the quotient of a disjoint union is at least the smaller of the
 quotients, and partial edge segments only add area).  Connected subsets are
-enumerated canonically (each exactly once) over bitmasks; a vectorized
-interval sweep handles long path graphs where the generic enumerator would
-be too slow.
+enumerated canonically (each exactly once) over bitmasks, each with its area
+and mass; the tilde variants skip the whole vertex set by its mask.  A
+vectorized interval sweep handles long paths, where enumeration is too slow.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "characteristic_approx",
     "enumerate_connected_subsets",
     "neighborhood",
+    "neighborhood_measures",
 ]
 
 DEFAULT_CAP = 22
@@ -39,6 +41,15 @@ class AdmissibleSet:
     vertices: frozenset
     area: float  # A(boundary) = sum of a_e over edges leaving the set
     vmass: float
+
+    @classmethod
+    def of_mask(cls, g: WeightedGraph, mask: int) -> "AdmissibleSet":
+        """The vertices of a bitmask, with area and mass summed afresh."""
+        inside = [(mask >> i) & 1 for i in range(g.n)]
+        edges = zip(g.eu.tolist(), g.ev.tolist(), g.ea.tolist())
+        area = sum(a for i, j, a in edges if inside[i] != inside[j])
+        mass = sum(x for x, b in zip(g.vmeasure.tolist(), inside) if b)
+        return cls(_mask_set(g, mask), float(area), float(mass))
 
 
 @dataclass
@@ -59,23 +70,35 @@ def _neighbor_masks(g: WeightedGraph) -> list[int]:
 
 
 def enumerate_connected_subsets(g: WeightedGraph, allowed_mask: int):
-    """Yield every nonempty connected subset of ``allowed_mask`` once, as a bitmask.
+    """Yield ``(mask, A(boundary S), V(S))`` once for every nonempty connected
+    subset S of ``allowed_mask``.  Adding v to S costs O(deg v): area +=
+    w(v) - 2 w(v, S), mass += V(v), so both may drift by a few rounding steps;
+    the area of a whole component (no neighbour outside S) is exactly 0.
 
     Canonical scheme: a subset is generated from its minimum vertex; the
     search only ever extends by neighbors above that minimum, and a vertex
     declined at some branch is forbidden in all its siblings.
     """
     nbr = _neighbor_masks(g)
+    eu, ev, ea = g.eu.tolist(), g.ev.tolist(), g.ea.tolist()
+    adj = [[(1 << (eu[k] + ev[k] - i), ea[k]) for k, sign in inc if sign]
+           for i, inc in enumerate(g.incidence)]  # (neighbour bit, a_e), no loops
+    wdeg = [sum(a for _, a in row) for row in adj]
+    meas = g.vmeasure.tolist()
 
-    def rec(S: int, cand: int, forb: int):
-        yield S
+    def rec(S: int, area: float, mass: float, cand: int, forb: int, reach: int):
+        yield S, (area if reach & ~S else 0.0), mass
         c = cand & ~forb
         while c:
             v = c & (-c)
             c ^= v
             vi = v.bit_length() - 1
+            delta = wdeg[vi]  # w(v) - 2 w(v, S)
+            for b, a in adj[vi]:
+                if S & b:
+                    delta -= 2.0 * a
             newcand = (cand | (nbr[vi] & gt)) & ~(S | v | forb)
-            yield from rec(S | v, newcand, forb)
+            yield from rec(S | v, area + delta, mass + meas[vi], newcand, forb, reach | nbr[vi])
             forb |= v
 
     rest = allowed_mask
@@ -84,40 +107,23 @@ def enumerate_connected_subsets(g: WeightedGraph, allowed_mask: int):
         rest ^= s
         si = s.bit_length() - 1
         gt = allowed_mask & ~((1 << (si + 1)) - 1)
-        yield from rec(s, nbr[si] & gt, 0)
-
-
-def _mask_area(g: WeightedGraph, mask: int) -> float:
-    area = 0.0
-    for k in range(len(g.edges)):
-        if g.loop_mask[k]:
-            continue
-        inu = (mask >> int(g.eu[k])) & 1
-        inv = (mask >> int(g.ev[k])) & 1
-        if inu != inv:
-            area += g.ea[k]
-    return area
+        yield from rec(s, wdeg[si], meas[si], nbr[si] & gt, 0, nbr[si])
 
 
 def _mask_set(g: WeightedGraph, mask: int) -> frozenset:
     return frozenset(g.vertices[i] for i in range(g.n) if (mask >> i) & 1)
 
 
-def _open_value(area: float, mass: float, nu: float) -> float:
-    if nu == math.inf:
-        return area / mass
-    if nu == 1:
-        return area
-    return area / mass ** (1.0 - 1.0 / nu)
+def _sort_key(g: WeightedGraph, mask: int) -> tuple:
+    return tuple(sorted(map(str, _mask_set(g, mask))))
 
 
-def _tilde_value(area, mass, comass, nu, variant) -> float:
-    small = min(mass, comass)
-    if nu == math.inf:
-        return area / small
-    if variant == "tilde":
-        return area * small ** (1.0 / nu - 1.0)
-    return area * (mass ** (1.0 - nu) + comass ** (1.0 - nu)) ** (1.0 / nu)
+def _quotient(area: float, mass: float, comass: float, nu: float, variant: str) -> float:
+    """I_nu quotient of a set; the tilde variants also weigh its complement."""
+    if variant == "tilde_prime" and nu != math.inf:
+        return area * (mass ** (1.0 - nu) + comass ** (1.0 - nu)) ** (1.0 / nu)
+    small = mass if variant == "open" else min(mass, comass)
+    return area / small if nu == math.inf else area * small ** (1.0 / nu - 1.0)
 
 
 def _is_simple_path(g: WeightedGraph) -> list[int] | None:
@@ -216,32 +222,23 @@ def iso_constant(
             f"{len(pool)} free vertices exceeds the enumeration cap "
             f"{max_subset}; pass force=True to proceed"
         )
-    allowed = 0
-    for i in pool:
-        allowed |= 1 << i
+    allowed = sum(1 << i for i in pool)
     total = g.total_measure()
-    best_val, best_wit, best_key = math.inf, None, None
-    for mask in enumerate_connected_subsets(g, allowed):
-        mass = float(sum(g.vmeasure[i] for i in range(g.n) if (mask >> i) & 1))
-        if variant != "open":
-            comass = total - mass
-            if comass <= 0:
-                continue
-        area = _mask_area(g, mask)
-        if variant == "open":
-            val = _open_value(area, mass, nu)
-        else:
-            val = _tilde_value(area, mass, total - mass, nu, variant)
-        if best_wit is None or val < best_val - 1e-15 * (1 + abs(best_val)):
-            key = tuple(sorted(map(str, _mask_set(g, mask))))
-            best_val, best_key = val, key
-            best_wit = AdmissibleSet(_mask_set(g, mask), area, mass)
-        elif best_key is not None and val <= best_val + 1e-15 * (1 + abs(best_val)):
-            key = tuple(sorted(map(str, _mask_set(g, mask))))
-            if key < best_key:
-                best_key = key
-                best_wit = AdmissibleSet(_mask_set(g, mask), area, mass)
-    rep = IsoReport(nu, variant, best_val, best_wit)
+    best_val, best_mask = math.inf, 0
+    for mask, area, mass in enumerate_connected_subsets(g, allowed):
+        if variant != "open" and mask == allowed:
+            continue  # the whole vertex set has no complement
+        val = _quotient(area, mass, total - mass, nu, variant)
+        # the band absorbs the rounding drift of the incremental sums, so
+        # exact ties (e.g. complement pairs) go to the least sorted-id key
+        band = 1e-12 * abs(best_val)
+        if not best_mask or val < best_val - band:
+            best_val, best_mask = val, mask
+        elif val <= best_val + band and _sort_key(g, mask) < _sort_key(g, best_mask):
+            best_mask = mask
+    wit = AdmissibleSet.of_mask(g, best_mask) if best_mask else None  # None: a lone vertex
+    value = _quotient(wit.area, wit.vmass, total - wit.vmass, nu, variant) if wit else math.inf
+    rep = IsoReport(nu, variant, value, wit)
     cache[(nu, variant)] = rep
     return rep
 
@@ -258,6 +255,39 @@ def neighborhood(g: WeightedGraph, vertex_ids) -> frozenset:
     return _mask_set(g, mask)
 
 
+def _byte_tables(values: list, combine) -> list[list]:
+    """Entry [k][b] combines values[8k + j] over the set bits j of b."""
+    tables = []
+    for lo in range(0, len(values), 8):
+        t = [0]
+        for x in values[lo:lo + 8]:
+            t += [combine(y, x) for y in t]
+        tables.append(t)
+    return tables
+
+
+def _lookup(tables: list[list], mask: int, combine):
+    acc = 0
+    for t in tables:
+        acc = combine(acc, t[mask & 255])
+        mask >>= 8
+    return acc
+
+
+def neighborhood_measures(g: WeightedGraph, vertex_ids, measures: list):
+    """Yield ``(sub, V(B), V(Gamma(B)))`` for every nonempty subset B of
+    ``vertex_ids`` (bit j of ``sub`` selects ``vertex_ids[j]``), V given per
+    vertex by ``measures``; integer measures give exact sums."""
+    idx = [g.index(v) for v in vertex_ids]
+    nbr = _neighbor_masks(g)
+    mass_t = _byte_tables([measures[i] for i in idx], operator.add)
+    gamma_t = _byte_tables([nbr[i] for i in idx], operator.or_)
+    vol_t = _byte_tables(measures, operator.add)
+    for sub in range(1, 1 << len(idx)):
+        gamma = _lookup(gamma_t, sub, operator.or_)
+        yield sub, _lookup(mass_t, sub, operator.add), _lookup(vol_t, gamma, operator.add)
+
+
 def magnification(
     g: WeightedGraph, max_subset: int = MAGNIFICATION_CAP, force: bool = False
 ):
@@ -270,7 +300,7 @@ def magnification(
     cached = g.__dict__.get("_magnification_cache")
     if cached is not None:
         return cached
-    pool = [i for i in range(g.n) if g.interior_mask[i]]
+    pool = [g.vertices[i] for i in range(g.n) if g.interior_mask[i]]
     if not pool:
         raise GraphError("no interior vertices")
     if len(pool) > max_subset and not force:
@@ -278,32 +308,13 @@ def magnification(
             f"{len(pool)} free vertices exceeds the enumeration cap "
             f"{max_subset}; pass force=True to proceed"
         )
-    nbr = _neighbor_masks(g)
-    total = g.total_measure()
-    half = total / 2.0
-    closed = g.is_closed
-    npool = len(pool)
-    best = (math.inf, None)
-    # incremental masks/masses over the subset lattice of the pool
-    gamma = np.zeros(1 << npool, dtype=object)
-    mass = np.zeros(1 << npool)
-    gamma[0] = 0
-    for sub in range(1, 1 << npool):
-        low = sub & (-sub)
-        i = pool[low.bit_length() - 1]
-        gamma[sub] = gamma[sub ^ low] | nbr[i]
-        mass[sub] = mass[sub ^ low] + g.vmeasure[i]
-        if closed and mass[sub] > half + 1e-12 * total:
-            continue
-        gm = gamma[sub]
-        gmass = sum(g.vmeasure[j] for j in range(g.n) if (gm >> j) & 1)
-        ratio = gmass / mass[sub] - 1.0
-        if ratio < best[0] - 1e-15:
-            best = (ratio, sub)
-    c, sub = best
-    witness = frozenset(
-        g.vertices[pool[b]] for b in range(npool) if (sub >> b) & 1
-    )
+    limit = (0.5 + 1e-12) * g.total_measure() if g.is_closed else math.inf
+    c, best = math.inf, 0
+    for sub, mass, gmass in neighborhood_measures(g, pool, g.vmeasure.tolist()):
+        ratio = gmass / mass - 1.0
+        if mass <= limit and ratio < c - 1e-15:
+            c, best = ratio, sub
+    witness = frozenset(v for b, v in enumerate(pool) if (best >> b) & 1)
     g.__dict__["_magnification_cache"] = (c, witness)
     return c, witness
 

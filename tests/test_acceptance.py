@@ -255,10 +255,10 @@ def test_criterion_05_alon_field_certification():
     for g in (complete(4), hypercube(3)):
         pool = (1 << g.n) - 1
         half = g.total_measure() / 2.0
-        for mask in enumerate_connected_subsets(g, pool):
-            idx = [i for i in range(g.n) if (mask >> i) & 1]
-            if sum(g.vmeasure[i] for i in idx) > half:
+        for mask, _, mass in enumerate_connected_subsets(g, pool):
+            if mass > half:
                 continue
+            idx = [i for i in range(g.n) if (mask >> i) & 1]
             A = [g.vertices[i] for i in idx]
             af = alon_field(g, A)
             checks = alon_field_checks(g, af)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from graphcalc import (
     build_graph,
     certified_magnification,
     half_degrees,
+    neighborhood,
     nodal_region_reduction,
     q1_quotient,
     q2_quotient,
@@ -86,6 +88,18 @@ def test_certified_magnification_k4():
     g = complete(4)
     assert certified_magnification(g, [1, 2]) == Fraction(1)
     assert certified_magnification(g, [1]) == Fraction(2)
+    # every connected A of at most 4 vertices on Q3, against the definition
+    q3 = hypercube(3)
+    for mask, _, _ in enumerate_connected_subsets(q3, (1 << q3.n) - 1):
+        A = [q3.vertices[i] for i in range(q3.n) if (mask >> i) & 1]
+        if len(A) > 4:
+            continue
+        brute = min(
+            Fraction(len(neighborhood(q3, B)), len(B)) - 1
+            for k in range(1, len(A) + 1)
+            for B in itertools.combinations(A, k)
+        )
+        assert certified_magnification(q3, A) == brute, A
 
 
 def test_alon_field_k4():
@@ -101,7 +115,7 @@ def test_alon_field_k4():
 def test_alon_field_every_small_set_q3():
     g = hypercube(3)
     pool = (1 << g.n) - 1
-    for mask in enumerate_connected_subsets(g, pool):
+    for mask, _, _ in enumerate_connected_subsets(g, pool):
         size = bin(mask).count("1")
         if size > g.n // 2:
             continue

@@ -147,6 +147,11 @@ def test_hypothesis_audit():
     phi = lambda x: x ** (1.0 / 3.0)
     out = hypothesis_audit(g, phi)
     assert not out["ok"]  # unit path: interval of mass 3 has area 1 < 3^(2/3)
+    S = out["witness"]
+    area = sum(e.a for e in g.edges if (e.u in S) != (e.v in S))
+    mass = sum(g.vmeasure[g.index(v)] for v in S)
+    assert out["area"] == pytest.approx(area, rel=1e-12)
+    assert out["vmass"] == pytest.approx(mass, rel=1e-12)
     strong = build_graph(
         [1, 2, 3, 4],
         [Edge(1, 2, a=3.0), Edge(2, 3, a=3.0), Edge(3, 4, a=3.0)],

@@ -26,14 +26,14 @@ def _all_mask(g):
 
 def test_connected_subset_count_path():
     g = path(4)
-    masks = list(enumerate_connected_subsets(g, _all_mask(g)))
+    masks = [m for m, _, _ in enumerate_connected_subsets(g, _all_mask(g))]
     assert len(set(masks)) == len(masks)
     assert len(masks) == 10  # intervals of a 4-path: 4+3+2+1
 
 
 def test_connected_subset_count_cycle():
     g = cycle(5)
-    masks = list(enumerate_connected_subsets(g, _all_mask(g)))
+    masks = [m for m, _, _ in enumerate_connected_subsets(g, _all_mask(g))]
     # proper arcs (5 starts x 4 lengths) plus the whole cycle
     assert len(set(masks)) == len(masks) == 21
 
@@ -54,10 +54,21 @@ def test_connected_subsets_match_brute_force():
                         stack.append(j)
             return len(seen) == len(verts)
 
+        def area(mask):
+            return sum(
+                e.a for e in g.edges
+                if ((mask >> g.index(e.u)) & 1) != ((mask >> g.index(e.v)) & 1)
+            )
+
         brute = {m for m in range(1, 1 << g.n) if connected(m)}
         got = list(enumerate_connected_subsets(g, _all_mask(g)))
-        assert len(got) == len(set(got))
-        assert set(got) == brute
+        masks = [m for m, _, _ in got]
+        assert len(masks) == len(set(masks))
+        assert set(masks) == brute
+        for mask, a, mass in got:
+            assert a == pytest.approx(area(mask), rel=1e-12, abs=0.0)
+            fresh = sum(g.vmeasure[i] for i in range(g.n) if (mask >> i) & 1)
+            assert mass == pytest.approx(fresh, rel=1e-12, abs=0.0)
 
 
 def test_iso_open_path_oracle():
@@ -90,6 +101,21 @@ def test_sandwich_on_small_closed_graphs():
             tp = iso_constant(g, nu, "tilde_prime").value
             hi = ti if nu == math.inf else 2.0 ** (1.0 / nu) * ti
             assert ti - 1e-12 <= tp <= hi + 1e-12
+
+
+def test_tilde_excludes_whole_vertex_set():
+    # on weighted closed graphs the mass of the whole vertex set, summed one
+    # vertex at a time, can differ from the total measure by a rounding step;
+    # the whole set must still never compete
+    for seed in range(300):
+        g = random_graph(8, np.random.default_rng(seed))
+        for nu in (2.0, math.inf):
+            for variant in ("tilde", "tilde_prime"):
+                rep = iso_constant(g, nu, variant)
+                assert rep.value > 0, (seed, nu, variant)
+                assert rep.witness.vertices < frozenset(g.vertices), (seed, nu, variant)
+    single = iso_constant(build_graph([1], []), math.inf, "tilde")
+    assert single.value == math.inf and single.witness is None
 
 
 def test_tilde_variants_need_closed_graph():
