@@ -44,6 +44,7 @@ from .operators import (
     EdgeField,
     SpectralDecomposition,
     divergence,
+    eigenvalues,
     gradient_field,
     laplacian_apply,
     laplacian_matrix,

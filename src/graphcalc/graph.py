@@ -171,26 +171,26 @@ class WeightedGraph:
             especs = data.get("edges", [])
         except (KeyError, TypeError) as exc:
             raise GraphError(f"malformed graph document: {exc}") from exc
-        vertices, measures, boundary = [], [], []
-        for spec in vspecs:
-            if isinstance(spec, Mapping):
-                vid = spec["id"]
-                vertices.append(vid)
-                measures.append(float(spec.get("measure", 1.0)))
-                if spec.get("boundary", False):
-                    boundary.append(vid)
-            else:
-                vertices.append(spec)
-                measures.append(1.0)
-        edges = [
-            Edge(
-                s["u"],
-                s["v"],
-                float(s.get("a", 1.0)),
-                float(s.get("length", 1.0)),
-            )
-            for s in especs
-        ]
+        vertices, measures, boundary, edges = [], [], [], []
+        try:
+            for spec in vspecs:
+                if isinstance(spec, Mapping):
+                    vid = spec["id"]
+                    vertices.append(vid)
+                    measures.append(float(spec.get("measure", 1.0)))
+                    if spec.get("boundary", False):
+                        boundary.append(vid)
+                else:
+                    vertices.append(spec)
+                    measures.append(1.0)
+            for s in especs:
+                edges.append(
+                    Edge(s["u"], s["v"], float(s.get("a", 1.0)), float(s.get("length", 1.0)))
+                )
+        except KeyError as exc:
+            raise GraphError(f"malformed graph document: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise GraphError(f"malformed graph document: {exc}") from exc
         return cls(vertices, measures, edges, boundary)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .graph import GraphError, WeightedGraph, half_degrees, with_boundary
 from .functions import VertexFunction, grad_lp_norm
-from .operators import SpectralDecomposition, laplacian_apply, spectral_decomposition
+from .operators import SpectralDecomposition, eigenvalues, laplacian_apply, spectral_decomposition
 from .isoperimetry import DEFAULT_CAP, AdmissibleSet, enumerate_connected_subsets, iso_constant
 
 __all__ = [
@@ -194,11 +194,10 @@ def eigenvalue_lower_bounds(g: WeightedGraph, nu: float, **iso_kw) -> dict:
     I = iso_constant(g, nu, "tilde", **iso_kw).value
     rho = half_degrees(g).rho_sup
     vol = g.total_measure()
-    dec = spectral_decomposition(g, "closed")
     base = 2.0 ** (-4.0 / nu) * (I / (2.0 * math.sqrt(rho))) ** 2 / math.e
     ks = np.arange(1, g.n)
     bounds = (ks / vol) ** (2.0 / nu) * base
-    lams = dec.eigenvalues[1:]
+    lams = eigenvalues(g, "closed")[1:]
     return {
         "k": ks,
         "bounds": bounds,

@@ -5,8 +5,10 @@ The Laplacian acts on vertex values by
     (Lap f)(v) = V(v)^-1 sum_{e ~ {u,v}} a_e (f(v) - f(u)) / l_e
 
 (self-loops drop out), which is V-symmetric and nonnegative.  Eigensolves go
-through the similarity-symmetrized matrix S = V^{1/2} M V^{-1/2}, dense, with
-a deterministic sign convention so reports are reproducible.
+through the similarity-symmetrized matrix S = V^{1/2} M V^{-1/2}, dense:
+``eigenvalues`` solves for eigenvalues only, ``spectral_decomposition`` also
+for eigenfunctions, with a deterministic sign convention so reports are
+reproducible.  Both cache their read-only results on the graph.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "divergence",
     "normal_flux",
     "spectral_decomposition",
+    "eigenvalues",
     "operator_norm_report",
     "OperatorNormReport",
 ]
@@ -93,19 +96,21 @@ def laplacian_matrix(g: WeightedGraph, mode: str = "closed") -> tuple[np.ndarray
         raise GraphError(f"unknown mode {mode!r}")
     pos = -np.ones(g.n, dtype=int)
     pos[idx] = np.arange(len(idx))
-    W = np.zeros((len(idx), len(idx)))
-    for k in range(len(g.edges)):
-        if g.loop_mask[k]:
-            continue
-        i, j = pos[g.eu[k]], pos[g.ev[k]]
-        w = g.ea[k] / g.elen[k]
-        if i >= 0:
-            W[i, i] += w
-        if j >= 0:
-            W[j, j] += w
-        if i >= 0 and j >= 0:
-            W[i, j] -= w
-            W[j, i] -= w
+    keep = ~g.loop_mask
+    i, j = pos[g.eu[keep]], pos[g.ev[keep]]
+    w = g.ea[keep] / g.elen[keep]
+    nr = len(idx)
+    W = np.zeros(nr * nr)  # row-major, so entry (r, c) sits at r * nr + c
+    # np.add.at sums in index order, and the index lists below run edge by
+    # edge, so every entry adds its terms in stored edge order.  Diagonal:
+    # each endpoint kept by idx gains w; off-diagonal: edges inside idx only.
+    d = np.column_stack([i, j]).ravel()
+    on = d >= 0
+    np.add.at(W, d[on] * (nr + 1), np.repeat(w, 2)[on])
+    both = (i >= 0) & (j >= 0)
+    i, j = i[both], j[both]
+    np.add.at(W, np.column_stack([i * nr + j, j * nr + i]).ravel(), -np.repeat(w[both], 2))
+    W = W.reshape(nr, nr)
     M = W / g.vmeasure[idx][:, None]
     return M, idx
 
@@ -137,42 +142,67 @@ class SpectralDecomposition:
         return len(self.eigenvalues)
 
 
+def _symmetrized(g: WeightedGraph, mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, idx, s): S = V^{1/2} M V^{-1/2} made exactly symmetric, s = V^{1/2} on idx."""
+    if g.n > MAX_DENSE:
+        raise GraphError(f"dense eigensolve capped at {MAX_DENSE} vertices")
+    M, idx = laplacian_matrix(g, mode)
+    s = np.sqrt(g.vmeasure[idx])
+    S = M * (s[:, None] / s[None, :])
+    S = (S + S.T) / 2.0
+    return S, idx, s
+
+
+def _spectral_cache(g: WeightedGraph) -> dict:
+    return g.__dict__.setdefault("_spectral_cache", {})
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def eigenvalues(g: WeightedGraph, mode: str = "closed") -> np.ndarray:
+    """Ascending Laplacian eigenvalues, without eigenvectors (read-only array).
+
+    Served from the full decomposition when it is already cached; otherwise
+    one eigvalsh, cached on its own.  Both come from the same S, but the two
+    LAPACK routines may differ in the last bits.
+    """
+    cache = _spectral_cache(g)
+    if mode in cache:
+        return cache[mode].eigenvalues
+    key = ("eigenvalues", mode)
+    if key not in cache:
+        S, _, _ = _symmetrized(g, mode)
+        evals = np.linalg.eigvalsh(S)
+        cache[key] = _frozen(np.maximum(evals, 0.0) if mode == "closed" else evals)
+    return cache[key]
+
+
 def spectral_decomposition(
     g: WeightedGraph, mode: str = "closed", k: int | None = None
 ) -> SpectralDecomposition:
-    if g.n > MAX_DENSE:
-        raise GraphError(f"dense eigensolve capped at {MAX_DENSE} vertices")
-    cache = g.__dict__.setdefault("_spectral_cache", {})
-    if mode in cache:
-        dec = cache[mode]
-        if k is None:
-            return dec
-        return SpectralDecomposition(
-            g, mode, dec.eigenvalues[:k], dec.eigenfunctions[:, :k]
-        )
-    M, idx = laplacian_matrix(g, mode)
-    v = g.vmeasure[idx]
-    s = np.sqrt(v)
-    S = M * (s[:, None] / s[None, :])
-    S = (S + S.T) / 2.0
-    evals, Y = np.linalg.eigh(S)
-    # map back: phi = V^{-1/2} y is V-orthonormal when y is orthonormal
-    phi = Y / s[:, None]
-    # deterministic sign: first coordinate exceeding a relative threshold positive
-    for j in range(phi.shape[1]):
-        col = phi[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))[0]
-        if len(nz) and col[nz[0]] < 0:
-            phi[:, j] = -col
-            Y[:, j] = -Y[:, j]
-    full = np.zeros((g.n, phi.shape[1]))
-    full[idx, :] = phi
-    evals = np.maximum(evals, 0.0) if mode == "closed" else evals
-    dec = SpectralDecomposition(g, mode, evals, full)
-    cache[mode] = dec
-    if k is not None:
-        return SpectralDecomposition(g, mode, evals[:k], full[:, :k])
-    return dec
+    """Full eigendecomposition, cached per graph and mode; arrays are read-only."""
+    cache = _spectral_cache(g)
+    if mode not in cache:
+        S, idx, s = _symmetrized(g, mode)
+        evals, Y = np.linalg.eigh(S)
+        # map back: phi = V^{-1/2} y is V-orthonormal when y is orthonormal
+        phi = Y / s[:, None]
+        # deterministic sign: first coordinate exceeding a relative threshold positive
+        thr = 1e-12 * np.abs(phi).max(axis=0)
+        first = np.argmax(np.abs(phi) > thr, axis=0)
+        flip = phi[first, np.arange(phi.shape[1])] < 0
+        phi[:, flip] = -phi[:, flip]
+        full = np.zeros((g.n, phi.shape[1]))
+        full[idx, :] = phi
+        evals = np.maximum(evals, 0.0) if mode == "closed" else evals
+        cache[mode] = SpectralDecomposition(g, mode, _frozen(evals), _frozen(full))
+    dec = cache[mode]
+    if k is None:
+        return dec
+    return SpectralDecomposition(g, mode, dec.eigenvalues[:k], dec.eigenfunctions[:, :k])
 
 
 @dataclass
@@ -193,5 +223,4 @@ def operator_norm_report(g: WeightedGraph) -> OperatorNormReport:
 
     stats = L_stats(g)
     mode = "dirichlet" if g.boundary else "closed"
-    dec = spectral_decomposition(g, mode)
-    return OperatorNormReport(stats.sup, float(dec.eigenvalues[-1]))
+    return OperatorNormReport(stats.sup, float(eigenvalues(g, mode)[-1]))

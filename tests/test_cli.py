@@ -11,6 +11,19 @@ def _run(capsys, *argv):
     return code, out.out
 
 
+def _run_err(capsys, *argv):
+    code = main(list(argv))
+    cap = capsys.readouterr()
+    return code, cap.out, cap.err
+
+
+def _assert_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def _write_c4(tmp_path):
     target = tmp_path / "c4.json"
     code = main(["gen", "cycle", "4", "-o", str(target)])
@@ -64,6 +77,30 @@ def test_spectrum_csv(tmp_path, capsys):
     assert float(lines[1].split(",")[1]) == pytest.approx(0.0)
 
 
+def test_spectrum_rejects_k_below_one(tmp_path, capsys):
+    g = _write_c4(tmp_path)
+    capsys.readouterr()
+    for k in ("0", "-2"):
+        _assert_usage_error(*_run_err(capsys, "spectrum", g, "-k", k))
+        _assert_usage_error(*_run_err(capsys, "spectrum", g, "-k", k, "--out", "csv"))
+
+
+def test_spectrum_k_is_prefix_and_bounds_lambda_matches(tmp_path, capsys):
+    target = tmp_path / "r20.json"
+    assert main(["gen", "random", "20", "--seed", "4", "-o", str(target)]) == 0
+    capsys.readouterr()
+    code, out = _run(capsys, "spectrum", str(target))
+    assert code == 0
+    full = json.loads(out)
+    assert full["mode"] == "closed" and full["k"] == 20
+    code, out = _run(capsys, "spectrum", str(target), "-k", "2")
+    assert code == 0
+    assert json.loads(out)["eigenvalues"] == full["eigenvalues"][:2]
+    code, out = _run(capsys, "bounds", str(target))
+    assert code == 0
+    assert json.loads(out)["lambda"] == full["eigenvalues"][1]
+
+
 def test_iso_command(tmp_path, capsys):
     g = _write_c4(tmp_path)
     capsys.readouterr()
@@ -94,6 +131,29 @@ def test_heat_command(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["passed"] is True
     assert len(doc["grid"]) == 2
+
+
+def test_heat_rejects_negative_or_nonfinite_t(tmp_path, capsys):
+    g = _write_c4(tmp_path)
+    capsys.readouterr()
+    _assert_usage_error(*_run_err(capsys, "heat", g, "--t", "-1"))
+    _assert_usage_error(*_run_err(capsys, "heat", g, "--t", "0.5", "-0.25"))
+    for t in ("nan", "inf"):
+        _assert_usage_error(*_run_err(capsys, "heat", g, "--t", t))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"vertices": [{"measure": 1}], "edges": []},
+        {"vertices": [1, 2], "edges": [{"u": 1}]},
+        {"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "a": "x"}]},
+    ],
+)
+def test_malformed_document_is_usage_error(tmp_path, capsys, doc):
+    target = tmp_path / "bad.json"
+    target.write_text(json.dumps(doc))
+    _assert_usage_error(*_run_err(capsys, "info", str(target)))
 
 
 def test_flow_command(tmp_path, capsys):

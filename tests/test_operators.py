@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from graphcalc import (
+    Edge,
     EdgeField,
     GraphError,
     VertexFunction,
+    WeightedGraph,
     divergence,
+    eigenvalues,
     grad_lp_norm,
     gradient_field,
     laplacian_apply,
@@ -15,8 +18,44 @@ from graphcalc import (
     normal_flux,
     operator_norm_report,
     spectral_decomposition,
+    with_boundary,
 )
 from graphcalc.generators import cycle, path, random_graph
+from graphcalc.operators import MAX_DENSE
+
+
+def _multigraph(n, rng, dirichlet=False):
+    """Weighted random graph with a self-loop and a reversed parallel edge;
+    in Dirichlet mode a random proper subset of the vertices is the boundary."""
+    g = random_graph(n, rng, weighted=True, allow_loops=True)
+    e0 = g.edges[0]
+    extra = [Edge(e0.v, e0.u, 0.7, 1.3), Edge(g.vertices[-1], g.vertices[-1], 2.0, 0.5)]
+    g = WeightedGraph(g.vertices, rng.uniform(0.3, 3.0, n), list(g.edges) + extra)
+    if dirichlet:
+        size = int(rng.integers(1, n))
+        g = with_boundary(g, [g.vertices[i] for i in rng.choice(n, size, replace=False)])
+    return g
+
+
+def _laplacian_by_edge_loop(g, mode):
+    """Reference: the Laplacian matrix accumulated one stored edge at a time."""
+    idx = np.arange(g.n) if mode == "closed" else g.interior_indices()
+    pos = -np.ones(g.n, dtype=int)
+    pos[idx] = np.arange(len(idx))
+    W = np.zeros((len(idx), len(idx)))
+    for k in range(len(g.edges)):
+        if g.loop_mask[k]:
+            continue
+        i, j = pos[g.eu[k]], pos[g.ev[k]]
+        w = g.ea[k] / g.elen[k]
+        if i >= 0:
+            W[i, i] += w
+        if j >= 0:
+            W[j, j] += w
+        if i >= 0 and j >= 0:
+            W[i, j] -= w
+            W[j, i] -= w
+    return W / g.vmeasure[idx][:, None], idx
 
 
 def test_gradient_field_values():
@@ -57,6 +96,20 @@ def test_laplacian_matrix_matches_apply():
     assert np.allclose(M @ f.values, laplacian_apply(g, f).values, atol=1e-12)
     # row sums vanish: constants are harmonic on a closed graph
     assert np.allclose(M @ np.ones(g.n), 0.0, atol=1e-12)
+
+
+def test_laplacian_matrix_dirichlet_and_loops():
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        mode = "dirichlet" if trial % 2 else "closed"
+        g = _multigraph(int(rng.integers(2, 25)), rng, dirichlet=mode == "dirichlet")
+        M, idx = laplacian_matrix(g, mode)
+        ref, ref_idx = _laplacian_by_edge_loop(g, mode)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(M, ref)
+        # M acts as Lap on functions that vanish on the boundary
+        f = VertexFunction(g, rng.standard_normal(g.n) * g.interior_mask)
+        assert np.allclose(M @ f.values[idx], laplacian_apply(g, f).values[idx], atol=1e-12)
 
 
 def test_laplacian_is_v_symmetric_and_nonnegative():
@@ -113,6 +166,40 @@ def test_sign_convention_deterministic():
         assert col[nz[0]] > 0
 
 
+def test_eigenvalues_match_decomposition():
+    rng = np.random.default_rng(31)
+    for n in range(2, 41):
+        for mode in ("closed", "dirichlet"):
+            g = _multigraph(n, rng, dirichlet=mode == "dirichlet")
+            lams = eigenvalues(g, mode)  # solved first, so not read from the decomposition
+            full = spectral_decomposition(g, mode).eigenvalues
+            assert lams.shape == full.shape
+            scale = max(1.0, float(full[-1]))
+            assert np.max(np.abs(lams - full)) <= 1e-12 * scale
+            if mode == "closed":
+                assert np.all(lams >= 0.0)
+
+
+def test_eigenvalues_reuse_cached_decomposition():
+    rng = np.random.default_rng(32)
+    for mode in ("closed", "dirichlet"):
+        g = _multigraph(15, rng, dirichlet=mode == "dirichlet")
+        dec = spectral_decomposition(g, mode)
+        assert np.array_equal(eigenvalues(g, mode), dec.eigenvalues)
+
+
+def test_spectral_arrays_are_read_only():
+    rng = np.random.default_rng(33)
+    g = _multigraph(8, rng)
+    lams = eigenvalues(g)
+    dec = spectral_decomposition(g)
+    head = spectral_decomposition(g, k=3)
+    for arr in (lams, dec.eigenvalues, dec.eigenfunctions, head.eigenvalues,
+                head.eigenfunctions):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
 def test_operator_norm_sandwich():
     rng = np.random.default_rng(23)
     for _ in range(10):
@@ -127,3 +214,9 @@ def test_mode_validation():
         laplacian_matrix(g, "bogus")
     with pytest.raises(GraphError):
         spectral_decomposition(path(2, boundary=[1, 2]), "dirichlet")  # no interior
+    with pytest.raises(GraphError):
+        eigenvalues(path(2, boundary=[1, 2]), "dirichlet")
+    with pytest.raises(GraphError):
+        eigenvalues(g, "bogus")
+    with pytest.raises(GraphError):
+        eigenvalues(path(MAX_DENSE + 1))
