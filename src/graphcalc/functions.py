@@ -36,12 +36,14 @@ __all__ = [
 
 @dataclass
 class VertexFunction:
+    """Vertex values of one function, shape (n,), or of a block, shape (n, B)."""
+
     graph: WeightedGraph
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.graph.n,):
+        if self.values.ndim not in (1, 2) or self.values.shape[0] != self.graph.n:
             raise GraphError("function length does not match vertex count")
 
     @classmethod
@@ -57,11 +59,21 @@ class VertexFunction:
 
     @property
     def is_dirichlet(self) -> bool:
-        g = self.graph
-        return all(self.values[g.index(b)] == 0.0 for b in g.boundary)
+        return bool(np.all(self.values[~self.graph.interior_mask] == 0.0))
 
-    def shifted(self, a: float) -> "VertexFunction":
+    def shifted(self, a) -> "VertexFunction":
+        """f - a; for a block, ``a`` may hold one shift per draw."""
         return VertexFunction(self.graph, self.values - a)
+
+
+def _rows(values: np.ndarray) -> np.ndarray:
+    """The draws as the C-contiguous rows of a (B, n) array ((1, n) for one)."""
+    return np.ascontiguousarray(values.T if values.ndim == 2 else values[None])
+
+
+def _per_draw(f: VertexFunction, r: np.ndarray):
+    """r, one entry per draw: a Python scalar for one function, else the array."""
+    return r if f.values.ndim == 2 else r.item()
 
 
 def _check_p(p) -> float:
@@ -70,17 +82,18 @@ def _check_p(p) -> float:
     return p
 
 
-def lp_norm_vertex(f: VertexFunction, p) -> float:
+def lp_norm_vertex(f: VertexFunction, p):
     """(sum_v |f(v)|^p V(v))^(1/p); max |f| for p = infinity."""
     _check_p(p)
+    X = _rows(f.values)
     if p == math.inf:
-        return float(np.max(np.abs(f.values), initial=0.0))
+        return _per_draw(f, np.abs(X).max(axis=1, initial=0.0))
     v = f.graph.vmeasure
-    return float(np.sum(np.abs(f.values) ** p * v) ** (1.0 / p))
+    return _per_draw(f, (np.abs(X) ** p * v).sum(axis=1) ** (1.0 / p))
 
 
-def vertex_integral(f: VertexFunction) -> float:
-    return float(np.dot(f.values, f.graph.vmeasure))
+def vertex_integral(f: VertexFunction):
+    return _per_draw(f, (_rows(f.values) * f.graph.vmeasure).sum(axis=1))
 
 
 def _spow(x: np.ndarray, r: float) -> np.ndarray:
@@ -88,8 +101,15 @@ def _spow(x: np.ndarray, r: float) -> np.ndarray:
     return np.sign(x) * np.abs(x) ** r
 
 
+def _edge_values(f: VertexFunction) -> tuple[np.ndarray, np.ndarray]:
+    """The tail and head values of every edge, as (B, m) rows."""
+    X = _rows(f.values)
+    g = f.graph
+    return X.take(g.eu, axis=1), X.take(g.ev, axis=1)
+
+
 def _edge_abs_power_integrals(f: VertexFunction, p: float) -> np.ndarray:
-    """Exact per-edge integral of |f|^p against E.
+    """Exact per-edge integral of |f|^p against E, as (B, m) rows.
 
     On an edge from value b to value c, f(s) = b + (c-b)s for s in [0,1] and
     d/ds {f}^{p+1} = (p+1)(c-b)|f|^p, valid across a sign change (the
@@ -97,10 +117,9 @@ def _edge_abs_power_integrals(f: VertexFunction, p: float) -> np.ndarray:
     whatever the signs.
     """
     g = f.graph
-    b = f.values[g.eu]
-    c = f.values[g.ev]
+    b, c = _edge_values(f)
     m = c - b
-    out = np.empty(len(g.edges))
+    out = np.empty(b.shape)
     flat = np.abs(m) <= 1e-15 * (np.abs(b) + np.abs(c))
     flat |= m == 0.0
     out[flat] = np.abs(b[flat]) ** p
@@ -109,123 +128,137 @@ def _edge_abs_power_integrals(f: VertexFunction, p: float) -> np.ndarray:
     return out * g.emeasure
 
 
-def lp_norm_edge(f: VertexFunction, p) -> float:
+def lp_norm_edge(f: VertexFunction, p):
     """Exact L^p norm of the edgewise-linear extension against E."""
     _check_p(p)
-    g = f.graph
-    if not g.edges:
-        return 0.0
     if p == math.inf:
-        return float(
-            max(np.max(np.abs(f.values[g.eu])), np.max(np.abs(f.values[g.ev])))
-        )
-    return float(np.sum(_edge_abs_power_integrals(f, p)) ** (1.0 / p))
+        b, c = _edge_values(f)
+        top = np.maximum(np.abs(b).max(axis=1, initial=0.0), np.abs(c).max(axis=1, initial=0.0))
+        return _per_draw(f, top)
+    return _per_draw(f, _edge_abs_power_integrals(f, p).sum(axis=1) ** (1.0 / p))
 
 
-def edge_integral(f: VertexFunction) -> float:
+def edge_integral(f: VertexFunction):
     """int f dE; trapezoid is exact for linear data (a loop is constant)."""
-    g = f.graph
-    if not g.edges:
-        return 0.0
-    avg = (f.values[g.eu] + f.values[g.ev]) / 2.0
+    b, c = _edge_values(f)
+    avg = (b + c) / 2.0
     # on a loop both endpoint values coincide, so avg is already f(v)
-    return float(np.sum(avg * g.emeasure))
+    return _per_draw(f, (avg * f.graph.emeasure).sum(axis=1))
 
 
-def midpoint_l2_sq(f: VertexFunction) -> float:
+def midpoint_l2_sq(f: VertexFunction):
     """sum_e E(e) * ((f(u)+f(v))/2)^2, the edge-midpoint-averaged square norm."""
-    g = f.graph
-    if not g.edges:
-        return 0.0
-    avg = (f.values[g.eu] + f.values[g.ev]) / 2.0
-    return float(np.sum(avg * avg * g.emeasure))
+    b, c = _edge_values(f)
+    avg = (b + c) / 2.0
+    return _per_draw(f, (avg * avg * f.graph.emeasure).sum(axis=1))
 
 
-def grad_lp_norm(f: VertexFunction, p) -> float:
+def grad_lp_norm(f: VertexFunction, p):
     """|grad f| is |f(u)-f(v)|/l_e on edge e; self-loops contribute nothing."""
     _check_p(p)
     g = f.graph
-    if not g.edges:
-        return 0.0
-    d = np.abs(f.values[g.eu] - f.values[g.ev])
-    d[g.loop_mask] = 0.0
-    slope = d / g.elen
+    b, c = _edge_values(f)
+    slope = np.abs(b - c) / g.elen  # 0 on a loop, whose two endpoint values coincide
     if p == math.inf:
-        return float(np.max(slope, initial=0.0))
-    return float(np.sum(g.emeasure * slope**p) ** (1.0 / p))
+        return _per_draw(f, slope.max(axis=1, initial=0.0))
+    return _per_draw(f, (g.emeasure * slope**p).sum(axis=1) ** (1.0 / p))
 
 
 # -- balancing ----------------------------------------------------------------
 
 
-def balance_point(f: VertexFunction, p) -> float:
+def balance_point(f: VertexFunction, p):
     """The unique a minimizing ||f - a||_p for p > 1 (midpoint rule at p=inf).
 
-    Characterized by sum {f - a}^(p-1) V = 0; the left side is strictly
-    decreasing in a, so we bisect on [min f, max f].
+    At p = 2 it is the V-weighted mean.  Otherwise a is the root of
+    h(t) = sum {f - t}^(p-1) V, strictly decreasing on [min f, max f], and all
+    draws of a block are solved together.  Each step evaluates h and
+    h'(t) = -(p-1) sum |f - t|^(p-2) V at t, moves that end of the bracket
+    [lo, hi] to t, and takes the Newton step if it lands inside the bracket
+    and is at most half the previous step, else bisects.  A Newton step
+    shorter than tol/2 is lengthened to tol/2 toward the root, so that it
+    lands beyond a root it has all but reached.  A draw is done once its
+    bracket is at most tol = 1e-12 (1 + max f - min f) wide, and its balance
+    point is the bracket's midpoint.
     """
-    if p == math.inf:
-        return float((f.values.max() + f.values.min()) / 2.0)
-    if p <= 1:
+    if p != math.inf and p <= 1:
         raise GraphError("balance_point needs p > 1 (use balance_interval at p=1)")
-    if f.graph.total_measure() <= 0:
-        raise GraphError("zero total measure")
-    vals, meas = f.values, f.graph.vmeasure
-    lo, hi = float(vals.min()), float(vals.max())
-    if lo == hi:
-        return lo
+    X = _rows(f.values)
+    lo, hi = X.min(axis=1), X.max(axis=1)
+    if p == math.inf:
+        return _per_draw(f, (hi + lo) / 2.0)
+    meas = f.graph.vmeasure
+    t = np.clip((X * meas).sum(axis=1) / meas.sum(), lo, hi)
+    if p == 2:
+        return _per_draw(f, t)
     tol = 1e-12 * (1.0 + (hi - lo))
-
-    def h(t):
-        return float(np.sum(_spow(vals - t, p - 1.0) * meas))
-
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if h(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
-
-
-def _median_interval(f: VertexFunction) -> tuple[float, float]:
-    """[t_lo, t_hi] where both strict sign sets of f - t have mass <= half.
-
-    Both endpoints are attained at vertex values: if the condition holds
-    anywhere strictly between two consecutive distinct values it also holds
-    at both of them (the strict level sets only shrink there).
-    """
-    vals, meas = f.values, f.graph.vmeasure
-    vs, inv = np.unique(vals, return_inverse=True)
-    ms = np.zeros(len(vs))
-    np.add.at(ms, inv, meas)
-    cum = np.cumsum(ms)
-    total = cum[-1]
-    below = cum - ms  # V{f < vs[k]}
-    above = total - cum  # V{f > vs[k]}
-    ok = (below <= total / 2.0) & (above <= total / 2.0)
-    idx = np.nonzero(ok)[0]
-    return float(vs[idx[0]]), float(vs[idx[-1]])
+    half = tol / 2.0
+    out = t.copy()
+    todo = hi - lo > tol
+    step = hi - lo  # twice the longest Newton step accepted next
+    # a draw that is done keeps iterating with the rest, but its result was
+    # taken when it finished; |f - t|^(p-2) is inf at a vertex value for
+    # p < 2, which only shortens the Newton step
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while todo.any():
+            d = X - t[:, None]
+            ad = np.abs(d)
+            h = (np.copysign(ad ** (p - 1.0), d) * meas).sum(axis=1)
+            slope = (ad ** (p - 2.0) * meas).sum(axis=1) * (p - 1.0)
+            right = h > 0.0  # the root lies above t
+            np.copyto(lo, t, where=right)
+            np.copyto(hi, t, where=~right)
+            newton = h / slope
+            size = np.abs(newton)
+            np.copyto(newton, np.where(right, half, -half), where=size < half)
+            nt = t + newton
+            mid = (lo + hi) * 0.5
+            np.copyto(nt, mid, where=~((nt > lo) & (nt < hi) & (size + size <= step)))
+            step = np.abs(nt - t)
+            t = nt
+            done = todo & (hi - lo <= tol)
+            np.copyto(out, mid, where=done)
+            todo &= ~done
+    return _per_draw(f, out)
 
 
-def balance_interval(f: VertexFunction) -> tuple[float, float]:
-    """Endpoints of the interval of minimizers of ||f - t||_1 (weighted median)."""
-    return _median_interval(f)
-
-
-def split_interval(f: VertexFunction) -> tuple[float, float]:
+def split_interval(f: VertexFunction):
     """J = {t : f - t is split}, i.e. V{f > t} <= V/2 and V{f < t} <= V/2.
 
     V is supported on vertices, so only strict vertex signs matter; for
-    atomic measures J coincides with the L^1-balancing interval, consistent
-    with I being contained in J.
+    atomic measures J coincides with the interval of minimizers of
+    ||f - t||_1 (the weighted median), consistent with I being contained in
+    J.  Both endpoints are attained at vertex values: if the condition holds
+    anywhere strictly between two consecutive distinct values it also holds
+    at both of them (the strict level sets only shrink there).  Returns
+    (lo, hi), floats or (B,) arrays.
+
+    Sort the values as x_0 <= x_1 <= ... and let c_j be the mass of the
+    first j+1.  Then V{f > x_j} <= V - c_j and V{f < x_j} >= c_(j-1), with
+    equality at the last and the first copy of a repeated value
+    respectively, so the first j with V - c_j <= V/2 gives the least value
+    with V{f > x} <= V/2, and the last j with c_(j-1) <= V/2 the greatest
+    with V{f < x} <= V/2.  Those are the endpoints of J, since each
+    condition holds on a half-line and a weighted median meets both.  Equal
+    values (the zeros of Dirichlet data, say) need no grouping.
     """
-    return _median_interval(f)
+    X = _rows(f.values)
+    order = X.argsort(axis=1, kind="stable")
+    cum = f.graph.vmeasure[order].cumsum(axis=1)
+    total = cum[:, -1:]
+    first = (total - cum > total / 2.0).sum(axis=1)
+    last = (cum[:, :-1] <= total / 2.0).sum(axis=1)
+    xs = np.sort(X, axis=1)
+    rows = np.arange(len(X))
+    return _per_draw(f, xs[rows, first]), _per_draw(f, xs[rows, last])
 
 
-def is_split(f: VertexFunction) -> bool:
+balance_interval = split_interval  # the L^1-balancing interval, the same set
+
+
+def is_split(f: VertexFunction):
     lo, hi = split_interval(f)
-    return lo <= 0.0 <= hi
+    return (lo <= 0.0) & (hi >= 0.0)
 
 
 def split_shift(f: VertexFunction) -> VertexFunction:

@@ -14,6 +14,7 @@ choice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -71,24 +72,31 @@ class WeightedGraph:
         boundary: Iterable[VertexId] = (),
     ):
         self.vertices = list(vertices)
-        if len(set(self.vertices)) != len(self.vertices):
+        try:
+            self._index = {vid: i for i, vid in enumerate(self.vertices)}
+        except TypeError as exc:
+            raise GraphError(f"vertex ids must be hashable: {exc}") from None
+        if len(self._index) != len(self.vertices):
             raise GraphError("duplicate vertex ids")
-        self._index = {vid: i for i, vid in enumerate(self.vertices)}
         self.vmeasure = np.asarray(measures, dtype=float)
         if self.vmeasure.shape != (len(self.vertices),):
             raise GraphError("vertex measure length mismatch")
-        if not np.all(self.vmeasure > 0):
-            raise GraphError("vertex measures must be positive")
+        if not np.all((self.vmeasure > 0) & np.isfinite(self.vmeasure)):
+            raise GraphError("vertex measures must be positive and finite")
         self.boundary = frozenset(boundary)
         unknown = self.boundary - set(self.vertices)
         if unknown:
             raise GraphError(f"boundary vertices not in graph: {sorted(map(str, unknown))}")
         self.edges = list(edges)
         for e in self.edges:
-            if e.u not in self._index or e.v not in self._index:
+            try:
+                known = e.u in self._index and e.v in self._index
+            except TypeError:
+                known = False
+            if not known:
                 raise GraphError(f"edge endpoint not in graph: {e.u!r}-{e.v!r}")
-            if not (e.a > 0 and e.length > 0):
-                raise GraphError("edge weights and lengths must be positive")
+            if not (e.a > 0 and e.length > 0 and math.isfinite(e.a * e.length)):
+                raise GraphError("edge weights and lengths must be positive, their product finite")
         self._build_arrays()
 
     def _build_arrays(self) -> None:

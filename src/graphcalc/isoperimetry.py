@@ -322,11 +322,12 @@ def magnification(
 # -- quotients and characteristic approximants --------------------------------
 
 
-def sobolev_quotient(f: VertexFunction, nu: float) -> float:
-    """s_nu(f) = ||grad f||_1 / ||f||_{nu'} (gradient against E, f against V)."""
+def sobolev_quotient(f: VertexFunction, nu: float):
+    """s_nu(f) = ||grad f||_1 / ||f||_{nu'} (gradient against E, f against V);
+    a (B,) array for a block."""
     nup = 1.0 if nu == math.inf else (math.inf if nu == 1 else nu / (nu - 1.0))
     denom = lp_norm_vertex(f, nup)
-    if denom == 0.0:
+    if np.count_nonzero(denom == 0.0):
         raise GraphError("quotient undefined for f identically zero")
     return grad_lp_norm(f, 1) / denom
 

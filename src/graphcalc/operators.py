@@ -42,7 +42,8 @@ class EdgeField:
 
     X_e > 0 points along the stored orientation u -> v; at the head v the
     outward normal satisfies n_{e,v} . X = +X_e, at the tail -X_e.  Self-loop
-    entries are ignored by the divergence.
+    entries are ignored by the divergence.  Like a VertexFunction, the values
+    may be a block of shape (m, B), one field per column.
     """
 
     graph: WeightedGraph
@@ -50,14 +51,19 @@ class EdgeField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (len(self.graph.edges),):
+        if self.values.ndim not in (1, 2) or self.values.shape[0] != len(self.graph.edges):
             raise GraphError("field length does not match edge count")
+
+
+def _per_row(w: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """w, one weight per vertex or edge, shaped to scale every column of values."""
+    return w.reshape(w.shape + (1,) * (values.ndim - 1))
 
 
 def gradient_field(f: VertexFunction) -> EdgeField:
     """grad f as an EdgeField: (f(v) - f(u))/l_e along u -> v."""
     g = f.graph
-    d = (f.values[g.ev] - f.values[g.eu]) / g.elen
+    d = (f.values[g.ev] - f.values[g.eu]) / _per_row(g.elen, f.values)
     d[g.loop_mask] = 0.0
     return EdgeField(g, d)
 
@@ -65,12 +71,12 @@ def gradient_field(f: VertexFunction) -> EdgeField:
 def normal_flux(X: EdgeField) -> VertexFunction:
     """(n~ . X)(v) = V(v)^-1 sum_e a_e n_{e,v} . X|_e(v)  (net inflow)."""
     g = X.graph
-    acc = np.zeros(g.n)
+    acc = np.zeros((g.n,) + X.values.shape[1:])
     mask = ~g.loop_mask
-    w = g.ea[mask] * X.values[mask]
+    w = _per_row(g.ea[mask], X.values) * X.values[mask]
     np.add.at(acc, g.ev[mask], w)
     np.add.at(acc, g.eu[mask], -w)
-    return VertexFunction(g, acc / g.vmeasure)
+    return VertexFunction(g, acc / _per_row(g.vmeasure, acc))
 
 
 def divergence(g: WeightedGraph, X: EdgeField) -> VertexFunction:
@@ -116,13 +122,13 @@ def laplacian_matrix(g: WeightedGraph, mode: str = "closed") -> tuple[np.ndarray
 
 
 def laplacian_apply(g: WeightedGraph, f: VertexFunction) -> VertexFunction:
-    acc = np.zeros(g.n)
+    acc = np.zeros(f.values.shape)
     mask = ~g.loop_mask
-    w = g.ea[mask] / g.elen[mask]
+    w = _per_row(g.ea[mask] / g.elen[mask], f.values)
     d = f.values[g.eu[mask]] - f.values[g.ev[mask]]
     np.add.at(acc, g.eu[mask], w * d)
     np.add.at(acc, g.ev[mask], -w * d)
-    return VertexFunction(g, acc / g.vmeasure)
+    return VertexFunction(g, acc / _per_row(g.vmeasure, acc))
 
 
 @dataclass

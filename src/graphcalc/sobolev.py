@@ -3,7 +3,9 @@
 Every routine evaluates both sides of one inequality from graph data and
 returns an InequalityCheck; an in-hypothesis instance must pass (lhs >=
 rhs - 1e-9).  Closed-graph variants run on split inputs (pre-shifted by the
-midpoint of the L^1 balance interval) with the shifted constant I~_nu.
+midpoint of the L^1 balance interval) with the shifted constant I~_nu.  A
+block of functions (values of shape (n, B)) is checked in one call: the
+sides are then (B,) arrays and the check counts the failing draws.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from .graph import GraphError, WeightedGraph, half_degrees
 from .functions import (
     VertexFunction,
+    _spow,
     grad_lp_norm,
     lp_norm_vertex,
     lp_norm_edge,
@@ -41,14 +44,22 @@ TOL = 1e-9
 
 @dataclass
 class InequalityCheck:
+    """Both sides of one inequality: floats, or (B,) arrays for a block."""
+
     name: str
-    lhs: float
-    rhs: float
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
     inputs: dict = field(default_factory=dict)
 
     @property
+    def failures(self) -> int:
+        """The number of draws with lhs < rhs - TOL (1 + |rhs|); 0 or 1 for one function."""
+        ok = self.lhs >= self.rhs - TOL * (1.0 + np.abs(self.rhs))
+        return int(np.count_nonzero(np.logical_not(ok)))
+
+    @property
     def passed(self) -> bool:
-        return self.lhs >= self.rhs - TOL * (1.0 + abs(self.rhs))
+        return self.failures == 0
 
 
 def _conjugate(p: float) -> float:
@@ -66,10 +77,6 @@ def _iso_for(g: WeightedGraph, nu: float, **kw) -> tuple[float, bool]:
     return iso_constant(g, nu, "open", **kw).value, False
 
 
-def _spow(x: np.ndarray, r: float) -> np.ndarray:
-    return np.sign(x) * np.abs(x) ** r
-
-
 def general_F_check(
     f: VertexFunction, r: float, p: float, nu: float, **iso_kw
 ) -> InequalityCheck:
@@ -85,7 +92,9 @@ def general_F_check(
     pp = _conjugate(p)
     nup = _conjugate(nu)
     Fphi = VertexFunction(g, _spow(phi.values, r))
-    dF = VertexFunction(g, r * np.abs(phi.values) ** (r - 1.0) if r > 1 else np.ones(g.n))
+    dF = VertexFunction(
+        g, r * np.abs(phi.values) ** (r - 1.0) if r > 1 else np.ones_like(phi.values)
+    )
     lhs = rho ** (1.0 / pp) * grad_lp_norm(phi, p) * lp_norm_vertex(dF, pp)
     rhs = I * lp_norm_vertex(Fphi, nup)
     return InequalityCheck(
@@ -127,7 +136,7 @@ def nash_check(f: VertexFunction, nu: float, mode: str | None = None, **iso_kw) 
     rho = half_degrees(g).rho_sup
     lhs = grad_lp_norm(phi, 2)
     n1, n2 = lp_norm_vertex(phi, 1), lp_norm_vertex(phi, 2)
-    if n2 == 0:
+    if np.count_nonzero(n2 == 0):
         raise GraphError("f must not be (a.e.) constant")
     rhs = (I / (2.0 * math.sqrt(rho))) * n2 ** (1.0 + 2.0 / nu) * n1 ** (-2.0 / nu)
     return InequalityCheck("nash", lhs, rhs, {"nu": nu, "I": I, "rho_sup": rho})
@@ -150,12 +159,12 @@ def trudinger_check(
     rho = half_degrees(g).rho_sup
     nup = _conjugate(nu)
     gnorm = grad_lp_norm(phi, nu)
-    if gnorm == 0:
+    if np.count_nonzero(gnorm == 0):
         raise GraphError("phi must not be constant")
     tilde = np.abs(phi.values) * I * rho ** (-1.0 / nup) / gnorm
     nupf = 1.0 if nu == math.inf else nup
     if measure == "vertex":
-        lhs_total = float(np.sum(np.exp(nupf * gamma * tilde) * g.vmeasure))
+        lhs_total = vertex_integral(VertexFunction(g, np.exp(nupf * gamma * tilde)))
     elif measure == "edge":
         expf = VertexFunction(g, np.exp(gamma * tilde))
         lhs_total = lp_norm_edge(expf, nupf) ** nupf
@@ -239,7 +248,7 @@ def gennash_check(f: VertexFunction, nu: float, **iso_kw) -> InequalityCheck:
         raise GraphError("hypothesis fails: I_nu < 1 (rescale the edge weights)")
     rho = half_degrees(g).rho_sup
     n1, n2 = lp_norm_vertex(f, 1), lp_norm_vertex(f, 2)
-    if n2 == 0:
+    if np.count_nonzero(n2 == 0):
         raise GraphError("f must be nonzero")
     phi_val = (4.0 * n1 * n1 / (n2 * n2)) ** (1.0 / nu)
     lhs = 32.0 * rho * phi_val**2 * grad_lp_norm(f, 2) ** 2

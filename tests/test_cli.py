@@ -148,12 +148,31 @@ def test_heat_rejects_negative_or_nonfinite_t(tmp_path, capsys):
         {"vertices": [{"measure": 1}], "edges": []},
         {"vertices": [1, 2], "edges": [{"u": 1}]},
         {"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "a": "x"}]},
+        {"vertices": [[1], 2], "edges": []},
+        {"vertices": [1, 2], "edges": [{"u": [1], "v": 2}]},
+        {"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "a": "inf"}]},
+        {"vertices": [{"id": 1, "measure": "nan"}, 2], "edges": []},
+        {"vertices": [{"id": 1, "measure": "Infinity"}, 2], "edges": []},
+        {"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "a": 1e308, "length": 1e308}]},
     ],
 )
 def test_malformed_document_is_usage_error(tmp_path, capsys, doc):
     target = tmp_path / "bad.json"
     target.write_text(json.dumps(doc))
     _assert_usage_error(*_run_err(capsys, "info", str(target)))
+
+
+def test_nonfinite_weight_is_usage_error_for_spectrum(tmp_path, capsys):
+    # an infinite conductance used to print NaN eigenvalues with exit 0
+    target = tmp_path / "inf.json"
+    target.write_text(json.dumps({"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "a": "inf"}]}))
+    _assert_usage_error(*_run_err(capsys, "spectrum", str(target)))
+
+
+def test_verify_rejects_negative_trials(tmp_path, capsys):
+    g = _write_c4(tmp_path)
+    capsys.readouterr()
+    _assert_usage_error(*_run_err(capsys, "verify", g, "--suite", "ff", "--trials", "-1"))
 
 
 def test_flow_command(tmp_path, capsys):

@@ -18,7 +18,10 @@ from graphcalc import (
     lp_norm_edge,
     lp_norm_vertex,
     midpoint_l2_sq,
+    sobolev_quotient,
+    split_interval,
     split_shift,
+    vertex_integral,
 )
 from graphcalc.generators import path, random_graph
 
@@ -191,6 +194,9 @@ def test_vertex_function_validation():
     g = path(3)
     with pytest.raises(GraphError):
         VertexFunction(g, np.zeros(2))
+    with pytest.raises(GraphError):
+        VertexFunction(g, np.zeros((3, 2, 2)))
+    assert VertexFunction(g, np.zeros((3, 4))).values.shape == (3, 4)
     f = VertexFunction.from_map(g, {1: 1.0, 2: 2.0, 3: 3.0})
     assert f(2) == 2.0
     gb = path(3, boundary=[3])
@@ -198,3 +204,106 @@ def test_vertex_function_validation():
     assert fb.is_dirichlet
     fnb = VertexFunction.from_map(gb, {1: 1.0, 2: 2.0, 3: 3.0})
     assert not fnb.is_dirichlet
+    assert VertexFunction(gb, np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]])).is_dirichlet
+    assert not VertexFunction(gb, np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 1.0]])).is_dirichlet
+
+
+def _block_cases():
+    """(graph, (B, n) draws) pairs: closed and Dirichlet, with loops and ties."""
+    rng = np.random.default_rng(23)
+    cases = []
+    for k in range(12):
+        g = random_graph(int(rng.integers(2, 15)), rng, weighted=True,
+                         boundary_fraction=0.3 if k % 2 else 0.0)
+        rows = rng.standard_normal((9, g.n))
+        if k % 3 == 0:
+            rows = np.round(rows)  # ties between draws' values
+        cases.append((g, rows * g.interior_mask))
+    loop = build_graph(["a", "b", "c"],
+                       [Edge("a", "b"), Edge("b", "c", 2.0, 0.5), Edge("c", "c", 3.0)])
+    cases.append((loop, rng.standard_normal((5, 3))))
+    return cases
+
+
+BLOCK_FUNCTIONS = [
+    (lp_norm_vertex, p) for p in (1, 2, 3.5, math.inf)
+] + [(lp_norm_edge, p) for p in (1, 2.5, math.inf)] + [
+    (grad_lp_norm, p) for p in (1, 3, math.inf)
+] + [(balance_point, p) for p in (1.5, 2, 3, math.inf)] + [
+    (edge_integral, None), (midpoint_l2_sq, None), (vertex_integral, None),
+]
+
+
+def test_block_equals_columns():
+    for g, rows in _block_cases():
+        block = VertexFunction(g, rows.T)
+        columns = [VertexFunction(g, r) for r in rows]
+        for fn, p in BLOCK_FUNCTIONS:
+            args = () if p is None else (p,)
+            got = fn(block, *args)
+            want = [fn(f, *args) for f in columns]
+            assert isinstance(got, np.ndarray) and got.shape == (len(rows),)
+            assert all(type(w) is float for w in want)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=fn.__name__)
+        nonzero = rows[rows.any(axis=1)]
+        quot = sobolev_quotient(VertexFunction(g, nonzero.T), 3.0)
+        want = [sobolev_quotient(VertexFunction(g, r), 3.0) for r in nonzero]
+        np.testing.assert_allclose(quot, want, rtol=1e-12, atol=0)
+        shifted = split_shift(block)
+        for k, f in enumerate(columns):
+            np.testing.assert_allclose(shifted.values[:, k], split_shift(f).values,
+                                       rtol=1e-12, atol=0)
+        assert is_split(shifted).all()
+
+
+def test_split_interval_block_is_exact_with_tied_zeros():
+    # Dirichlet draws: every boundary vertex is a tied zero
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        g = random_graph(int(rng.integers(3, 13)), rng, weighted=True, boundary_fraction=0.5)
+        rows = rng.standard_normal((15, g.n)) * g.interior_mask
+        rows[::4] = np.round(rows[::4])
+        lo, hi = split_interval(VertexFunction(g, rows.T))
+        for k, r in enumerate(rows):
+            assert (lo[k], hi[k]) == split_interval(VertexFunction(g, r))
+
+
+def test_split_interval_matches_definition():
+    # integer measures keep every mass sum exact
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        g = build_graph([(i, float(rng.integers(1, 5))) for i in range(n)], [])
+        vals = rng.integers(-2, 3, n).astype(float)
+        total = g.vmeasure.sum()
+        ok = [x for x in vals if g.vmeasure[vals < x].sum() <= total / 2
+              and g.vmeasure[vals > x].sum() <= total / 2]
+        assert split_interval(VertexFunction(g, vals)) == (min(ok), max(ok))
+        assert balance_interval(VertexFunction(g, vals)) == (min(ok), max(ok))
+
+
+def _balance_h(vals, meas, p, t):
+    """The first-order function of ||f - t||_p: decreasing, zero at the balance point."""
+    if p == math.inf:
+        return (vals.max() - t) - (t - vals.min())
+    d = vals - t
+    return float(np.sum(np.sign(d) * np.abs(d) ** (p - 1.0) * meas))
+
+
+def test_balance_point_first_order_bracket():
+    rng = np.random.default_rng(37)
+    for k in range(30):
+        g = random_graph(int(rng.integers(2, 15)), rng, weighted=True,
+                         boundary_fraction=0.3 if k % 2 else 0.0)
+        rows = rng.standard_normal((8, g.n)) * g.interior_mask
+        rows[1] *= 1e-6
+        rows[2] = np.round(rows[2])
+        rows[3] = 1.5  # constant
+        for p in (1.5, 2, 3, math.inf):
+            block = balance_point(VertexFunction(g, rows.T), p)
+            for r, a_block in zip(rows, block):
+                a = balance_point(VertexFunction(g, r), p)
+                eps = 1e-9 * (1.0 + r.max() - r.min())
+                for t in (a, a_block):
+                    assert _balance_h(r, g.vmeasure, p, t - eps) >= 0.0
+                    assert _balance_h(r, g.vmeasure, p, t + eps) <= 0.0

@@ -169,3 +169,62 @@ def test_random_instances_never_fail():
             assert sobolev_check(f, 2.0, 3.0).passed
             assert nash_check(f, 3.0).passed
             assert trudinger_check(f, 0.4, 3.0).passed
+
+
+def test_inequality_check_counts_failing_draws():
+    from graphcalc.sobolev import InequalityCheck
+
+    chk = InequalityCheck("x", np.array([1.0, 0.0, 2.0, 5.0]), np.array([0.5, 1.0, 3.0, 5.0]))
+    assert chk.failures == 2 and not chk.passed
+    assert InequalityCheck("x", 1.0, 2.0).failures == 1
+    assert InequalityCheck("x", 2.0, 1.0).failures == 0
+    assert InequalityCheck("x", 2.0, 1.0).passed
+    # one side may be shared by every draw (trudinger's bound)
+    assert InequalityCheck("x", 3.0, np.array([1.0, 4.0, 2.0])).failures == 1
+
+
+def _check_pairs(g, f):
+    """(block check, per-column checks) for every inequality that applies to g."""
+    calls = [
+        lambda h: sobolev_check(h, 1.0, 2.0, force=True),
+        lambda h: sobolev_check(h, 1.5, 4.0, force=True),
+        lambda h: general_F_check(h, 2.0, 2.0, 4.0, force=True),
+        lambda h: general_F_check(h, 1.0, 2.0, 3.0, force=True),
+        lambda h: nash_check(h, 3.0, force=True),
+        lambda h: trudinger_check(h, 0.4, 3.0, force=True),
+        lambda h: trudinger_check(h, 0.4, 3.0, measure="edge", force=True),
+        lambda h: sup_embedding_check(h, 3.0, 2.0, force=True),
+    ]
+    if g.boundary and iso_constant(g, 3.0, "open").value >= 1.0:
+        calls.append(lambda h: gennash_check(h, 3.0, force=True))
+    columns = [VertexFunction(g, f.values[:, k]) for k in range(f.values.shape[1])]
+    return [(call(f), [call(c) for c in columns]) for call in calls]
+
+
+@pytest.mark.parametrize("inflate", [1.0, 3.0])
+def test_block_checks_equal_columns(monkeypatch, inflate):
+    # an inflated isoperimetric constant makes some draws fail their checks
+    from dataclasses import replace
+    from graphcalc import sobolev
+
+    true_iso = sobolev.iso_constant
+    monkeypatch.setattr(sobolev, "iso_constant", lambda g, nu, variant="open", **kw: replace(
+        true_iso(g, nu, variant, **kw), value=inflate * true_iso(g, nu, variant, **kw).value))
+    rng = np.random.default_rng(9)
+    graphs = [cycle(7), path(7, boundary=[7])]
+    graphs += [random_graph(int(rng.integers(4, 10)), rng, weighted=True,
+                            boundary_fraction=0.3 * (k % 2)) for k in range(6)]
+    failures = 0
+    for g in graphs:
+        rows = rng.standard_normal((12, g.n)) * g.interior_mask
+        rows = rows[rows.any(axis=1)]
+        for block, cols in _check_pairs(g, VertexFunction(g, rows.T)):
+            for side in ("lhs", "rhs"):
+                want = [getattr(c, side) for c in cols]
+                np.testing.assert_allclose(
+                    np.broadcast_to(getattr(block, side), len(cols)), want, rtol=1e-12, atol=0
+                )
+            assert block.failures == sum(c.failures for c in cols)
+            assert block.passed == all(c.passed for c in cols)
+            failures += block.failures
+    assert inflate == 1.0 or failures > 0
