@@ -81,7 +81,8 @@ def dodziuk_bound(g: WeightedGraph, i_infty: float | None = None, **kw) -> Bound
     """lambda >= I_inf^2 / (4 rho_sup)  (I~ on closed graphs)."""
     I = _iso_infty(g, **kw) if i_infty is None else i_infty
     rho = half_degrees(g).rho_sup
-    return BoundValue("dodziuk", I * I / (4.0 * rho), True, {"I_inf": I, "rho_sup": rho})
+    value = I * I / (4.0 * rho) if I else 0.0  # without edges both I and rho are 0
+    return BoundValue("dodziuk", value, True, {"I_inf": I, "rho_sup": rho})
 
 
 def mohar_bound(g: WeightedGraph, i_infty: float | None = None, **kw) -> BoundValue:
@@ -251,9 +252,10 @@ def certified_magnification(g: WeightedGraph, A) -> Fraction:
 
 
 def alon_field(
-    g: WeightedGraph, A, c: Fraction | None = None, generalized: bool = False
+    g: WeightedGraph, A, c: Fraction | float | None = None, generalized: bool = False
 ) -> AlonField:
-    """Transport-field certificate for a magnified set A.
+    """Transport-field certificate for a magnified set A (c, when given, is
+    taken as the exact Fraction of its value).
 
     Network: source -> one node per A-vertex (capacity (1+c) V(v)), across to
     one node per graph vertex (capacity V(w); 1 in the traditional setting)
@@ -275,8 +277,7 @@ def alon_field(
     for v in ids:
         if v in g.boundary:
             raise GraphError("A must avoid the boundary")
-    if c is None:
-        c = certified_magnification(g, ids)
+    c = certified_magnification(g, ids) if c is None else Fraction(c)
     if c < 0:
         raise GraphError("A has a neighborhood smaller than itself; no field")
     meas = [Fraction(float(x)) for x in g.vmeasure]

@@ -15,6 +15,7 @@ import io
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -269,18 +270,12 @@ def _cmd_gen(args) -> int:
 
 def _cmd_flow(args) -> int:
     g, digest = _load_graph(args.graph)
-    ids = [s for s in args.set.split(",") if s]
-    # graph ids may be ints; try to match either representation
+    by_name = {str(v): v for v in g.vertices}  # a bijection: ids are distinct as strings
     A = []
-    for s in ids:
-        if s in g._index:
-            A.append(s)
-        else:
-            try:
-                val = int(s)
-            except ValueError:
-                raise GraphError(f"unknown vertex {s!r}")
-            A.append(val)
+    for s in filter(None, args.set.split(",")):
+        if s not in by_name:
+            raise GraphError(f"unknown vertex {s!r}")
+        A.append(by_name[s])
     af = alon_field(g, A, c=args.c)
     checks = alon_field_checks(g, af)
     flags = {k: v for k, v in sorted(checks.items()) if isinstance(v, bool)}
@@ -377,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flow", help="exact magnification flow certificate")
     common(p)
     p.add_argument("--set", required=True, help="comma-separated interior vertex ids")
-    p.add_argument("-c", type=float, default=None, help="target magnification")
+    p.add_argument("-c", type=Fraction, default=None, help="exact target magnification, e.g. 1/3")
     p.set_defaults(func=_cmd_flow)
 
     return ap

@@ -62,7 +62,9 @@ class Edge:
 
 
 class WeightedGraph:
-    """Immutable-ish container; numpy views are built once and cached."""
+    """Immutable: ids and edges are tuples, every array is read-only (the
+    measures passed in are copied), and attributes cannot be rebound.  Data
+    derived from the graph is computed once and kept in one memo."""
 
     def __init__(
         self,
@@ -71,14 +73,14 @@ class WeightedGraph:
         edges: Sequence[Edge],
         boundary: Iterable[VertexId] = (),
     ):
-        self.vertices = list(vertices)
+        self.vertices = tuple(vertices)
         try:
             self._index = {vid: i for i, vid in enumerate(self.vertices)}
         except TypeError as exc:
             raise GraphError(f"vertex ids must be hashable: {exc}") from None
-        if len(self._index) != len(self.vertices):
-            raise GraphError("duplicate vertex ids")
-        self.vmeasure = np.asarray(measures, dtype=float)
+        if len(set(map(str, self._index))) != len(self.vertices):
+            raise GraphError("vertex ids must be distinct, also as strings")
+        self.vmeasure = np.array(measures, dtype=float)
         if self.vmeasure.shape != (len(self.vertices),):
             raise GraphError("vertex measure length mismatch")
         if not np.all((self.vmeasure > 0) & np.isfinite(self.vmeasure)):
@@ -87,7 +89,7 @@ class WeightedGraph:
         unknown = self.boundary - set(self.vertices)
         if unknown:
             raise GraphError(f"boundary vertices not in graph: {sorted(map(str, unknown))}")
-        self.edges = list(edges)
+        self.edges = tuple(edges)
         for e in self.edges:
             try:
                 known = e.u in self._index and e.v in self._index
@@ -97,9 +99,6 @@ class WeightedGraph:
                 raise GraphError(f"edge endpoint not in graph: {e.u!r}-{e.v!r}")
             if not (e.a > 0 and e.length > 0 and math.isfinite(e.a * e.length)):
                 raise GraphError("edge weights and lengths must be positive, their product finite")
-        self._build_arrays()
-
-    def _build_arrays(self) -> None:
         m = len(self.edges)
         self.eu = np.fromiter((self._index[e.u] for e in self.edges), dtype=int, count=m)
         self.ev = np.fromiter((self._index[e.v] for e in self.edges), dtype=int, count=m)
@@ -118,10 +117,26 @@ class WeightedGraph:
             else:
                 inc[iu].append((k, -1))
                 inc[iv].append((k, +1))
-        self.incidence = inc
+        self.incidence = tuple(map(tuple, inc))
         self.interior_mask = np.ones(len(self.vertices), dtype=bool)
         for b in self.boundary:
             self.interior_mask[self._index[b]] = False
+        for arr in (self.vmeasure, self.eu, self.ev, self.ea, self.elen, self.emeasure,
+                    self.loop_mask, self.interior_mask):
+            arr.setflags(write=False)
+        self._memo = {}  # set last: from here on no attribute may be rebound
+
+    def __setattr__(self, name, value):
+        if hasattr(self, "_memo"):
+            raise AttributeError("WeightedGraph is immutable")
+        super().__setattr__(name, value)
+
+    def memo(self, key, build):
+        """``build()``, computed on the first call with ``key`` and kept for
+        the graph's lifetime; the key names the result and its arguments."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     # -- basic queries ----------------------------------------------------
 
@@ -199,6 +214,8 @@ class WeightedGraph:
             raise GraphError(f"malformed graph document: missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise GraphError(f"malformed graph document: {exc}") from exc
+        if not vertices:
+            raise GraphError("malformed graph document: no vertices")
         return cls(vertices, measures, edges, boundary)
 
 

@@ -4,9 +4,12 @@ The admissible sets can be restricted to connected, vertex-determined subsets
 disjoint from the boundary without changing any of the constants (Yau's
 observation: the quotient of a disjoint union is at least the smaller of the
 quotients, and partial edge segments only add area).  Connected subsets are
-enumerated canonically (each exactly once) over bitmasks, each with its area
-and mass; the tilde variants skip the whole vertex set by its mask.  A
-vectorized interval sweep handles long paths, where enumeration is too slow.
+enumerated canonically (each exactly once) over bitmasks, with their area and
+mass, into one (mask, area, mass) table per graph and pool of free vertices,
+kept in the graph's memo with the reports.  Every (nu, variant) is one
+vectorized quotient over that table: the whole vertex set gets inf in the
+tilde variants, and the sorted-id tie rule sees only the masks within 1e-12
+of the minimum.  A vectorized interval sweep handles long paths instead.
 """
 
 from __future__ import annotations
@@ -60,13 +63,9 @@ class IsoReport:
     witness: AdmissibleSet | None
 
 
-def _neighbor_masks(g: WeightedGraph) -> list[int]:
-    masks = [0] * g.n
-    for k in range(len(g.edges)):
-        i, j = int(g.eu[k]), int(g.ev[k])
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
-    return masks
+def _neighbor_masks(g: WeightedGraph) -> tuple[int, ...]:
+    return g.memo(("neighbor_masks",), lambda: tuple(
+        sum(1 << j for j in g.neighbors(i)) for i in range(g.n)))
 
 
 def enumerate_connected_subsets(g: WeightedGraph, allowed_mask: int):
@@ -118,12 +117,27 @@ def _sort_key(g: WeightedGraph, mask: int) -> tuple:
     return tuple(sorted(map(str, _mask_set(g, mask))))
 
 
-def _quotient(area: float, mass: float, comass: float, nu: float, variant: str) -> float:
-    """I_nu quotient of a set; the tilde variants also weigh its complement."""
+def _quotient(area, mass, comass, nu: float, variant: str):
+    """I_nu quotient of a set (elementwise on arrays); the tilde variants also
+    weigh its complement."""
     if variant == "tilde_prime" and nu != math.inf:
         return area * (mass ** (1.0 - nu) + comass ** (1.0 - nu)) ** (1.0 / nu)
-    small = mass if variant == "open" else min(mass, comass)
+    small = mass if variant == "open" else np.minimum(mass, comass)
     return area / small if nu == math.inf else area * small ** (1.0 / nu - 1.0)
+
+
+def _subset_table(g: WeightedGraph, allowed_mask: int) -> np.ndarray:
+    """The (mask, area, mass) records of every connected subset of
+    ``allowed_mask``, enumerated once per graph and mask."""
+    dtype = [("mask", "i8" if g.n < 64 else object), ("area", "f8"), ("mass", "f8")]
+    return g.memo(("subsets", allowed_mask), lambda: np.fromiter(
+        enumerate_connected_subsets(g, allowed_mask), dtype=dtype))
+
+
+def _check_cap(free: int, cap: int, force: bool) -> None:
+    if free > cap and not force:
+        raise GraphError(
+            f"{free} free vertices exceeds the enumeration cap {cap}; pass force=True to proceed")
 
 
 def _is_simple_path(g: WeightedGraph) -> list[int] | None:
@@ -190,57 +204,39 @@ def _iso_open_path(g: WeightedGraph, nu: float) -> IsoReport:
 
 
 def iso_constant(
-    g: WeightedGraph,
-    nu: float,
-    variant: str = "open",
-    max_subset: int = DEFAULT_CAP,
-    force: bool = False,
+    g: WeightedGraph, nu: float, variant: str = "open", force: bool = False
 ) -> IsoReport:
     if variant not in ("open", "tilde", "tilde_prime"):
         raise GraphError(f"unknown variant {variant!r}")
-    if nu != math.inf and nu < 1:
+    if not nu >= 1:
         raise GraphError("nu must be in [1, inf]")
-    # constants are pure in (graph, nu, variant); memoize on the graph, which
-    # is immutable once constructed
-    cache = g.__dict__.setdefault("_iso_cache", {})
-    if (nu, variant) in cache:
-        return cache[(nu, variant)]
-    if variant == "open":
-        pool = [i for i in range(g.n) if g.interior_mask[i]]
-        if not pool:
-            raise GraphError("no interior vertices")
-        if _is_simple_path(g) is not None and g.n > 64:
-            rep = _iso_open_path(g, nu)
-            cache[(nu, variant)] = rep
-            return rep
-    else:
-        if not g.is_closed:
-            raise GraphError("tilde variants require a closed graph")
-        pool = list(range(g.n))
-    if len(pool) > max_subset and not force:
-        raise GraphError(
-            f"{len(pool)} free vertices exceeds the enumeration cap "
-            f"{max_subset}; pass force=True to proceed"
-        )
-    allowed = sum(1 << i for i in pool)
+    return g.memo(("iso", nu, variant), lambda: _iso_constant(g, nu, variant, force))
+
+
+def _iso_constant(g: WeightedGraph, nu: float, variant: str, force: bool) -> IsoReport:
+    if variant != "open" and not g.is_closed:
+        raise GraphError("tilde variants require a closed graph")
+    allowed = sum(1 << i for i in g.interior_indices().tolist())  # every vertex if closed
+    if not allowed:
+        raise GraphError("no interior vertices")
+    if variant == "open" and g.n > 64 and _is_simple_path(g) is not None:
+        return _iso_open_path(g, nu)
+    _check_cap(allowed.bit_count(), DEFAULT_CAP, force)
+    table = _subset_table(g, allowed)
     total = g.total_measure()
-    best_val, best_mask = math.inf, 0
-    for mask, area, mass in enumerate_connected_subsets(g, allowed):
-        if variant != "open" and mask == allowed:
-            continue  # the whole vertex set has no complement
-        val = _quotient(area, mass, total - mass, nu, variant)
-        # the band absorbs the rounding drift of the incremental sums, so
-        # exact ties (e.g. complement pairs) go to the least sorted-id key
-        band = 1e-12 * abs(best_val)
-        if not best_mask or val < best_val - band:
-            best_val, best_mask = val, mask
-        elif val <= best_val + band and _sort_key(g, mask) < _sort_key(g, best_mask):
-            best_mask = mask
-    wit = AdmissibleSet.of_mask(g, best_mask) if best_mask else None  # None: a lone vertex
-    value = _quotient(wit.area, wit.vmass, total - wit.vmass, nu, variant) if wit else math.inf
-    rep = IsoReport(nu, variant, value, wit)
-    cache[(nu, variant)] = rep
-    return rep
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = _quotient(table["area"], table["mass"], total - table["mass"], nu, variant)
+    if variant != "open":
+        vals[table["mask"] == allowed] = math.inf  # the whole vertex set has no complement
+    best = np.nanmin(vals)
+    if best == math.inf:
+        return IsoReport(nu, variant, math.inf, None)  # a lone vertex: no proper subset
+    # the band absorbs the rounding drift of the incremental sums, so exact
+    # ties (e.g. complement pairs) go to the least sorted-id key
+    near = table["mask"][vals <= best + 1e-12 * abs(best)].tolist()
+    wit = AdmissibleSet.of_mask(g, min(near, key=lambda mask: _sort_key(g, mask)))
+    value = float(_quotient(wit.area, wit.vmass, total - wit.vmass, nu, variant))
+    return IsoReport(nu, variant, value, wit)
 
 
 # -- magnification -------------------------------------------------------------
@@ -288,35 +284,28 @@ def neighborhood_measures(g: WeightedGraph, vertex_ids, measures: list):
         yield sub, _lookup(mass_t, sub, operator.add), _lookup(vol_t, gamma, operator.add)
 
 
-def magnification(
-    g: WeightedGraph, max_subset: int = MAGNIFICATION_CAP, force: bool = False
-):
+def magnification(g: WeightedGraph, force: bool = False):
     """c = min over admissible A of V(Gamma(A))/V(A) - 1, with witness.
 
     A ranges over ALL nonempty subsets of the interior (connectedness cannot
     be assumed here: neighborhoods of separate components may overlap); on a
     closed graph only V(A) <= V(G)/2 competes.
     """
-    cached = g.__dict__.get("_magnification_cache")
-    if cached is not None:
-        return cached
+    return g.memo(("magnification",), lambda: _magnification(g, force))
+
+
+def _magnification(g: WeightedGraph, force: bool):
     pool = [g.vertices[i] for i in range(g.n) if g.interior_mask[i]]
     if not pool:
         raise GraphError("no interior vertices")
-    if len(pool) > max_subset and not force:
-        raise GraphError(
-            f"{len(pool)} free vertices exceeds the enumeration cap "
-            f"{max_subset}; pass force=True to proceed"
-        )
+    _check_cap(len(pool), MAGNIFICATION_CAP, force)
     limit = (0.5 + 1e-12) * g.total_measure() if g.is_closed else math.inf
     c, best = math.inf, 0
     for sub, mass, gmass in neighborhood_measures(g, pool, g.vmeasure.tolist()):
         ratio = gmass / mass - 1.0
         if mass <= limit and ratio < c - 1e-15:
             c, best = ratio, sub
-    witness = frozenset(v for b, v in enumerate(pool) if (best >> b) & 1)
-    g.__dict__["_magnification_cache"] = (c, witness)
-    return c, witness
+    return c, frozenset(v for b, v in enumerate(pool) if (best >> b) & 1)
 
 
 # -- quotients and characteristic approximants --------------------------------

@@ -8,7 +8,9 @@ The Laplacian acts on vertex values by
 through the similarity-symmetrized matrix S = V^{1/2} M V^{-1/2}, dense:
 ``eigenvalues`` solves for eigenvalues only, ``spectral_decomposition`` also
 for eigenfunctions, with a deterministic sign convention so reports are
-reproducible.  Both cache their read-only results on the graph.
+reproducible.  Both keep their read-only results in the graph's memo
+(``WeightedGraph.memo``), so each graph and mode is solved at most once per
+routine.
 """
 
 from __future__ import annotations
@@ -159,53 +161,49 @@ def _symmetrized(g: WeightedGraph, mode: str) -> tuple[np.ndarray, np.ndarray, n
     return S, idx, s
 
 
-def _spectral_cache(g: WeightedGraph) -> dict:
-    return g.__dict__.setdefault("_spectral_cache", {})
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
 
 
+def _eigenvalue_array(evals: np.ndarray, mode: str) -> np.ndarray:
+    """Read-only eigenvalues; in closed mode rounding below 0 is clamped to 0."""
+    return _frozen(np.maximum(evals, 0.0) if mode == "closed" else evals)
+
+
 def eigenvalues(g: WeightedGraph, mode: str = "closed") -> np.ndarray:
     """Ascending Laplacian eigenvalues, without eigenvectors (read-only array).
 
-    Served from the full decomposition when it is already cached; otherwise
-    one eigvalsh, cached on its own.  Both come from the same S, but the two
-    LAPACK routines may differ in the last bits.
+    One eigvalsh, kept in the graph's memo; when the full decomposition was
+    solved first, its eigenvalues are served instead.  Both come from the
+    same S, but the two LAPACK routines may differ in the last bits.
     """
-    cache = _spectral_cache(g)
-    if mode in cache:
-        return cache[mode].eigenvalues
-    key = ("eigenvalues", mode)
-    if key not in cache:
-        S, _, _ = _symmetrized(g, mode)
-        evals = np.linalg.eigvalsh(S)
-        cache[key] = _frozen(np.maximum(evals, 0.0) if mode == "closed" else evals)
-    return cache[key]
+    return g.memo(("eigenvalues", mode), lambda: _eigenvalue_array(
+        np.linalg.eigvalsh(_symmetrized(g, mode)[0]), mode))
+
+
+def _decompose(g: WeightedGraph, mode: str) -> SpectralDecomposition:
+    S, idx, s = _symmetrized(g, mode)
+    evals, Y = np.linalg.eigh(S)
+    # map back: phi = V^{-1/2} y is V-orthonormal when y is orthonormal
+    phi = Y / s[:, None]
+    # deterministic sign: first coordinate exceeding a relative threshold positive
+    thr = 1e-12 * np.abs(phi).max(axis=0)
+    first = np.argmax(np.abs(phi) > thr, axis=0)
+    flip = phi[first, np.arange(phi.shape[1])] < 0
+    phi[:, flip] = -phi[:, flip]
+    full = np.zeros((g.n, phi.shape[1]))
+    full[idx, :] = phi
+    evals = _eigenvalue_array(evals, mode)
+    g.memo(("eigenvalues", mode), lambda: evals)  # unless eigenvalues solved first
+    return SpectralDecomposition(g, mode, evals, _frozen(full))
 
 
 def spectral_decomposition(
     g: WeightedGraph, mode: str = "closed", k: int | None = None
 ) -> SpectralDecomposition:
-    """Full eigendecomposition, cached per graph and mode; arrays are read-only."""
-    cache = _spectral_cache(g)
-    if mode not in cache:
-        S, idx, s = _symmetrized(g, mode)
-        evals, Y = np.linalg.eigh(S)
-        # map back: phi = V^{-1/2} y is V-orthonormal when y is orthonormal
-        phi = Y / s[:, None]
-        # deterministic sign: first coordinate exceeding a relative threshold positive
-        thr = 1e-12 * np.abs(phi).max(axis=0)
-        first = np.argmax(np.abs(phi) > thr, axis=0)
-        flip = phi[first, np.arange(phi.shape[1])] < 0
-        phi[:, flip] = -phi[:, flip]
-        full = np.zeros((g.n, phi.shape[1]))
-        full[idx, :] = phi
-        evals = np.maximum(evals, 0.0) if mode == "closed" else evals
-        cache[mode] = SpectralDecomposition(g, mode, _frozen(evals), _frozen(full))
-    dec = cache[mode]
+    """Full eigendecomposition, kept in the graph's memo per mode; arrays are read-only."""
+    dec = g.memo(("spectral", mode), lambda: _decompose(g, mode))
     if k is None:
         return dec
     return SpectralDecomposition(g, mode, dec.eigenvalues[:k], dec.eigenfunctions[:, :k])

@@ -37,6 +37,13 @@ def test_c4_exact_values():
     assert rep.sound
 
 
+def test_bounds_without_edges():
+    # rho_sup and I are both 0 there; the Dodziuk quotient used to divide by 0
+    rep = bound_report(build_graph([1, 2], []))
+    assert rep.lam == 0.0 and rep.sound
+    assert [b.value for b in rep.bounds] == [0.0, 0.0, 0.0, 0.0]
+
+
 def test_mohar_at_least_dodziuk_unit_lengths():
     rng = np.random.default_rng(3)
     graphs = [cycle(n) for n in range(3, 9)] + [complete(4), hypercube(3)]

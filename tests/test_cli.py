@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphcalc.cli import main
 
@@ -184,6 +187,74 @@ def test_flow_command(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["passed"] is True
     assert doc["c"] == pytest.approx(1.0)
+
+
+def test_contract_gaps_exit_2(tmp_path, capsys):
+    # ids equal as strings made witnesses ambiguous; an empty document ended
+    # in a traceback from heat and verify; a NaN nu printed a value
+    cases = {"collide": {"vertices": [1, "1"], "edges": [{"u": 1, "v": "1"}]},
+             "empty": {"vertices": [], "edges": []},
+             "c4": {"vertices": [1, 2, 3, 4], "edges": [{"u": i, "v": i % 4 + 1} for i in range(1, 5)]}}
+    path = {}
+    for name, doc in cases.items():
+        path[name] = tmp_path / f"{name}.json"
+        path[name].write_text(json.dumps(doc))
+    for argv in (["iso", path["collide"], "--variant", "tilde"], ["heat", path["empty"], "--t", "1"],
+                 ["verify", path["empty"], "--suite", "ff"], ["iso", path["c4"], "--nu", "nan"]):
+        _assert_usage_error(*_run_err(capsys, *map(str, argv)))
+
+
+def test_flow_target_is_an_exact_fraction(tmp_path, capsys):
+    target = tmp_path / "k4.json"
+    assert main(["gen", "complete", "4", "-o", str(target)]) == 0
+    capsys.readouterr()
+    for c, want in (("0.5", 0.5), ("1/3", 1 / 3)):
+        code, out = _run(capsys, "flow", str(target), "--set", "1", "-c", c)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["passed"] is True and doc["c"] == want
+    code, out, err = _run_err(capsys, "flow", str(target), "--set", "1", "-c", "nan")
+    assert code == 2 and out == "" and "Traceback" not in err
+
+
+@st.composite
+def _documents(draw):
+    """A small graph document, valid or with one defect: colliding ids, a bad
+    weight, a missing key or empty lists."""
+    ids = draw(st.lists(st.sampled_from([0, 1, 2, 3, "a", None, 1.5]), min_size=1, max_size=5,
+                        unique=True))
+    weight = st.floats(0.25, 4.0)
+    vertices = [{"id": i, "measure": draw(weight), "boundary": draw(st.booleans())} for i in ids]
+    edges = [{"u": draw(st.sampled_from(ids)), "v": draw(st.sampled_from(ids)), "a": draw(weight)}
+             for _ in range(draw(st.integers(0, 6)))]
+    doc = {"vertices": vertices, "edges": edges}
+    defect = draw(st.sampled_from(["none", "none", "collide", "weight", "missing", "empty"]))
+    if defect == "collide":
+        vertices.append(str(ids[0]))
+    elif defect == "weight":
+        item = draw(st.sampled_from(vertices + edges))
+        item["measure" if "id" in item else "a"] = draw(
+            st.sampled_from([0, -1, "x", None, "inf", float("nan"), 1e308, [1]]))
+    elif defect == "missing":
+        item = draw(st.sampled_from(vertices + edges))
+        del item[draw(st.sampled_from(sorted(item)))]
+    elif defect == "empty":
+        doc = draw(st.sampled_from([{"vertices": [], "edges": []}, {"vertices": []}, {}, []]))
+    return doc
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(doc=_documents(), ids=st.lists(st.sampled_from(["0", "1", "a", "None", "1.5", "x"]), max_size=3),
+       c=st.sampled_from([None, "0", "0.5", "1/3", "-1", "3", "nan", "x"]))
+def test_fuzzed_documents_keep_the_exit_contract(tmp_path_factory, doc, ids, c):
+    target = tmp_path_factory.getbasetemp() / "fuzz.json"
+    target.write_text(json.dumps(doc))
+    g = str(target)
+    flow = ["flow", g, "--set", ",".join(ids)] + ([] if c is None else ["-c", c])
+    for argv in (["info", g], ["iso", g], ["spectrum", g], ["bounds", g],
+                 ["heat", g, "--t", "0.5"], flow):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2), argv
 
 
 def test_missing_file_is_usage_error(capsys):

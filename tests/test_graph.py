@@ -18,6 +18,8 @@ from graphcalc import (
     with_boundary,
 )
 from graphcalc.generators import cycle, path, random_graph
+from graphcalc.isoperimetry import iso_constant, magnification
+from graphcalc.operators import eigenvalues
 
 
 def test_edge_measure_and_loop():
@@ -30,6 +32,8 @@ def test_edge_measure_and_loop():
 def test_construction_errors():
     with pytest.raises(GraphError):
         WeightedGraph(["a", "a"], [1, 1], [])
+    with pytest.raises(GraphError):
+        WeightedGraph([1, "1"], [1, 1], [])  # equal as strings, so witnesses would be ambiguous
     with pytest.raises(GraphError):
         WeightedGraph(["a"], [0.0], [])
     with pytest.raises(GraphError):
@@ -162,3 +166,26 @@ def test_with_boundary_and_connectivity():
     assert is_connected(g)
     two = build_graph(["a", "b"], [])
     assert not is_connected(two)
+
+
+def test_graph_is_immutable():
+    # the graph copies the measures it is given and exposes nothing writable,
+    # so what its memo holds stays true of it
+    measures = np.array([1.0, 2.0, 3.0, 4.0])
+    edges = [Edge(1, 2), Edge(2, 3, 0.5), Edge(3, 4), Edge(4, 1, 2.0)]
+    g = WeightedGraph([1, 2, 3, 4], measures, edges)
+    before = iso_constant(g, 2.0, "tilde").value
+    measures[0] = 50.0
+    fresh = WeightedGraph([1, 2, 3, 4], [1.0, 2.0, 3.0, 4.0], edges)
+    assert iso_constant(g, 2.0, "tilde").value == before == iso_constant(fresh, 2.0, "tilde").value
+    assert magnification(g) == magnification(fresh)  # first computed after the write
+    assert np.array_equal(eigenvalues(g), eigenvalues(fresh))
+    for arr in (g.vmeasure, g.eu, g.ev, g.ea, g.elen, g.emeasure, g.loop_mask, g.interior_mask):
+        with pytest.raises(ValueError):
+            arr[0] = arr[1]
+    with pytest.raises(AttributeError):
+        g.edges.append(Edge(1, 3))
+    with pytest.raises(AttributeError):
+        g.vertices.append(5)
+    with pytest.raises(AttributeError):
+        g.vmeasure = np.ones(4)

@@ -16,7 +16,9 @@ from graphcalc import (
     sobolev_quotient,
     with_boundary,
 )
+from graphcalc import isoperimetry
 from graphcalc.isoperimetry import _iso_open_path
+from graphcalc.verify import run_suite
 from graphcalc.generators import complete, cycle, hypercube, path, random_graph
 
 
@@ -122,10 +124,38 @@ def test_tilde_variants_need_closed_graph():
     g = path(3, boundary=[3])
     with pytest.raises(GraphError):
         iso_constant(g, 2.0, "tilde")
-    with pytest.raises(GraphError):
-        iso_constant(cycle(3), 0.5, "open")
+    for nu in (0.5, math.nan, -math.inf):
+        with pytest.raises(GraphError):
+            iso_constant(cycle(3), nu, "open")
     with pytest.raises(GraphError):
         iso_constant(cycle(3), 2.0, "bogus")
+
+
+def test_every_constant_of_a_graph_shares_one_enumeration(monkeypatch):
+    real = isoperimetry.enumerate_connected_subsets
+    calls = []
+
+    def counting(g, allowed_mask):
+        calls.append(allowed_mask)
+        return real(g, allowed_mask)
+
+    monkeypatch.setattr(isoperimetry, "enumerate_connected_subsets", counting)
+    g = random_graph(9, np.random.default_rng(4), weighted=True)
+    run_suite(g, "ff", trials=3)  # Ĩ and Ĩ' at four nu each
+    assert len(calls) == 1
+    iso_constant(g, 1.0, "open")  # the open pool of a closed graph is every vertex too
+    assert len(calls) == 1
+    run_suite(with_boundary(g, [g.vertices[0]]), "ff", trials=3)  # I at four nu
+    assert len(calls) == 2
+
+
+def test_free_vertices_past_bit_63():
+    # the subset table keeps masks of 64 or more vertices as Python ints
+    g = cycle(70)
+    first = iso_constant(with_boundary(g, g.vertices[5:]), 2.0, "open")
+    last = iso_constant(with_boundary(g, g.vertices[:65]), 2.0, "open")
+    assert first.value == last.value == pytest.approx(2.0 / math.sqrt(5.0))
+    assert last.witness.vertices == frozenset(g.vertices[65:])
 
 
 def test_enumeration_cap():
