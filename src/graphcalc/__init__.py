@@ -84,6 +84,7 @@ from .heat import (
     exhaustion_check,
     finite_uniqueness_check,
     general_decay_bound,
+    heat_grid,
     heat_kernel,
     heat_residual,
     heat_solve,

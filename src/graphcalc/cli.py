@@ -23,7 +23,7 @@ from .graph import GraphError, WeightedGraph, half_degrees, is_connected, L_stat
 from .operators import eigenvalues
 from .isoperimetry import iso_constant, magnification
 from .bounds import alon_field, alon_field_checks, bound_report
-from .heat import default_t_grid, heat_kernel
+from .heat import default_t_grid, heat_grid, heat_kernel
 from .verify import run_suite
 from . import generators
 
@@ -198,28 +198,7 @@ def _cmd_heat(args) -> int:
             raise GraphError(f"--t must be finite and nonnegative, got {t!r}")
     g, digest = _load_graph(args.graph)
     kern = heat_kernel(g, _resolve_mode(g, args.mode))
-    ts = np.asarray(args.t, dtype=float) if args.t else default_t_grid()
-    rows, ok = [], True
-    for t in ts:
-        K = kern.matrix(float(t))
-        mass = K @ g.vmeasure
-        half = kern.matrix(float(t) / 2.0)
-        semi = (half * g.vmeasure[None, :]) @ half
-        row = {
-            "t": float(t),
-            "min_entry": float(K.min()),
-            "min_diagonal": float(np.diag(K).min()),
-            "max_mass": float(mass.max()),
-            "semigroup_residual": float(np.abs(semi - K).max()),
-        }
-        rows.append(row)
-        if row["min_entry"] < -1e-12 or row["semigroup_residual"] > 1e-10:
-            ok = False
-        if kern.decomposition.mode == "closed":
-            if abs(row["max_mass"] - 1.0) > 1e-10 or abs(float(mass.min()) - 1.0) > 1e-10:
-                ok = False
-        elif row["max_mass"] > 1.0 + 1e-10:
-            ok = False
+    rows, ok = heat_grid(kern, args.t or default_t_grid())
     report = _head("heat", digest)
     report.update({"mode": kern.decomposition.mode, "passed": ok, "grid": rows})
     _emit(report, rows, args.out)

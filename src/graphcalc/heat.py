@@ -4,6 +4,13 @@ Everything is spectral: K(x,y,t) = sum_i e^{-t lambda_i} phi_i(x) phi_i(y)
 over the (Dirichlet) eigenbasis, which is the minimal kernel on a finite
 graph, so the semigroup identities hold to rounding.  Finite differences are
 used only as an independent check of the heat-equation residual.
+
+Every kernel matrix is the symmetric product B B^T with B = Phi e^{-t Lambda/2}
+(BLAS syrk, exactly symmetric).  ``heat_grid`` forms its products over the
+solved rows only (the interior in Dirichlet mode, where the boundary rows
+and columns are exact zeros), the semigroup product as C^T C with
+C = V^{1/2} K(t/2), and judges positivity and the semigroup law relative to
+max|K(t)|, since K scales like 1/V.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from .isoperimetry import DEFAULT_CAP, AdmissibleSet, enumerate_connected_subset
 __all__ = [
     "HeatKernel",
     "heat_kernel",
+    "heat_grid",
     "heat_solve",
     "heat_residual",
     "exhaustion_check",
@@ -42,6 +50,17 @@ def default_t_grid(lo: float = 1e-2, hi: float = 1e2, per_decade: int = 32) -> n
     return np.logspace(math.log10(lo), math.log10(hi), n)
 
 
+_TINY = np.finfo(float).tiny
+
+
+def _kernel_block(phi: np.ndarray, lam: np.ndarray, t: float) -> np.ndarray:
+    """K(t) on the rows of phi: B B^T with B = phi e^{-t lam/2}, which numpy
+    hands to BLAS syrk (half the flops of a general product, and the result
+    is exactly symmetric)."""
+    B = phi * np.exp(-0.5 * t * lam)
+    return B @ B.T
+
+
 @dataclass
 class HeatKernel:
     decomposition: SpectralDecomposition
@@ -57,8 +76,7 @@ class HeatKernel:
     def matrix(self, t: float) -> np.ndarray:
         """K(x, y, t) over all vertex pairs."""
         d = self.decomposition
-        w = np.exp(-t * d.eigenvalues)
-        return (d.eigenfunctions * w) @ d.eigenfunctions.T
+        return _kernel_block(d.eigenfunctions, d.eigenvalues, t)
 
     def evaluate(self, x, y, t: float) -> float:
         g = self.graph
@@ -77,6 +95,64 @@ def heat_kernel(g: WeightedGraph, mode: str | None = None) -> HeatKernel:
     if mode is None:
         mode = "dirichlet" if g.boundary else "closed"
     return HeatKernel(spectral_decomposition(g, mode))
+
+
+def heat_grid(kern: HeatKernel, ts) -> tuple[list[dict], bool]:
+    """Positivity, mass and semigroup diagnostics of K(t) at each time in ts.
+
+    One row per time: ``t``, ``min_entry`` and ``min_diagonal`` of K(t),
+    ``max_mass`` = max_x sum_y K(x, y, t) V(y), and ``semigroup_residual`` =
+    max |K(t/2) V K(t/2) - K(t)| entrywise, with both products computed.
+    The products run over the solved rows only; in Dirichlet mode the
+    boundary's exact zeros enter the minima and the maximum mass as 0.
+    A row passes when min_entry >= -1e-12 s and the residual <= 1e-10 s,
+    with s = max|K(t)| (K scales like 1/V; each bound is widened by the
+    smallest normal float), and when every mass is within 1e-10 of 1
+    (closed) or at most 1 + 1e-10 (Dirichlet); a NaN fails every check.
+    Returns the rows and whether every row passed.
+    """
+    d = kern.decomposition
+    g = d.graph
+    closed = d.mode == "closed"
+    phi, lam, vm = d.eigenfunctions, d.eigenvalues, g.vmeasure
+    if not closed:  # the rows laplacian_matrix solved for: the interior
+        idx = g.interior_indices()
+        phi, vm = phi[idx], vm[idx]
+    zeros = len(vm) < g.n  # the boundary rows and columns of K are exact zeros
+    sv = np.sqrt(vm)[:, None]
+    rows, passed = [], True
+    for t in map(float, ts):
+        K = _kernel_block(phi, lam, t)
+        mass = K @ vm
+        lo, hi = float(K.min()), float(K.max())
+        scale = max(hi, -lo)
+        low_diag, high_mass = float(np.diagonal(K).min()), float(mass.max())
+        if zeros:  # min and max keep their first argument when it is NaN
+            lo, low_diag, high_mass = min(lo, 0.0), min(low_diag, 0.0), max(high_mass, 0.0)
+        C = _kernel_block(phi, lam, t / 2.0)
+        C *= sv  # C = V^{1/2} K(t/2), so C^T C = K(t/2) V K(t/2)
+        semi = C.T @ C
+        del C
+        semi -= K
+        row = {
+            "t": t,
+            "min_entry": lo,
+            "min_diagonal": low_diag,
+            "max_mass": high_mass,
+            "semigroup_residual": float(np.abs(semi, out=semi).max()),
+        }
+        del K, semi
+        rows.append(row)
+        # below the smallest normal float rounding is absolute, so both
+        # bounds also allow that much (K underflows for t lambda_1 > ~708)
+        ok = (row["min_entry"] >= -1e-12 * scale - _TINY
+              and row["semigroup_residual"] <= 1e-10 * scale + _TINY)
+        if closed:
+            ok = ok and abs(row["max_mass"] - 1.0) <= 1e-10 and abs(float(mass.min()) - 1.0) <= 1e-10
+        else:
+            ok = ok and row["max_mass"] <= 1.0 + 1e-10
+        passed = passed and ok
+    return rows, passed
 
 
 def heat_solve(
@@ -361,7 +437,6 @@ def finite_uniqueness_check(
     diag_pos = True
     interior = g.interior_indices()
     if len(interior):
-        K = ker.matrix(t0)
         # strict positivity only holds within a connected component of the
         # interior; across components the Dirichlet kernel vanishes
         comp = -np.ones(g.n, dtype=int)
@@ -378,10 +453,8 @@ def finite_uniqueness_check(
                         comp[j] = label
                         stack.append(j)
             label += 1
-        for x in interior:
-            for y in interior:
-                if comp[x] == comp[y]:
-                    diag_pos = diag_pos and K[x, y] > 0
-                else:
-                    diag_pos = diag_pos and abs(K[x, y]) <= 1e-12
+        K = ker.matrix(t0)[np.ix_(interior, interior)]
+        c = comp[interior]
+        same = c[:, None] == c[None, :]
+        diag_pos = bool(np.all(np.where(same, K > 0, np.abs(K) <= 1e-12)))
     return {"energy_residual": worst, "zero_stays_zero": zero_ok, "positivity": diag_pos}

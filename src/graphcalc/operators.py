@@ -151,13 +151,23 @@ class SpectralDecomposition:
 
 
 def _symmetrized(g: WeightedGraph, mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S, idx, s): S = V^{1/2} M V^{-1/2} made exactly symmetric, s = V^{1/2} on idx."""
+    """(S, idx, s): S = V^{1/2} M V^{-1/2} made exactly symmetric, s = V^{1/2} on idx.
+
+    Every weight may be finite while a sum overflows, so S must be finite
+    or the solve returns inf or NaN.  S + S.T doubles each diagonal entry
+    L(v) before halving it, and the spectrum lies in [0, 2 max L], so a
+    finite S also keeps the eigenvalues finite.
+    """
     if g.n > MAX_DENSE:
         raise GraphError(f"dense eigensolve capped at {MAX_DENSE} vertices")
-    M, idx = laplacian_matrix(g, mode)
-    s = np.sqrt(g.vmeasure[idx])
-    S = M * (s[:, None] / s[None, :])
-    S = (S + S.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        M, idx = laplacian_matrix(g, mode)
+        s = np.sqrt(g.vmeasure[idx])
+        S = M * (s[:, None] / s[None, :])
+        S = (S + S.T) / 2.0
+    if not np.isfinite(S).all():
+        raise GraphError("Laplacian overflows: a vertex's sum of a_e/l_e over its "
+                         "measure, or twice it, is not finite")
     return S, idx, s
 
 

@@ -134,6 +134,12 @@ def test_heat_command(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["passed"] is True
     assert len(doc["grid"]) == 2
+    assert list(doc) == ["schema", "command", "input_sha256", "mode", "passed", "grid"]
+    for row in doc["grid"]:
+        assert list(row) == ["t", "min_entry", "min_diagonal", "max_mass", "semigroup_residual"]
+    code, out = _run(capsys, "heat", g, "--t", "0.5", "--out", "csv")
+    assert code == 0
+    assert out.splitlines()[0] == "t,min_entry,min_diagonal,max_mass,semigroup_residual"
 
 
 def test_heat_rejects_negative_or_nonfinite_t(tmp_path, capsys):
@@ -202,6 +208,21 @@ def test_contract_gaps_exit_2(tmp_path, capsys):
     for argv in (["iso", path["collide"], "--variant", "tilde"], ["heat", path["empty"], "--t", "1"],
                  ["verify", path["empty"], "--suite", "ff"], ["iso", path["c4"], "--nu", "nan"]):
         _assert_usage_error(*_run_err(capsys, *map(str, argv)))
+
+
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning would be a second stderr line
+def test_overflowing_conductances_exit_2(tmp_path, capsys):
+    # each weight is finite, their sum is not: spectrum printed NaN
+    # eigenvalues and heat NaN rows with "passed": true, both with exit 0
+    huge = {"a": 1e308}
+    docs = [{"vertices": [1, 2], "edges": [{"u": 1, "v": 2, **huge}, {"u": 1, "v": 2, **huge}]},
+            {"vertices": [1, 2], "edges": [{"u": 1, "v": 2, **huge}]},  # lambda_max = 2e308
+            {"vertices": [1, 2, 3, 4], "edges": [{"u": 1, "v": 2, **huge}, {"u": 3, "v": 4, **huge}]}]
+    for k, doc in enumerate(docs):
+        target = tmp_path / f"overflow{k}.json"
+        target.write_text(json.dumps(doc))
+        for argv in (["spectrum"], ["bounds"], ["heat", "--t", "1"]):
+            _assert_usage_error(*_run_err(capsys, argv[0], str(target), *argv[1:]))
 
 
 def test_flow_target_is_an_exact_fraction(tmp_path, capsys):

@@ -15,6 +15,9 @@ from graphcalc import (
     exhaustion_check,
     finite_uniqueness_check,
     general_decay_bound,
+    HeatKernel,
+    WeightedGraph,
+    heat_grid,
     heat_kernel,
     heat_residual,
     heat_solve,
@@ -23,7 +26,9 @@ from graphcalc import (
     nash_diagonal_bound,
     nonuniqueness_tree,
     power_profile,
+    with_boundary,
 )
+from graphcalc.operators import SpectralDecomposition
 from graphcalc.generators import (
     complete,
     cycle,
@@ -49,7 +54,7 @@ def test_semigroup_and_symmetry():
     ker = heat_kernel(g)
     for t in (0.3, 1.7):
         K = ker.matrix(t)
-        assert np.allclose(K, K.T, atol=1e-10)
+        assert np.array_equal(K, K.T)
         half = ker.matrix(t / 2.0)
         semi = (half * g.vmeasure[None, :]) @ half
         assert np.abs(semi - K).max() <= 1e-10
@@ -192,3 +197,104 @@ def test_finite_uniqueness():
     out = finite_uniqueness_check(g, trials=3, seed=1)
     assert out["energy_residual"] <= 1e-5
     assert out["zero_stays_zero"] and out["positivity"]
+    # the interior {1, 2, 3} | {5, 6, 7}: K vanishes across the two parts
+    out = finite_uniqueness_check(path(7, boundary=[4]), trials=1)
+    assert out["zero_stays_zero"] and out["positivity"]
+
+
+# -- heat_grid ---------------------------------------------------------------
+
+
+def _full_rows(kern, ts):
+    """heat_grid's rows from general products over all n vertices."""
+    d = kern.decomposition
+    phi, lam, vm = d.eigenfunctions, d.eigenvalues, d.graph.vmeasure
+    rows = []
+    for t in ts:
+        K = (phi * np.exp(-t * lam)) @ phi.T
+        half = (phi * np.exp(-t / 2.0 * lam)) @ phi.T
+        semi = (half * vm[None, :]) @ half
+        rows.append({"t": t, "min_entry": K.min(), "min_diagonal": np.diag(K).min(),
+                     "max_mass": (K @ vm).max(), "semigroup_residual": np.abs(semi - K).max(),
+                     "scale": np.abs(K).max()})
+    return rows
+
+
+def _loops_and_parallels():
+    return build_graph(
+        [(1, 0.5), (2, 2.0), (3, 1.0), (4, 0.25)],
+        [Edge(1, 1, a=2.0), Edge(1, 2, a=1.5), Edge(1, 2, a=0.5, length=2.0),
+         Edge(2, 3), Edge(3, 4, a=3.0), Edge(4, 4, a=0.25), Edge(3, 4, a=0.5)],
+    )
+
+
+@pytest.mark.parametrize("g", [
+    cycle(7),
+    hypercube(3),
+    random_graph(12, np.random.default_rng(11), weighted=True),
+    random_graph(12, np.random.default_rng(12), weighted=True, boundary_fraction=0.25),
+    path(7, boundary=[4]),  # interior {1, 2, 3} | {5, 6, 7}
+    _loops_and_parallels(),
+    with_boundary(_loops_and_parallels(), [3]),
+], ids=["cycle", "cube", "closed", "dirichlet", "split-interior", "loops", "loops-dirichlet"])
+def test_heat_grid_matches_full_products(g):
+    kern = heat_kernel(g)
+    ts = [0.05, 0.5, 3.0, 40.0]
+    rows, passed = heat_grid(kern, ts)
+    assert passed
+    for got, want in zip(rows, _full_rows(kern, ts)):
+        assert list(got) == ["t", "min_entry", "min_diagonal", "max_mass", "semigroup_residual"]
+        assert got["t"] == want["t"]
+        for key in list(got)[1:]:
+            assert abs(got[key] - want[key]) <= 1e-12 * want["scale"], key
+
+
+def test_heat_grid_boundary_zeros_set_the_minima():
+    g = path(5, boundary=[5])
+    kern = heat_kernel(g)
+    rows, passed = heat_grid(kern, [0.5, 2.0])
+    assert passed
+    inner = g.interior_indices()
+    for row in rows:
+        assert kern.matrix(row["t"])[np.ix_(inner, inner)].min() > 0
+        assert row["min_entry"] == 0.0 and row["min_diagonal"] == 0.0
+        assert 0.0 < row["max_mass"] < 1.0
+
+
+def _scaled(g, c):
+    return WeightedGraph(g.vertices, g.vmeasure * c, g.edges, g.boundary)
+
+
+def _perturbed(kern):
+    """The kernel of a decomposition whose eigenfunction 3 is off by 1e-6."""
+    d = kern.decomposition
+    phi = np.array(d.eigenfunctions)
+    phi[:, 3] *= 1.0 + 1e-6
+    return HeatKernel(SpectralDecomposition(d.graph, d.mode, d.eigenvalues, phi))
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+def test_heat_grid_tolerances_follow_the_scale_of_k(c):
+    # scaling V by c scales K by 1/c and time by c: the verdicts must not move
+    g = _scaled(random_graph(12, np.random.default_rng(4), weighted=True), c)
+    ts = [c * t for t in (0.25, 1.0, 4.0)]
+    kern = heat_kernel(g)
+    rows, passed = heat_grid(kern, ts)
+    assert passed
+    rows, passed = heat_grid(_perturbed(kern), ts)
+    assert not passed
+    for row, t in zip(rows, ts):
+        # the masses stay exact (eigenfunction 3 is orthogonal to constants),
+        # so the semigroup residual alone must catch the perturbation
+        assert abs(row["max_mass"] - 1.0) <= 1e-10
+        assert row["semigroup_residual"] > 1e-10 * np.abs(kern.matrix(t)).max()
+
+
+def test_heat_grid_nan_fails():
+    g = cycle(5)
+    d = heat_kernel(g).decomposition
+    lam = np.array(d.eigenvalues)
+    lam[2] = np.nan
+    rows, passed = heat_grid(HeatKernel(SpectralDecomposition(g, d.mode, lam, d.eigenfunctions)),
+                             [1.0])
+    assert math.isnan(rows[0]["min_entry"]) and not passed

@@ -229,6 +229,15 @@ def test_characteristic_approx_achieves_iso():
             assert sobolev_quotient(f, nu) == pytest.approx(rep.value, abs=1e-6)
 
 
+def test_characteristic_approx_on_a_strong_cut_edge():
+    # the subdivision vertex has measure 1e-300, so its Laplacian row
+    # a_e/(eps * 1e-300) overflows; the norms never touch the Laplacian
+    g = build_graph([1, 2, 3], [Edge(1, 2, a=200.0), Edge(2, 3)])
+    sub, f = characteristic_approx(g, {1}, eps=1e-6)
+    assert sub.n == 4
+    assert sobolev_quotient(f, math.inf) == pytest.approx(200.0, rel=1e-9)
+
+
 def test_characteristic_approx_validation():
     g = path(3, boundary=[3])
     with pytest.raises(GraphError):

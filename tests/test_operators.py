@@ -220,3 +220,25 @@ def test_mode_validation():
         eigenvalues(g, "bogus")
     with pytest.raises(GraphError):
         eigenvalues(path(MAX_DENSE + 1))
+
+
+@pytest.mark.filterwarnings("error")  # the solve must refuse, not warn
+def test_overflowing_laplacian_is_refused():
+    # each weight is finite, but a Laplacian sum, or twice it, is not: at a
+    # vertex, after dividing by its measure, or after dividing by a length
+    cases = (([1, 2], [1, 1], [Edge(1, 2, a=1e308), Edge(1, 2, a=1e308)]),
+             ([1, 2], [1, 1], [Edge(1, 2, a=1e308)]),
+             ([1, 2], [1e-10, 1], [Edge(1, 2, a=1e300)]),
+             ([1, 2], [1, 1], [Edge(1, 2, a=1e300, length=1e-10)]),
+             ([1, 2, 3, 4], [1, 1, 1, 1], [Edge(1, 2, a=1e308), Edge(3, 4, a=1e308)]))
+    for vs, ms, es in cases:
+        g = WeightedGraph(vs, ms, es)
+        for mode in ("closed", "dirichlet"):
+            h = with_boundary(g, [vs[-1]]) if mode == "dirichlet" else g
+            with pytest.raises(GraphError, match="overflow"):
+                eigenvalues(h, mode)
+            with pytest.raises(GraphError, match="overflow"):
+                spectral_decomposition(h, mode)
+    # within the bound the spectrum is finite: lambda_max = 2 L = 2e307
+    lams = eigenvalues(WeightedGraph([1, 2], [1, 1], [Edge(1, 2, a=1e307)]))
+    assert lams[-1] == pytest.approx(2e307, rel=1e-12)
