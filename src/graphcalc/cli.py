@@ -100,7 +100,16 @@ def _load_graph(path: str) -> tuple[WeightedGraph, str]:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise GraphError(f"{path} is not valid JSON: {exc}") from exc
-    return WeightedGraph.from_dict(data), digest
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        g = WeightedGraph.from_dict(data)
+        sums = {"total vertex measure": g.total_measure(),
+                "total edge measure": float(g.emeasure.sum()),
+                "rho_sup": half_degrees(g).rho_sup,
+                "L_sup": L_stats(g).sup}
+    for name, value in sums.items():
+        if not math.isfinite(value):
+            raise GraphError(f"{path}: {name} overflows the float range")
+    return g, digest
 
 
 def _head(command: str, digest: str | None = None) -> dict:

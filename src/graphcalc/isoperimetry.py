@@ -3,19 +3,31 @@
 The admissible sets can be restricted to connected, vertex-determined subsets
 disjoint from the boundary without changing any of the constants (Yau's
 observation: the quotient of a disjoint union is at least the smaller of the
-quotients, and partial edge segments only add area).  Connected subsets are
-enumerated canonically (each exactly once) over bitmasks, with their area and
-mass, into one (mask, area, mass) table per graph and pool of free vertices,
-kept in the graph's memo with the reports.  Every (nu, variant) is one
-vectorized quotient over that table: the whole vertex set gets inf in the
-tilde variants, and the sorted-id tie rule sees only the masks within 1e-12
-of the minimum.  A vectorized interval sweep handles long paths instead.
+quotients, and partial edge segments only add area).
+
+One numpy kernel does every subset scan.  A subset is an int64 mask over the
+pool of free vertices (bit j = j-th free vertex), so a pool holds at most 63
+vertices, also under ``force``; sums over a mask add per-byte table entries.
+
+- ``enumerate_connected_subsets`` builds the (mask, area, mass) table of the
+  connected subsets one size level at a time: byte tables of the neighbour
+  masks give every set's frontier, one step forms all children of a level,
+  and sorting removes the duplicates.  The table is kept in the graph's memo,
+  one per pool, with the reports.  Every (nu, variant) is one vectorized
+  quotient over it: the whole vertex set gets inf in the tilde variants, and
+  the sorted-id tie rule sees only the masks within 1e-12 of the minimum.
+- ``neighborhood_measures`` scans all 2^k subsets of a vertex set in chunks
+  of CHUNK, with byte tables for V(B), Gamma(B) and V(Gamma(B)).
+  ``magnification`` and ``bounds.certified_magnification`` read it;
+  ``magnification`` keeps the first minimiser of a chunk, and a later chunk
+  replaces it only when at least 1e-15 lower.
+
+A vectorized interval sweep handles long paths instead.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +49,9 @@ __all__ = [
 
 DEFAULT_CAP = 22
 MAGNIFICATION_CAP = 20
+POOL_LIMIT = 63  # pool-local subset masks are int64
+CHUNK = 1 << 12  # subsets or table rows per numpy step; 2**16 raised peak RSS by a tenth
+_BITS = (np.arange(256) >> np.arange(8)[:, None]) & 1 == 1  # [j, b]: bit j of byte b
 
 
 @dataclass(frozen=True)
@@ -63,50 +78,108 @@ class IsoReport:
     witness: AdmissibleSet | None
 
 
-def _neighbor_masks(g: WeightedGraph) -> tuple[int, ...]:
-    return g.memo(("neighbor_masks",), lambda: tuple(
-        sum(1 << j for j in g.neighbors(i)) for i in range(g.n)))
+def _byte_tables(values: np.ndarray, combine) -> np.ndarray:
+    """Entry [k, b] folds ``combine`` over values[8k + j] for the set bits j of
+    b, in ascending j (a reduction along the slow axis runs in order);
+    trailing axes of ``values`` are kept."""
+    rest = values.shape[1:]
+    groups = np.zeros((-(-len(values) // 8), 8) + rest, values.dtype)
+    groups.reshape((8 * len(groups),) + rest)[:len(values)] = values
+    groups = groups.swapaxes(0, 1)[:, :, None]  # [j, k, 1, ...]
+    return combine.reduce(np.where(_BITS.reshape((8, 1, 256) + (1,) * len(rest)), groups, 0),
+                          axis=0)
 
 
-def enumerate_connected_subsets(g: WeightedGraph, allowed_mask: int):
-    """Yield ``(mask, A(boundary S), V(S))`` once for every nonempty connected
-    subset S of ``allowed_mask``.  Adding v to S costs O(deg v): area +=
-    w(v) - 2 w(v, S), mass += V(v), so both may drift by a few rounding steps;
-    the area of a whole component (no neighbour outside S) is exactly 0.
+def _lookup(tables: np.ndarray, subs: np.ndarray, combine) -> np.ndarray:
+    """Per int64 mask in ``subs``: ``combine`` of tables[k, byte k], ascending k."""
+    byts = subs.astype("<i8", copy=False).view(np.uint8).reshape(len(subs), 8)
+    acc = tables[0][byts[:, 0]]
+    for k in range(1, len(tables)):
+        combine(acc, tables[k][byts[:, k]], out=acc)
+    return acc
 
-    Canonical scheme: a subset is generated from its minimum vertex; the
-    search only ever extends by neighbors above that minimum, and a vertex
-    declined at some branch is forbidden in all its siblings.
+
+def _unpack(masks: np.ndarray, width: int) -> np.ndarray:
+    """Bits 0..width-1 of int64 masks, as a (len(masks), 8 ceil(width/8)) 0/1 array."""
+    byts = masks.astype("<i8", copy=False).view(np.uint8).reshape(len(masks), 8)
+    return np.unpackbits(byts[:, :-(-width // 8)], axis=1, bitorder="little")
+
+
+def _children(layer: np.ndarray, near_t: np.ndarray, width: int) -> np.ndarray:
+    """Every set of ``layer`` plus one vertex of its frontier (with repeats)."""
+    front = _lookup(near_t, layer, np.bitwise_or) & ~layer
+    rows, children = _unpack(front, width).nonzero()
+    np.left_shift(1, children, out=children)
+    children |= layer[rows]
+    return children
+
+
+def _unique(masks: np.ndarray) -> np.ndarray:
+    """The distinct masks, sorted (sorts ``masks`` in place)."""
+    masks.sort()
+    fresh = np.ones(len(masks), dtype=bool)
+    np.not_equal(masks[1:], masks[:-1], out=fresh[1:])
+    return masks[fresh]
+
+
+def _check_pool(size: int) -> None:
+    if size > POOL_LIMIT:
+        raise GraphError(
+            f"{size} free vertices exceed the {POOL_LIMIT} that int64 subset masks hold")
+
+
+def enumerate_connected_subsets(g: WeightedGraph, allowed_mask: int) -> np.ndarray:
+    """The (mask, area, mass) table of every nonempty connected subset S of
+    ``allowed_mask``, each once: ``area`` = A(boundary S), ``mass`` = V(S).
+
+    Built one size at a time on pool-local bits (bit j = j-th allowed vertex):
+    the next level is every set of this one plus one vertex of its frontier,
+    deduplicated by sorting.  ``area`` sums a_e over the edges with exactly
+    one endpoint in S in edge order, as ``AdmissibleSet.of_mask`` does, so a
+    whole component has area exactly 0; ``mass`` is summed by byte tables and
+    can differ from a fresh sum by a rounding step.
     """
-    nbr = _neighbor_masks(g)
-    eu, ev, ea = g.eu.tolist(), g.ev.tolist(), g.ea.tolist()
-    adj = [[(1 << (eu[k] + ev[k] - i), ea[k]) for k, sign in inc if sign]
-           for i, inc in enumerate(g.incidence)]  # (neighbour bit, a_e), no loops
-    wdeg = [sum(a for _, a in row) for row in adj]
-    meas = g.vmeasure.tolist()
-
-    def rec(S: int, area: float, mass: float, cand: int, forb: int, reach: int):
-        yield S, (area if reach & ~S else 0.0), mass
-        c = cand & ~forb
-        while c:
-            v = c & (-c)
-            c ^= v
-            vi = v.bit_length() - 1
-            delta = wdeg[vi]  # w(v) - 2 w(v, S)
-            for b, a in adj[vi]:
-                if S & b:
-                    delta -= 2.0 * a
-            newcand = (cand | (nbr[vi] & gt)) & ~(S | v | forb)
-            yield from rec(S | v, area + delta, mass + meas[vi], newcand, forb, reach | nbr[vi])
-            forb |= v
-
-    rest = allowed_mask
-    while rest:
-        s = rest & (-rest)
-        rest ^= s
-        si = s.bit_length() - 1
-        gt = allowed_mask & ~((1 << (si + 1)) - 1)
-        yield from rec(s, wdeg[si], meas[si], nbr[si] & gt, 0, nbr[si])
+    pool = [i for i in range(g.n) if (allowed_mask >> i) & 1]
+    _check_pool(len(pool))
+    dtype = [("mask", "i8" if g.n < 64 else object), ("area", "f8"), ("mass", "f8")]
+    if not pool:
+        return np.empty(0, dtype)
+    local = [-1] * g.n
+    for j, v in enumerate(pool):
+        local[v] = j
+    near = np.array([sum(1 << local[w] for w in g.neighbors(v) if local[w] >= 0) for v in pool],
+                    dtype=np.int64)
+    near_t = _byte_tables(near, np.bitwise_or)
+    mass_t = _byte_tables(g.vmeasure[pool], np.add)
+    cut = [(local[u], local[v], a) for u, v, a in zip(g.eu.tolist(), g.ev.tolist(), g.ea.tolist())
+           if u != v and max(local[u], local[v]) >= 0]  # local -1: off the pool
+    levels = []
+    layer = np.left_shift(1, np.arange(len(pool), dtype=np.int64))
+    while layer.size:
+        levels.append(layer)
+        if len(levels) == len(pool):  # the whole pool: no larger set
+            break
+        parts = [_unique(_children(layer[lo:lo + CHUNK], near_t, len(pool)))
+                 for lo in range(0, len(layer), CHUNK)]
+        layer = parts[0] if len(parts) == 1 else _unique(np.concatenate(parts))
+    masks = np.concatenate(levels)
+    table = np.empty(len(masks), dtype)
+    for lo in range(0, len(masks), CHUNK):
+        part = masks[lo:lo + CHUNK]
+        bits = np.zeros((len(pool) + 1, len(part)), np.uint8)  # row -1 (off the pool) stays 0
+        bits[:-1] = _unpack(part, len(pool))[:, :len(pool)].T
+        area, crossing = np.zeros(len(part)), np.empty(len(part), bool)
+        for ju, jv, a in cut:  # edge by edge, in order
+            np.not_equal(bits[ju], bits[jv], out=crossing)  # exactly one endpoint in S
+            np.add(area, a, out=area, where=crossing)
+        table["area"][lo:lo + CHUNK] = area
+        table["mass"][lo:lo + CHUNK] = _lookup(mass_t, part, np.add)
+    if pool == list(range(len(pool))):
+        table["mask"] = masks
+    else:
+        vbits = np.array([1 << v for v in pool], dtype=table.dtype["mask"])
+        table["mask"] = _lookup(_byte_tables(vbits, np.bitwise_or), masks, np.bitwise_or)
+    return table
 
 
 def _mask_set(g: WeightedGraph, mask: int) -> frozenset:
@@ -127,11 +200,9 @@ def _quotient(area, mass, comass, nu: float, variant: str):
 
 
 def _subset_table(g: WeightedGraph, allowed_mask: int) -> np.ndarray:
-    """The (mask, area, mass) records of every connected subset of
-    ``allowed_mask``, enumerated once per graph and mask."""
-    dtype = [("mask", "i8" if g.n < 64 else object), ("area", "f8"), ("mass", "f8")]
-    return g.memo(("subsets", allowed_mask), lambda: np.fromiter(
-        enumerate_connected_subsets(g, allowed_mask), dtype=dtype))
+    """The (mask, area, mass) table of every connected subset of
+    ``allowed_mask``, built once per graph and mask."""
+    return g.memo(("subsets", allowed_mask), lambda: enumerate_connected_subsets(g, allowed_mask))
 
 
 def _check_cap(free: int, cap: int, force: bool) -> None:
@@ -244,44 +315,41 @@ def _iso_constant(g: WeightedGraph, nu: float, variant: str, force: bool) -> Iso
 
 def neighborhood(g: WeightedGraph, vertex_ids) -> frozenset:
     """Gamma(A): vertices (possibly inside A) having an edge to A."""
-    nbr = _neighbor_masks(g)
-    mask = 0
-    for vid in vertex_ids:
-        mask |= nbr[g.index(vid)]
-    return _mask_set(g, mask)
+    return frozenset(g.vertices[w] for v in vertex_ids for w in g.neighbors(g.index(v)))
 
 
-def _byte_tables(values: list, combine) -> list[list]:
-    """Entry [k][b] combines values[8k + j] over the set bits j of b."""
-    tables = []
-    for lo in range(0, len(values), 8):
-        t = [0]
-        for x in values[lo:lo + 8]:
-            t += [combine(y, x) for y in t]
-        tables.append(t)
-    return tables
+def neighborhood_measures(g: WeightedGraph, vertex_ids, measures: np.ndarray):
+    """Yield ``(sub, V(B), V(Gamma(B)))`` arrays over every nonempty subset B of
+    ``vertex_ids`` (bit j of ``sub`` selects ``vertex_ids[j]``), in chunks of
+    at most CHUNK consecutive ``sub``; V is given per vertex by ``measures``
+    (integer measures give exact sums).
 
-
-def _lookup(tables: list[list], mask: int, combine):
-    acc = 0
-    for t in tables:
-        acc = combine(acc, t[mask & 255])
-        mask >>= 8
-    return acc
-
-
-def neighborhood_measures(g: WeightedGraph, vertex_ids, measures: list):
-    """Yield ``(sub, V(B), V(Gamma(B)))`` for every nonempty subset B of
-    ``vertex_ids`` (bit j of ``sub`` selects ``vertex_ids[j]``), V given per
-    vertex by ``measures``; integer measures give exact sums."""
+    Both sums go through byte tables: entry b of table k holds the sum over
+    the set bits of byte k of a mask, and a mask's sum adds its bytes'
+    entries in ascending order.  Gamma(B) is the OR of the members' neighbour
+    bytes, restricted to the vertex bytes that Gamma can touch.
+    """
     idx = [g.index(v) for v in vertex_ids]
-    nbr = _neighbor_masks(g)
-    mass_t = _byte_tables([measures[i] for i in idx], operator.add)
-    gamma_t = _byte_tables([nbr[i] for i in idx], operator.or_)
-    vol_t = _byte_tables(measures, operator.add)
-    for sub in range(1, 1 << len(idx)):
-        gamma = _lookup(gamma_t, sub, operator.or_)
-        yield sub, _lookup(mass_t, sub, operator.add), _lookup(vol_t, gamma, operator.add)
+    _check_pool(len(idx))
+    near = np.zeros((len(idx), g.n), dtype=bool)
+    for j, i in enumerate(idx):
+        near[j, list(g.neighbors(i))] = True
+    near = np.packbits(near, axis=1, bitorder="little")
+    used = np.flatnonzero(near.any(axis=0))  # the vertex bytes Gamma can touch
+    words = np.zeros((len(idx), 8 * -(-len(used) // 8)), np.uint8)
+    words[:, :len(used)] = near[:, used]
+    gamma_t = _byte_tables(words.view(np.uint64), np.bitwise_or)
+    padded = np.zeros(8 * near.shape[1], measures.dtype)
+    padded[:g.n] = measures
+    vol_t = _byte_tables(padded.reshape(-1, 8)[used].ravel(), np.add)
+    mass_t = _byte_tables(measures[idx], np.add)
+    for lo in range(1, 1 << len(idx), CHUNK):
+        sub = np.arange(lo, min(lo + CHUNK, 1 << len(idx)), dtype=np.int64)
+        gamma = _lookup(gamma_t, sub, np.bitwise_or).view(np.uint8)
+        gmass = np.zeros(len(sub), measures.dtype)
+        for k, t in enumerate(vol_t):
+            gmass += t[gamma[:, k]]
+        yield sub, _lookup(mass_t, sub, np.add), gmass
 
 
 def magnification(g: WeightedGraph, force: bool = False):
@@ -289,22 +357,26 @@ def magnification(g: WeightedGraph, force: bool = False):
 
     A ranges over ALL nonempty subsets of the interior (connectedness cannot
     be assumed here: neighborhoods of separate components may overlap); on a
-    closed graph only V(A) <= V(G)/2 competes.
+    closed graph only V(A) <= V(G)/2 competes.  The scan keeps the first
+    minimiser of each chunk, and a later chunk replaces it only when at least
+    1e-15 lower.
     """
     return g.memo(("magnification",), lambda: _magnification(g, force))
 
 
 def _magnification(g: WeightedGraph, force: bool):
-    pool = [g.vertices[i] for i in range(g.n) if g.interior_mask[i]]
+    pool = [g.vertices[i] for i in g.interior_indices().tolist()]
     if not pool:
         raise GraphError("no interior vertices")
     _check_cap(len(pool), MAGNIFICATION_CAP, force)
     limit = (0.5 + 1e-12) * g.total_measure() if g.is_closed else math.inf
     c, best = math.inf, 0
-    for sub, mass, gmass in neighborhood_measures(g, pool, g.vmeasure.tolist()):
+    for sub, mass, gmass in neighborhood_measures(g, pool, g.vmeasure):
         ratio = gmass / mass - 1.0
-        if mass <= limit and ratio < c - 1e-15:
-            c, best = ratio, sub
+        ratio[mass > limit] = math.inf
+        j = int(np.argmin(ratio))
+        if ratio[j] < c - 1e-15:
+            c, best = float(ratio[j]), int(sub[j])
     return c, frozenset(v for b, v in enumerate(pool) if (best >> b) & 1)
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from graphcalc import (
     Edge,
+    WeightedGraph,
     EdgeField,
     GraphError,
     VertexFunction,
@@ -24,6 +25,7 @@ from graphcalc import (
     rayleigh_quotient,
     true_lambda,
 )
+from graphcalc.bounds import BoundReport, BoundValue
 from graphcalc.isoperimetry import enumerate_connected_subsets
 from graphcalc.generators import complete, cycle, hypercube, path, radial_graph, random_graph
 
@@ -80,6 +82,26 @@ def test_soundness_on_random_graphs():
         assert bound_report(g).sound
 
 
+def _scaled(g, s):
+    return WeightedGraph(g.vertices, g.vmeasure,
+                         [Edge(e.u, e.v, e.a * s, e.length) for e in g.edges], g.boundary)
+
+
+def test_soundness_is_relative_to_lambda():
+    rng = np.random.default_rng(71)
+    graphs = [cycle(6), complete(5), hypercube(3), path(6, boundary=[6]), radial_graph(9, 3.0)]
+    graphs += [random_graph(int(rng.integers(3, 10)), rng,
+                            boundary_fraction=float(rng.uniform(0, 0.4))) for _ in range(12)]
+    for g in graphs:
+        for s in (1e-10, 1.0, 1e10):
+            rep = bound_report(_scaled(g, s))
+            assert rep.sound, (g.vertices, s)
+            # a bound of twice lambda is unsound at every scale; at 1e-10 the
+            # old absolute 1e-9 tolerance called it sound
+            inflated = BoundValue("inflated", 2.0 * rep.lam, True, {})
+            assert not BoundReport(rep.mode, rep.lam, [inflated]).sound
+
+
 def test_bobkov_applicability():
     # K3 with a_e = 2 = V(u) + V(v): applicable, c = 1 -> 3/14... check value
     g = build_graph(["a", "b", "c"],
@@ -107,6 +129,27 @@ def test_certified_magnification_k4():
             for B in itertools.combinations(A, k)
         )
         assert certified_magnification(q3, A) == brute, A
+
+
+def test_certified_magnification_with_integers_past_int64():
+    # 1e10 over the common denominator 2**55 of 0.1 is about 3.6e26 > 2**63
+    rng = np.random.default_rng(67)
+    for n, size in ((9, 5), (15, 13)):  # 2**13 - 1 subsets span two chunks
+        g = random_graph(n, rng, extra_edges=n)
+        meas = rng.uniform(0.2, 3.0, size=n)
+        meas[:3] = (1e10, 0.1, 1.0 / 3.0)
+        g = build_graph(g.vertices, g.edges, measures=meas)
+        exact = [Fraction(float(x)) for x in g.vmeasure]
+        den = math.lcm(*(x.denominator for x in exact))
+        assert sum(x * den for x in exact) > 2**63
+        A = sorted(rng.choice(g.vertices, size=size, replace=False).tolist(), key=str)
+        brute = min(
+            sum(exact[g.index(v)] for v in neighborhood(g, B)) / sum(exact[g.index(v)] for v in B)
+            for k in range(1, len(A) + 1)
+            for B in itertools.combinations(A, k)
+        ) - 1
+        got = certified_magnification(g, A)
+        assert isinstance(got, Fraction) and got == brute
 
 
 def test_alon_field_k4():

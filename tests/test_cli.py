@@ -225,6 +225,21 @@ def test_overflowing_conductances_exit_2(tmp_path, capsys):
             _assert_usage_error(*_run_err(capsys, argv[0], str(target), *argv[1:]))
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_sums_exit_2_for_every_loading_command(tmp_path, capsys):
+    # info printed Infinity sums and iso a value of Infinity, both with exit 0
+    docs = [{"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "a": 1e308}] * 2},  # total edge measure
+            {"vertices": [{"id": 1, "measure": 1e308}, {"id": 2, "measure": 1e308}],
+             "edges": [{"u": 1, "v": 2}]},  # total vertex measure
+            {"vertices": [{"id": 1, "measure": 1e-310}, 2],
+             "edges": [{"u": 1, "v": 2, "a": 1e10}]}]  # rho and L
+    for k, doc in enumerate(docs):
+        target = tmp_path / f"sums{k}.json"
+        target.write_text(json.dumps(doc))
+        for argv in (["info"], ["iso"], ["iso", "--magnification"], ["bounds"]):
+            _assert_usage_error(*_run_err(capsys, argv[0], str(target), *argv[1:]))
+
+
 def test_flow_target_is_an_exact_fraction(tmp_path, capsys):
     target = tmp_path / "k4.json"
     assert main(["gen", "complete", "4", "-o", str(target)]) == 0

@@ -22,6 +22,7 @@ from graphcalc import (
     heat_residual,
     heat_solve,
     hypothesis_audit,
+    iso_constant,
     laplacian_apply,
     nash_diagonal_bound,
     nonuniqueness_tree,
@@ -163,6 +164,41 @@ def test_hypothesis_audit():
         boundary=[4],
     )
     assert hypothesis_audit(strong, phi)["ok"]
+
+
+def test_hypothesis_audit_reads_the_shared_table(monkeypatch):
+    from graphcalc import isoperimetry
+
+    builds = []
+    real = isoperimetry.enumerate_connected_subsets
+    monkeypatch.setattr(isoperimetry, "enumerate_connected_subsets",
+                        lambda g, mask: builds.append(mask) or real(g, mask))
+    rng = np.random.default_rng(73)
+    for _ in range(6):
+        g = random_graph(9, rng, boundary_fraction=0.25)
+        iso_constant(g, 2.0, "open")
+        phi = lambda x: 0.9 * x ** 0.5
+        out = hypothesis_audit(g, phi)
+        assert len(builds) == 1
+        builds.clear()
+        pool = [i for i in range(g.n) if g.interior_mask[i]]
+        failing = []  # every connected failing set, by brute force
+        for sub in range(1, 1 << len(pool)):
+            S = {g.vertices[v] for j, v in enumerate(pool) if (sub >> j) & 1}
+            idx = {g.index(v) for v in S}
+            seen, stack = {min(idx)}, [min(idx)]
+            while stack:
+                for j in g.neighbors(stack.pop()) & idx - seen:
+                    seen.add(j)
+                    stack.append(j)
+            area = sum(e.a for e in g.edges if (e.u in S) != (e.v in S))
+            mass = sum(g.vmeasure[i] for i in idx)
+            if seen == idx and area + 1e-12 < mass / phi(mass):
+                failing.append(S)
+        assert out["ok"] == (not failing)
+        if failing:  # the table lists the smallest sets first
+            assert out["witness"] in failing
+            assert len(out["witness"]) == min(map(len, failing))
 
 
 def test_general_decay_bound():

@@ -73,6 +73,100 @@ def test_connected_subsets_match_brute_force():
             assert mass == pytest.approx(fresh, rel=1e-12, abs=0.0)
 
 
+def _connected_within(g, mask):
+    verts = [i for i in range(g.n) if (mask >> i) & 1]
+    seen, stack = {verts[0]}, [verts[0]]
+    while stack:
+        for j in g.neighbors(stack.pop()):
+            if (mask >> j) & 1 and j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == len(verts)
+
+
+def _fresh_area(g, mask):
+    return sum(a for u, v, a in zip(g.eu.tolist(), g.ev.tolist(), g.ea.tolist())
+               if ((mask >> u) & 1) != ((mask >> v) & 1))
+
+
+def test_subset_table_matches_brute_force_over_the_pool():
+    # loops, parallel edges and boundaries; bit j of a pool-local brute-force
+    # subset selects the j-th free vertex, the table holds vertex masks
+    rng = np.random.default_rng(53)
+    graphs = [random_graph(int(rng.integers(2, 12)), rng, extra_edges=int(rng.integers(0, 12)),
+                           allow_loops=True, boundary_fraction=float(rng.choice([0.0, 0.3])))
+              for _ in range(24)]
+    graphs.append(build_graph([1, 2, 3], [Edge(1, 2, 0.5), Edge(1, 2, 1.5), Edge(2, 2, 4.0),
+                                          Edge(2, 3, 0.25)], boundary=[3]))
+    for g in graphs:
+        pool = g.interior_indices().tolist()
+        if not pool:
+            continue
+        brute = set()
+        for sub in range(1, 1 << len(pool)):
+            mask = sum(1 << v for j, v in enumerate(pool) if (sub >> j) & 1)
+            if _connected_within(g, mask):
+                brute.add(mask)
+        table = enumerate_connected_subsets(g, sum(1 << v for v in pool))
+        masks = table["mask"].tolist()
+        assert len(masks) == len(set(masks)) and set(masks) == brute
+        for mask, area, mass in table.tolist():
+            assert area == pytest.approx(_fresh_area(g, mask), rel=1e-12, abs=0.0)
+            fresh = sum(g.vmeasure[i] for i in range(g.n) if (mask >> i) & 1)
+            assert mass == pytest.approx(fresh, rel=1e-12, abs=0.0)
+
+
+def test_components_of_a_disconnected_graph_have_area_exactly_zero():
+    rng = np.random.default_rng(59)
+    for _ in range(5):
+        a, b = random_graph(5, rng, allow_loops=True), random_graph(6, rng)
+        edges = list(a.edges) + [Edge(e.u + 5, e.v + 5, e.a, e.length) for e in b.edges]
+        g = build_graph(list(range(11)), edges,
+                        measures=np.concatenate([a.vmeasure, b.vmeasure]))
+        rows = {m: area for m, area, _ in enumerate_connected_subsets(g, _all_mask(g)).tolist()}
+        assert rows[0b11111] == 0.0 and rows[0b11111100000] == 0.0
+        assert iso_constant(g, 2.0, "tilde").value == 0.0
+
+
+def test_free_vertex_pool_of_64_is_refused_even_under_force():
+    for g in (cycle(64), with_boundary(cycle(70), list(range(1, 7)))):
+        with pytest.raises(GraphError, match="63"):
+            iso_constant(g, 2.0, "tilde" if g.is_closed else "open", force=True)
+        with pytest.raises(GraphError, match="63"):
+            magnification(g, force=True)
+    assert len(enumerate_connected_subsets(cycle(63), _all_mask(cycle(63)))) == 63 * 62 + 1
+
+
+def test_magnification_matches_brute_force_across_chunks():
+    # 13 and more free vertices: 2**13 - 1 subsets span two chunks of 4096
+    assert (1 << 13) - 1 > isoperimetry.CHUNK
+    rng = np.random.default_rng(61)
+    graphs = [random_graph(13, rng), random_graph(14, rng, weighted=False),
+              random_graph(16, rng, boundary_fraction=0.125), random_graph(13, rng, allow_loops=True)]
+    # a heavy leaf on a light vertex as the 13th vertex: the least ratio
+    # lies in the last chunk
+    base = random_graph(12, rng)
+    graphs.append(build_graph(list(range(13)), list(base.edges) + [Edge(12, 0)],
+                              measures=np.r_[0.05, base.vmeasure[1:], 3.0]))
+    for g in graphs:
+        pool = g.interior_indices().tolist()
+        meas = g.vmeasure.tolist()
+        limit = (0.5 + 1e-12) * g.total_measure() if g.is_closed else math.inf
+        brute = math.inf
+        for sub in range(1, 1 << len(pool)):
+            inside = [v for j, v in enumerate(pool) if (sub >> j) & 1]
+            mass = sum(meas[v] for v in inside)
+            if mass > limit:
+                continue
+            gamma = set().union(*(g.neighbors(v) for v in inside))
+            brute = min(brute, sum(meas[v] for v in gamma) / mass - 1.0)
+        c, witness = magnification(g)
+        assert c == pytest.approx(brute, rel=1e-12, abs=1e-15)
+        wmass = sum(meas[g.index(v)] for v in witness)
+        wgamma = sum(meas[i] for i in set().union(*(g.neighbors(g.index(v)) for v in witness)))
+        assert wmass <= limit and wgamma / wmass - 1.0 == pytest.approx(c, rel=1e-12, abs=1e-15)
+
+
 def test_iso_open_path_oracle():
     g = path(3, boundary=[3])
     rep = iso_constant(g, math.inf, "open")
