@@ -3,8 +3,10 @@
 Each bound routine reports a value together with an applicability flag; an
 applicable bound must sit below the true eigenvalue (first Dirichlet
 eigenvalue, or the second eigenvalue of a closed graph).  The magnifier bound
-comes with an explicit transport field certificate built from an exact
-rational max flow.
+comes with an explicit transport field certificate read off an exact max
+flow: one Edmonds-Karp on integer capacities over the common denominator of
+the measures and c, whose breadth-first search takes neighbours in ascending
+order, so the fields are those of earlier releases.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ import numpy as np
 
 from .graph import GraphError, WeightedGraph, with_boundary
 from .functions import VertexFunction, lp_norm_vertex, grad_lp_norm
-from .operators import EdgeField, divergence, eigenvalues, spectral_decomposition
+from .operators import EdgeField, default_mode, eigenvalues, spectral_decomposition
 from .graph import half_degrees
-from .isoperimetry import iso_constant, magnification, neighborhood_measures
+from .isoperimetry import default_variant, iso_constant, magnification, neighborhood_measures
 
 __all__ = [
     "BoundValue",
@@ -74,8 +76,7 @@ def true_lambda(g: WeightedGraph, mode: str) -> float:
 
 
 def _iso_infty(g: WeightedGraph, **kw) -> float:
-    variant = "open" if g.boundary else "tilde"
-    return iso_constant(g, math.inf, variant, **kw).value
+    return iso_constant(g, math.inf, default_variant(g), **kw).value
 
 
 def dodziuk_bound(g: WeightedGraph, i_infty: float | None = None, **kw) -> BoundValue:
@@ -139,8 +140,7 @@ def bobkov_bound(g: WeightedGraph, c: float | None = None, **kw) -> BoundValue:
 
 
 def bound_report(g: WeightedGraph, mode: str | None = None, **kw) -> BoundReport:
-    if mode is None:
-        mode = "dirichlet" if g.boundary else "closed"
+    mode = default_mode(g) if mode is None else mode
     lam = true_lambda(g, mode)
     bounds = [
         dodziuk_bound(g, **kw),
@@ -189,52 +189,48 @@ class AlonField:
     exact: list
 
 
-class _MaxFlow:
-    """Edmonds-Karp over Fractions with lexicographic BFS tie-breaking."""
+def _max_flow(n: int, arcs, s: int, t: int) -> list[int]:
+    """Edmonds-Karp on integer capacities: the flow on each arc (u, v, cap).
 
-    def __init__(self, n: int):
-        self.n = n
-        self.cap: dict[tuple[int, int], Fraction] = {}
-        self.adj: list[list[int]] = [[] for _ in range(n)]
+    Arc k sits in the residual list at 2k and its reverse at 2k+1.  The
+    breadth-first search scans each node's arcs by ascending far end, so
+    scaling every capacity by one positive integer scales the flow and
+    leaves the augmenting paths as they are.
+    """
+    res, head, out = [], [], [[] for _ in range(n)]
+    for k, (u, v, cap) in enumerate(arcs):
+        out[u].append((v, 2 * k))
+        out[v].append((u, 2 * k + 1))
+        res += (cap, 0)
+        head += (v, u)
+    for a in out:
+        a.sort()
+    while True:
+        via = [-1] * n  # the residual arc that reached each node
+        via[s] = -2
+        q = deque([s])
+        while q and via[t] == -1:
+            for v, a in out[q.popleft()]:
+                if via[v] == -1 and res[a] > 0:
+                    via[v] = a
+                    q.append(v)
+        if via[t] == -1:
+            return res[1::2]
+        path, v = [], t
+        while v != s:
+            path.append(via[v])
+            v = head[via[v] ^ 1]
+        aug = min(res[a] for a in path)
+        for a in path:
+            res[a] -= aug
+            res[a ^ 1] += aug
 
-    def add(self, u: int, v: int, c: Fraction):
-        if (u, v) not in self.cap:
-            self.cap[(u, v)] = Fraction(0)
-            self.cap[(v, u)] = Fraction(0)
-            self.adj[u].append(v)
-            self.adj[v].append(u)
-        self.cap[(u, v)] += c
 
-    def solve(self, s: int, t: int) -> tuple[Fraction, dict]:
-        for a in self.adj:
-            a.sort()
-        flow: dict[tuple[int, int], Fraction] = {k: Fraction(0) for k in self.cap}
-        total = Fraction(0)
-        while True:
-            parent = {s: s}
-            q = deque([s])
-            while q and t not in parent:
-                u = q.popleft()
-                for v in self.adj[u]:
-                    if v not in parent and self.cap[(u, v)] - flow[(u, v)] > 0:
-                        parent[v] = u
-                        q.append(v)
-            if t not in parent:
-                return total, flow
-            aug = None
-            v = t
-            while v != s:
-                u = parent[v]
-                slack = self.cap[(u, v)] - flow[(u, v)]
-                aug = slack if aug is None else min(aug, slack)
-                v = u
-            v = t
-            while v != s:
-                u = parent[v]
-                flow[(u, v)] += aug
-                flow[(v, u)] -= aug
-                v = u
-            total += aug
+def _integer_measures(g: WeightedGraph) -> tuple[int, list[int]]:
+    """(den, m) with V(v) = m[v] / den exactly: every float is a dyadic rational."""
+    ratios = [float(x).as_integer_ratio() for x in g.vmeasure]
+    den = math.lcm(*(d for _, d in ratios))
+    return den, [p * (den // d) for p, d in ratios]
 
 
 def certified_magnification(g: WeightedGraph, A) -> Fraction:
@@ -249,8 +245,7 @@ def certified_magnification(g: WeightedGraph, A) -> Fraction:
     if not ids:
         raise GraphError("A must be nonempty")
     # over their common denominator, float measures and their sums are exact integers
-    den = math.lcm(*(float(x).as_integer_ratio()[1] for x in g.vmeasure))
-    meas = [int(Fraction(float(x)) * den) for x in g.vmeasure]
+    meas = _integer_measures(g)[1]
     meas = np.array(meas, dtype=np.int64 if sum(meas) < 2**63 else object)
     least = []
     for _, mass, gmass in neighborhood_measures(g, ids, meas):
@@ -286,8 +281,9 @@ def alon_field(
         |X_e| <= 1,   -(div X) >= c on A,   -(div X) <= 0 off A,
 
     and per-vertex unit in-flow (positive part of the arriving transport).
-    All arithmetic is exact over rationals; an unsaturated flow means A is
-    not (1+c)-magnified and raises.
+    Over the common denominator den * c.denominator of the measures and c
+    every capacity is an integer, so the flow is exact; an unsaturated flow
+    means A is not (1+c)-magnified and raises.
     """
     ids = sorted(set(A), key=str)
     if not ids:
@@ -300,51 +296,38 @@ def alon_field(
     c = certified_magnification(g, ids) if c is None else Fraction(c)
     if c < 0:
         raise GraphError("A has a neighborhood smaller than itself; no field")
-    meas = [Fraction(float(x)) for x in g.vmeasure]
+    # over den * c.denominator every capacity is an integer: V(w) -> q m[w]
+    den, m = _integer_measures(g)
+    q = c.denominator
+    scale = den * q
     # nodes: 0 = source, 1 = sink, 2+i = A-copy i, 2+|A|+j = vertex copy j
-    aidx = {v: 2 + i for i, v in enumerate(ids)}
-    vidx = {v: 2 + len(ids) + j for j, v in enumerate(g.vertices)}
-    net = _MaxFlow(2 + len(ids) + g.n)
-    demand = Fraction(0)
-    for v in ids:
-        cap = (1 + c) * meas[g.index(v)]
-        net.add(0, aidx[v], cap)
-        demand += cap
-        net.add(aidx[v], vidx[v], meas[g.index(v)])  # identity slot
-    for w in g.vertices:
-        net.add(vidx[w], 1, meas[g.index(w)])
-    pairs = set()
-    for e in g.edges:
-        if e.u == e.v:
+    acopy = {g.index(v): 2 + i for i, v in enumerate(ids)}
+    base = 2 + len(ids)
+    arcs = [(0, a, (q + c.numerator) * m[i]) for i, a in acopy.items()]
+    arcs += [(a, base + i, q * m[i]) for i, a in acopy.items()]  # identity slot
+    arcs += [(base + j, 1, q * m[j]) for j in range(g.n)]
+    # (edge, arc, sign): the first of parallel edges carries the transport
+    # between its ends, positive along u -> v when the network moved mass
+    # v -> u (the field carries it back into A)
+    carried, seen = [], set()
+    for k, (i, j) in enumerate(zip(g.eu.tolist(), g.ev.tolist())):
+        pair = (min(i, j), max(i, j))
+        if i == j or pair in seen:
             continue
-        for x, y in ((e.u, e.v), (e.v, e.u)):
-            if x in aidx and (x, y) not in pairs:
-                pairs.add((x, y))
-                net.add(aidx[x], vidx[y], meas[g.index(y)])
-    value, flow = net.solve(0, 1)
+        seen.add(pair)
+        for x, y, sign in ((i, j, -1), (j, i, 1)):
+            if x in acopy:
+                carried.append((k, len(arcs), sign))
+                arcs.append((acopy[x], base + y, q * m[y]))
+    flow = _max_flow(base + g.n, arcs, 0, 1)
+    value = Fraction(sum(flow[: len(ids)]), scale)
+    demand = Fraction(sum(cap for _, _, cap in arcs[: len(ids)]), scale)
     if value != demand:
-        raise GraphError(
-            f"flow saturates only {value} of {demand}: A is not (1+c)-magnified"
-        )
-    # net transport along each vertex pair, A-side -> other
-    transport: dict[tuple, Fraction] = {}
-    for (x, y) in pairs:
-        transport[(x, y)] = flow[(aidx[x], vidx[y])]
-    exact = [Fraction(0)] * len(g.edges)
-    seen_pairs = set()
-    for k, e in enumerate(g.edges):
-        if e.u == e.v:
-            continue
-        key = (str(e.u), str(e.v))
-        rkey = (str(e.v), str(e.u))
-        if key in seen_pairs or rkey in seen_pairs:
-            continue  # parallel edges: all transport on the first one
-        seen_pairs.add(key)
-        out_uv = transport.get((e.u, e.v), Fraction(0))
-        out_vu = transport.get((e.v, e.u), Fraction(0))
-        # reversed orientation: positive along u -> v when the network moved
-        # mass v -> u (the field carries it back into A)
-        exact[k] = out_vu - out_uv
+        raise GraphError(f"flow saturates only {value} of {demand}: A is not (1+c)-magnified")
+    net = [0] * len(g.edges)
+    for k, a, sign in carried:
+        net[k] += sign * flow[a]
+    exact = [Fraction(x, scale) for x in net]
     X = EdgeField(g, np.array([float(x) for x in exact]))
     return AlonField(X, frozenset(ids), c, exact)
 

@@ -20,8 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from .graph import GraphError, WeightedGraph, half_degrees, is_connected, L_stats
-from .operators import eigenvalues
-from .isoperimetry import iso_constant, magnification
+from .operators import default_mode, eigenvalues
+from .isoperimetry import default_variant, iso_constant, magnification
 from .bounds import alon_field, alon_field_checks, bound_report
 from .heat import default_t_grid, heat_grid, heat_kernel
 from .verify import run_suite
@@ -147,7 +147,7 @@ def _cmd_info(args) -> int:
 
 def _resolve_mode(g: WeightedGraph, mode: str | None) -> str:
     if mode in (None, "auto"):
-        return "dirichlet" if g.boundary else "closed"
+        return default_mode(g)
     return mode
 
 
@@ -166,7 +166,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_iso(args) -> int:
     g, digest = _load_graph(args.graph)
-    variant = args.variant or ("open" if g.boundary else "tilde")
+    variant = args.variant or default_variant(g)
     rep = iso_constant(g, args.nu, variant, force=args.force)
     report = _head("iso", digest)
     report.update(
@@ -291,6 +291,14 @@ def _cmd_flow(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+def _fraction(text: str) -> Fraction:
+    """An exact rational argument; 1/0 is a usage error like any non-number."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="graphcalc", description="calculus on weighted graphs"
@@ -360,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flow", help="exact magnification flow certificate")
     common(p)
     p.add_argument("--set", required=True, help="comma-separated interior vertex ids")
-    p.add_argument("-c", type=Fraction, default=None, help="exact target magnification, e.g. 1/3")
+    p.add_argument("-c", type=_fraction, default=None, help="exact target magnification, e.g. 1/3")
     p.set_defaults(func=_cmd_flow)
 
     return ap

@@ -31,6 +31,7 @@ __all__ = [
     "is_split",
     "split_shift",
     "coarea",
+    "conjugate",
 ]
 
 
@@ -80,6 +81,15 @@ def _check_p(p) -> float:
     if p != math.inf and p < 1:
         raise GraphError("p must be >= 1 or infinity")
     return p
+
+
+def conjugate(p: float) -> float:
+    """The conjugate exponent p' with 1/p + 1/p' = 1."""
+    if p == 1:
+        return math.inf
+    if p == math.inf:
+        return 1.0
+    return p / (p - 1.0)
 
 
 def lp_norm_vertex(f: VertexFunction, p):

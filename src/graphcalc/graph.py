@@ -36,6 +36,7 @@ __all__ = [
     "subdivide_edge",
     "with_boundary",
     "is_connected",
+    "component_labels",
 ]
 
 VertexId = Hashable
@@ -441,15 +442,26 @@ def with_boundary(g: WeightedGraph, boundary: Iterable[VertexId]) -> WeightedGra
     return WeightedGraph(g.vertices, g.vmeasure, g.edges, boundary)
 
 
+def component_labels(g: WeightedGraph, mask=None) -> np.ndarray:
+    """Label 0, 1, ... of the connected component of each vertex, in order of
+    their least vertex; with a boolean ``mask`` the components of the induced
+    subgraph, and -1 off the mask."""
+    keep = [True] * g.n if mask is None else np.asarray(mask, dtype=bool).tolist()
+    label = [-1] * g.n
+    count = 0
+    for start in range(g.n):
+        if not keep[start] or label[start] >= 0:
+            continue
+        label[start] = count
+        stack = [start]
+        while stack:
+            for j in g.neighbors(stack.pop()):
+                if keep[j] and label[j] < 0:
+                    label[j] = count
+                    stack.append(j)
+        count += 1
+    return np.array(label, dtype=int)
+
+
 def is_connected(g: WeightedGraph) -> bool:
-    if g.n == 0:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in g.neighbors(i):
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == g.n
+    return not np.any(component_labels(g) > 0)

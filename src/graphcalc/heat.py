@@ -22,9 +22,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import GraphError, WeightedGraph, half_degrees, with_boundary
+from .graph import GraphError, WeightedGraph, component_labels, half_degrees, with_boundary
 from .functions import VertexFunction, grad_lp_norm
-from .operators import SpectralDecomposition, eigenvalues, laplacian_apply, spectral_decomposition
+from .operators import (SpectralDecomposition, default_mode, eigenvalues, laplacian_apply,
+                        spectral_decomposition)
 from .isoperimetry import DEFAULT_CAP, AdmissibleSet, _subset_table, iso_constant
 
 __all__ = [
@@ -92,8 +93,7 @@ class HeatKernel:
 
 
 def heat_kernel(g: WeightedGraph, mode: str | None = None) -> HeatKernel:
-    if mode is None:
-        mode = "dirichlet" if g.boundary else "closed"
+    mode = default_mode(g) if mode is None else mode
     return HeatKernel(spectral_decomposition(g, mode))
 
 
@@ -161,8 +161,7 @@ def heat_solve(
     """u(., t) = e^{-t Lap} f0 (f0 masked to zero on the boundary first)."""
     if t < 0:
         raise GraphError("t must be nonnegative")
-    if mode is None:
-        mode = "dirichlet" if g.boundary else "closed"
+    mode = default_mode(g) if mode is None else mode
     d = spectral_decomposition(g, mode)
     vals = f0.values * g.interior_mask if mode == "dirichlet" else f0.values
     coef = d.eigenfunctions.T @ (vals * g.vmeasure)
@@ -232,8 +231,7 @@ def nash_diagonal_bound(
     """
     if nu <= 2:
         raise GraphError("nu > 2 required")
-    if mode is None:
-        mode = "dirichlet" if g.boundary else "closed"
+    mode = default_mode(g) if mode is None else mode
     rho = half_degrees(g).rho_sup
     if mode == "dirichlet":
         I = iso_constant(g, nu, "open", **iso_kw).value
@@ -442,22 +440,8 @@ def finite_uniqueness_check(
     if len(interior):
         # strict positivity only holds within a connected component of the
         # interior; across components the Dirichlet kernel vanishes
-        comp = -np.ones(g.n, dtype=int)
-        label = 0
-        for start in interior:
-            if comp[start] >= 0:
-                continue
-            stack = [int(start)]
-            comp[start] = label
-            while stack:
-                i = stack.pop()
-                for j in g.neighbors(i):
-                    if g.interior_mask[j] and comp[j] < 0:
-                        comp[j] = label
-                        stack.append(j)
-            label += 1
+        c = component_labels(g, g.interior_mask)[interior]
         K = ker.matrix(t0)[np.ix_(interior, interior)]
-        c = comp[interior]
         same = c[:, None] == c[None, :]
         diag_pos = bool(np.all(np.where(same, K > 0, np.abs(K) <= 1e-12)))
     return {"energy_residual": worst, "zero_stays_zero": zero_ok, "positivity": diag_pos}

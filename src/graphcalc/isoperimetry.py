@@ -33,11 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import GraphError, WeightedGraph
-from .functions import VertexFunction, grad_lp_norm, lp_norm_vertex
+from .functions import VertexFunction, conjugate, grad_lp_norm, lp_norm_vertex
 
 __all__ = [
     "AdmissibleSet",
     "IsoReport",
+    "default_variant",
     "iso_constant",
     "magnification",
     "sobolev_quotient",
@@ -274,6 +275,11 @@ def _iso_open_path(g: WeightedGraph, nu: float) -> IsoReport:
     return IsoReport(nu, "open", float(vals[kmin]), witness)
 
 
+def default_variant(g: WeightedGraph) -> str:
+    """I_nu on a graph with boundary, the shifted I~_nu on a closed one."""
+    return "open" if g.boundary else "tilde"
+
+
 def iso_constant(
     g: WeightedGraph, nu: float, variant: str = "open", force: bool = False
 ) -> IsoReport:
@@ -386,8 +392,7 @@ def _magnification(g: WeightedGraph, force: bool):
 def sobolev_quotient(f: VertexFunction, nu: float):
     """s_nu(f) = ||grad f||_1 / ||f||_{nu'} (gradient against E, f against V);
     a (B,) array for a block."""
-    nup = 1.0 if nu == math.inf else (math.inf if nu == 1 else nu / (nu - 1.0))
-    denom = lp_norm_vertex(f, nup)
+    denom = lp_norm_vertex(f, conjugate(nu))
     if np.count_nonzero(denom == 0.0):
         raise GraphError("quotient undefined for f identically zero")
     return grad_lp_norm(f, 1) / denom

@@ -33,6 +33,7 @@ __all__ = [
     "eigenvalues",
     "operator_norm_report",
     "OperatorNormReport",
+    "default_mode",
 ]
 
 MAX_DENSE = 2000
@@ -231,10 +232,14 @@ class OperatorNormReport:
         return lo - eps <= self.rayleigh_max <= hi + eps
 
 
+def default_mode(g: WeightedGraph) -> str:
+    """Dirichlet mode on a graph with boundary, closed mode otherwise."""
+    return "dirichlet" if g.boundary else "closed"
+
+
 def operator_norm_report(g: WeightedGraph) -> OperatorNormReport:
     """L_sup together with the top Dirichlet eigenvalue; L_sup <= ||Lap|| <= 2 L_sup."""
     from .graph import L_stats
 
     stats = L_stats(g)
-    mode = "dirichlet" if g.boundary else "closed"
-    return OperatorNormReport(stats.sup, float(eigenvalues(g, mode)[-1]))
+    return OperatorNormReport(stats.sup, float(eigenvalues(g, default_mode(g))[-1]))

@@ -19,13 +19,14 @@ from .graph import GraphError, WeightedGraph, half_degrees
 from .functions import (
     VertexFunction,
     _spow,
+    conjugate,
     grad_lp_norm,
     lp_norm_vertex,
     lp_norm_edge,
     split_shift,
     vertex_integral,
 )
-from .isoperimetry import iso_constant, sobolev_quotient
+from .isoperimetry import default_variant, iso_constant, sobolev_quotient
 
 __all__ = [
     "InequalityCheck",
@@ -62,19 +63,9 @@ class InequalityCheck:
         return self.failures == 0
 
 
-def _conjugate(p: float) -> float:
-    if p == 1:
-        return math.inf
-    if p == math.inf:
-        return 1.0
-    return p / (p - 1.0)
-
-
 def _iso_for(g: WeightedGraph, nu: float, **kw) -> tuple[float, bool]:
     """(constant, closed flag): I_nu with Dirichlet data, or I~_nu when closed."""
-    if g.is_closed:
-        return iso_constant(g, nu, "tilde", **kw).value, True
-    return iso_constant(g, nu, "open", **kw).value, False
+    return iso_constant(g, nu, default_variant(g), **kw).value, g.is_closed
 
 
 def general_F_check(
@@ -89,8 +80,8 @@ def general_F_check(
     I, closed = _iso_for(g, nu, **iso_kw)
     phi = split_shift(f) if closed else f
     rho = half_degrees(g).rho_sup
-    pp = _conjugate(p)
-    nup = _conjugate(nu)
+    pp = conjugate(p)
+    nup = conjugate(nu)
     Fphi = VertexFunction(g, _spow(phi.values, r))
     dF = VertexFunction(
         g, r * np.abs(phi.values) ** (r - 1.0) if r > 1 else np.ones_like(phi.values)
@@ -157,20 +148,19 @@ def trudinger_check(
     I, closed = _iso_for(g, nu, **iso_kw)
     phi = split_shift(f) if closed else f
     rho = half_degrees(g).rho_sup
-    nup = _conjugate(nu)
+    nup = conjugate(nu)
     gnorm = grad_lp_norm(phi, nu)
     if np.count_nonzero(gnorm == 0):
         raise GraphError("phi must not be constant")
     tilde = np.abs(phi.values) * I * rho ** (-1.0 / nup) / gnorm
-    nupf = 1.0 if nu == math.inf else nup
     if measure == "vertex":
-        lhs_total = vertex_integral(VertexFunction(g, np.exp(nupf * gamma * tilde)))
+        lhs_total = vertex_integral(VertexFunction(g, np.exp(nup * gamma * tilde)))
     elif measure == "edge":
         expf = VertexFunction(g, np.exp(gamma * tilde))
-        lhs_total = lp_norm_edge(expf, nupf) ** nupf
+        lhs_total = lp_norm_edge(expf, nup) ** nup
     else:
         raise GraphError("measure must be 'vertex' or 'edge'")
-    rhs_bound = g.total_measure() * (1.0 - gamma) ** (-nupf)
+    rhs_bound = g.total_measure() * (1.0 - gamma) ** (-nup)
     # the INEQUALITY direction here is lhs <= rhs; report with sides swapped
     return InequalityCheck(
         "trudinger",
@@ -189,8 +179,8 @@ def iteration_constant(p: float, nu: float) -> tuple[float, float]:
     """
     if not (p > nu >= 1):
         raise GraphError("need p > nu >= 1")
-    pp = _conjugate(p)
-    nup = _conjugate(nu)
+    pp = conjugate(p)
+    nup = conjugate(nu)
     delta = nup / pp
     if not delta > 1:
         raise GraphError("delta = nu'/p' must exceed 1")
@@ -219,7 +209,7 @@ def sup_embedding_check(f: VertexFunction, p: float, nu: float, **iso_kw) -> Ine
     I, closed = _iso_for(g, nu, **iso_kw)
     phi = split_shift(f)
     rho = half_degrees(g).rho_sup
-    pp = _conjugate(p)
+    pp = conjugate(p)
     c1, c2 = iteration_constant(p, nu)
     cstar = c1 ** (-c2)
     lhs = grad_lp_norm(phi, p)
@@ -269,7 +259,7 @@ def sharpness_experiment(nu: float, p: float, m_grid, n: int = 1024) -> dict:
 
     g = radial_graph(n, nu)
     rho = half_degrees(g).rho_sup
-    pp = _conjugate(p)
+    pp = conjugate(p)
     rows = []
     if nu > p:
         I = iso_constant(g, nu, "open", force=True).value

@@ -20,6 +20,7 @@ from .functions import (
     balance_interval,
     balance_point,
     coarea,
+    conjugate,
     edge_integral,
     grad_lp_norm,
     lp_norm_edge,
@@ -107,7 +108,7 @@ def _suite_ff(g, trials, rng):
         fs = split_shift(f)
         grad_f, grad_fs = grad_lp_norm(f, 1), grad_lp_norm(fs, 1)
         for nu in nus:
-            nup = 1.0 if nu == math.inf else nu / (nu - 1.0)
+            nup = conjugate(nu)
             failures += int(np.count_nonzero(grad_fs < tilde[nu] * lp_norm_vertex(fs, nup) - 1e-9))
             # the min-shift quotient needs the true nu'-balancing shift
             a = balance_interval(f)[0] if nup == 1.0 else balance_point(f, nup)

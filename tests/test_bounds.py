@@ -25,7 +25,7 @@ from graphcalc import (
     rayleigh_quotient,
     true_lambda,
 )
-from graphcalc.bounds import BoundReport, BoundValue
+from graphcalc.bounds import BoundReport, BoundValue, _max_flow
 from graphcalc.isoperimetry import enumerate_connected_subsets
 from graphcalc.generators import complete, cycle, hypercube, path, radial_graph, random_graph
 
@@ -188,6 +188,63 @@ def test_alon_field_requires_traditional():
         alon_field(g, ["b"])
     af = alon_field(g, ["b"], generalized=True)
     assert alon_field_checks(g, af)["divergence_on_A"]
+
+
+def test_max_flow_equals_the_least_cut():
+    # random integer networks with zero capacities, repeated and antiparallel
+    # arcs, and a node (n - 1) that only receives, so it cannot reach the
+    # sink; every s-t cut is enumerated
+    rng = np.random.default_rng(11)
+    for _ in range(150):
+        n = int(rng.integers(3, 8))
+        s, t = 0, n - 2
+        arcs = [(int(rng.integers(n - 1)), int(rng.integers(n - 1)), int(rng.integers(0, 6)))
+                for _ in range(int(rng.integers(0, 3 * n)))]
+        arcs = [a for a in arcs if a[0] != a[1]] + [(s, n - 1, 3), (t, n - 1, 2)]
+        flow = _max_flow(n, arcs, s, t)
+        assert all(0 <= f <= cap for f, (_, _, cap) in zip(flow, arcs))
+        net = [0] * n
+        for f, (u, v, _) in zip(flow, arcs):
+            net[u] -= f
+            net[v] += f
+        assert all(net[x] == 0 for x in range(n) if x not in (s, t))
+        cut = min(
+            sum(cap for u, v, cap in arcs if (side >> u) & 1 and not (side >> v) & 1)
+            for side in range(1 << n)
+            if (side >> s) & 1 and not (side >> t) & 1
+        )
+        assert net[t] == -net[s] == cut
+        # one common scale leaves the augmenting paths, so the flow scales
+        assert _max_flow(n, [(u, v, 7 * cap) for u, v, cap in arcs], s, t) == [7 * f for f in flow]
+
+
+def test_alon_field_golden_fractions():
+    # the exact fields of this Edmonds-Karp and its tie order (another maximum
+    # flow would differ): generalized, dyadic non-unit measures, parallel
+    # edges in both orientations and loops
+    g = build_graph(
+        [("a", 0.5), ("b", 0.25), ("c", 3.0), ("d", 1.0), ("e", 0.75)],
+        [Edge("a", "b"), Edge("b", "a", 2.0), Edge("a", "b"), Edge("b", "c"), Edge("c", "c"),
+         Edge("c", "d"), Edge("d", "a"), Edge("d", "e"), Edge("e", "e"), Edge("e", "b", 0.5)],
+    )
+    cases = [
+        (["a", "b"], None, "3/2", "-1/4 0 0 -5/8 0 0 1/2 0 0 0"),
+        (["b"], None, "16", "1/2 0 0 -3 0 0 0 0 0 1/2"),
+        (["a", "d"], Fraction(1, 3), "1/3", "-1/6 0 0 0 0 4/3 0 0 0 0"),
+        (["b", "e"], None, "5/3", "1/2 0 0 -1/6 0 0 0 1 0 -1/4"),
+    ]
+    for A, c, want_c, want in cases:
+        af = alon_field(g, A, c=c, generalized=True)
+        assert af.c == Fraction(want_c) and af.exact == [Fraction(x) for x in want.split()], A
+        assert all(isinstance(x, Fraction) for x in af.exact)
+        assert list(af.field.values) == [float(x) for x in af.exact]
+    with pytest.raises(GraphError, match=r"^flow saturates only 11/4 of 3: A is not"):
+        alon_field(g, ["a", "b"], c=Fraction(3), generalized=True)
+    q3 = hypercube(3)
+    af = alon_field(q3, ["000", "001", "011"])
+    assert af.c == 1
+    assert af.exact == [Fraction(x) for x in "-1 0 0 -1 -1 1 0 -1 0 0 0 0".split()]
+    assert alon_field(q3, ["000"]).exact == [-1, -1] + [0] * 10
 
 
 def test_q1_q2_inequality():

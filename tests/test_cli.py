@@ -249,8 +249,28 @@ def test_flow_target_is_an_exact_fraction(tmp_path, capsys):
         assert code == 0
         doc = json.loads(out)
         assert doc["passed"] is True and doc["c"] == want
-    code, out, err = _run_err(capsys, "flow", str(target), "--set", "1", "-c", "nan")
-    assert code == 2 and out == "" and "Traceback" not in err
+    for c in ("nan", "1/0"):
+        code, out, err = _run_err(capsys, "flow", str(target), "--set", "1", "-c", c)
+        assert code == 2 and out == "" and "Traceback" not in err
+
+
+def test_flow_stdout_is_byte_stable_on_q4(tmp_path, capsys):
+    # the field of this Edmonds-Karp and its tie order, byte for byte
+    target = tmp_path / "q4.json"
+    assert main(["gen", "hypercube", "4", "-o", str(target)]) == 0
+    capsys.readouterr()
+    code, out = _run(capsys, "flow", str(target), "--set", "0000,0001,0011,0111,0010")
+    assert code == 0
+    assert out == (
+        '{"schema": "graphcalc/1", "command": "flow", "input_sha256": '
+        '"b2fa26c59e78b3086e091a08af0e20e2eefc2a3759ec3c9753b9c2156ffad821", '
+        '"A": ["0000", "0001", "0010", "0011", "0111"], "c": 1.3333333333333333, "passed": true, '
+        '"checks": {"divergence_off_A": true, "divergence_on_A": true, "magnitude": true, '
+        '"rho_sq_bound": true, "unit_inflow": true}, "rho_sq": 1.1111111111111112, '
+        '"rho_sq_cap": 1.5555555555555556, "field": [-0.33333333333333331, -0.33333333333333331, '
+        '-0.66666666666666663, 0, 0.33333333333333331, -1, -1, 0, -0.66666666666666663, -1, 0, '
+        '-1, 0, 0, 0, 0, 0, 0.33333333333333331, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}\n'
+    )
 
 
 @st.composite
