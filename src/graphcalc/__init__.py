@@ -2,15 +2,6 @@
 Cheeger-type eigenvalue bounds, heat kernels, and a Sobolev/Nash/Trudinger
 verification harness."""
 
-import os as _os
-
-# Cap BLAS worker pools before numpy is first imported; 0 (or unset) means
-# let the backend auto-detect.
-_threads = _os.environ.get("GRAPHCALC_THREADS")
-if _threads and _threads.strip() != "0":
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads.strip())
-
 from .graph import (
     Edge,
     GraphError,

@@ -374,10 +374,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER = _build_parser()  # argparse makes its help formatter when it prints
+
+
 def main(argv=None) -> int:
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors and 0 on --help, keep both
         return int(exc.code or 0)

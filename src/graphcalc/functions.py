@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -50,10 +50,6 @@ class VertexFunction:
     @classmethod
     def from_map(cls, g: WeightedGraph, m: Mapping) -> "VertexFunction":
         return cls(g, np.array([float(m.get(v, 0.0)) for v in g.vertices]))
-
-    @classmethod
-    def from_values(cls, g: WeightedGraph, values: Sequence[float]) -> "VertexFunction":
-        return cls(g, np.asarray(values, dtype=float))
 
     def __call__(self, vid) -> float:
         return float(self.values[self.graph.index(vid)])

@@ -9,7 +9,9 @@ A graph here is a finite multigraph (self-loops allowed) together with
 
 Edges are stored with an orientation (tail ``u`` -> head ``v``) purely as a
 bookkeeping convention for vector fields; nothing downstream depends on the
-choice.
+choice.  ``WeightedGraph.adjacency`` is the one neighbour structure: per
+vertex index, the frozenset of the indices it shares an edge with (itself
+too when it carries a loop); every module reads it through ``neighbors``.
 """
 
 from __future__ import annotations
@@ -63,9 +65,10 @@ class Edge:
 
 
 class WeightedGraph:
-    """Immutable: ids and edges are tuples, every array is read-only (the
-    measures passed in are copied), and attributes cannot be rebound.  Data
-    derived from the graph is computed once and kept in one memo."""
+    """Immutable: ids, edges and adjacency are tuples, every array is
+    read-only (the measures passed in are copied), and attributes cannot be
+    rebound.  Data derived from the graph is computed once and kept in one
+    memo."""
 
     def __init__(
         self,
@@ -107,18 +110,11 @@ class WeightedGraph:
         self.elen = np.fromiter((e.length for e in self.edges), dtype=float, count=m)
         self.emeasure = self.ea * self.elen
         self.loop_mask = self.eu == self.ev
-        # incidence lists: for each vertex, (edge index, sign) pairs; sign +1
-        # when the vertex is the head v, -1 when the tail u.  A self-loop
-        # appears once with sign 0.
-        inc: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
-        for k, e in enumerate(self.edges):
-            iu, iv = self.eu[k], self.ev[k]
-            if iu == iv:
-                inc[iu].append((k, 0))
-            else:
-                inc[iu].append((k, -1))
-                inc[iv].append((k, +1))
-        self.incidence = tuple(map(tuple, inc))
+        adjacency = [set() for _ in self.vertices]
+        for iu, iv in zip(self.eu.tolist(), self.ev.tolist()):
+            adjacency[iu].add(iv)
+            adjacency[iv].add(iu)
+        self.adjacency = tuple(map(frozenset, adjacency))
         self.interior_mask = np.ones(len(self.vertices), dtype=bool)
         for b in self.boundary:
             self.interior_mask[self._index[b]] = False
@@ -161,15 +157,9 @@ class WeightedGraph:
     def interior_indices(self) -> np.ndarray:
         return np.nonzero(self.interior_mask)[0]
 
-    def neighbors(self, i: int) -> set[int]:
+    def neighbors(self, i: int) -> frozenset[int]:
         """Vertex indices joined to ``i`` by some edge (a loop makes i its own)."""
-        out = set()
-        for k, sign in self.incidence[i]:
-            if sign == 0:
-                out.add(i)
-            else:
-                out.add(int(self.ev[k]) if sign < 0 else int(self.eu[k]))
-        return out
+        return self.adjacency[i]
 
     # -- (de)serialization -------------------------------------------------
 

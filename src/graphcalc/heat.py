@@ -26,7 +26,7 @@ from .graph import GraphError, WeightedGraph, component_labels, half_degrees, wi
 from .functions import VertexFunction, grad_lp_norm
 from .operators import (SpectralDecomposition, default_mode, eigenvalues, laplacian_apply,
                         spectral_decomposition)
-from .isoperimetry import DEFAULT_CAP, AdmissibleSet, _subset_table, iso_constant
+from .isoperimetry import DEFAULT_CAP, _check_cap, _subset_table, _witness, iso_constant
 
 __all__ = [
     "HeatKernel",
@@ -342,14 +342,13 @@ def hypothesis_audit(g: WeightedGraph, phi: Callable[[float], float], force=Fals
     pool = sum(1 << int(i) for i in g.interior_indices())
     if pool == 0:
         raise GraphError("no interior vertices")
-    if pool.bit_count() > DEFAULT_CAP and not force:
-        raise GraphError("interior too large to audit; pass force=True")
+    _check_cap(pool.bit_count(), DEFAULT_CAP, force)
     table = _subset_table(g, pool)
     mass = table["mass"]
     phis = np.fromiter(map(phi, mass.tolist()), float, len(mass))
     failing = np.flatnonzero(table["area"] + 1e-12 < mass / phis)
     if failing.size:  # the first failing row: the smallest sets come first
-        wit = AdmissibleSet.of_mask(g, int(table["mask"][failing[0]]))
+        wit = _witness(g, table[failing[0]])
         return {"ok": False, "witness": wit.vertices, "area": wit.area, "vmass": wit.vmass}
     return {"ok": True}
 

@@ -7,15 +7,18 @@ quotients, and partial edge segments only add area).
 
 One numpy kernel does every subset scan.  A subset is an int64 mask over the
 pool of free vertices (bit j = j-th free vertex), so a pool holds at most 63
-vertices, also under ``force``; sums over a mask add per-byte table entries.
+vertices, also under ``force``; ORs over a mask, and the sums of the
+magnification scans, add per-byte table entries.
 
 - ``enumerate_connected_subsets`` builds the (mask, area, mass) table of the
   connected subsets one size level at a time: byte tables of the neighbour
   masks give every set's frontier, one step forms all children of a level,
-  and sorting removes the duplicates.  The table is kept in the graph's memo,
-  one per pool, with the reports.  Every (nu, variant) is one vectorized
-  quotient over it: the whole vertex set gets inf in the tilde variants, and
-  the sorted-id tie rule sees only the masks within 1e-12 of the minimum.
+  and sorting removes the duplicates.  Area and mass are each summed once,
+  in one order: edge by edge and vertex by vertex.  The table is kept in the
+  graph's memo, one per pool, with the reports.  Every (nu, variant) is one
+  vectorized quotient over it: the whole vertex set gets inf in the tilde
+  variants, and the sorted-id tie rule sees only the masks within 1e-12 of
+  the minimum.  The winning row is the witness, with the row's sums.
 - ``neighborhood_measures`` scans all 2^k subsets of a vertex set in chunks
   of CHUNK, with byte tables for V(B), Gamma(B) and V(Gamma(B)).
   ``magnification`` and ``bounds.certified_magnification`` read it;
@@ -52,6 +55,7 @@ DEFAULT_CAP = 22
 MAGNIFICATION_CAP = 20
 POOL_LIMIT = 63  # pool-local subset masks are int64
 CHUNK = 1 << 12  # subsets or table rows per numpy step; 2**16 raised peak RSS by a tenth
+SUM_BLOCK = 8  # terms per ordered reduction; 16 and 64 raised iso-enum peak RSS by 2% and 4%
 _BITS = (np.arange(256) >> np.arange(8)[:, None]) & 1 == 1  # [j, b]: bit j of byte b
 
 
@@ -60,15 +64,6 @@ class AdmissibleSet:
     vertices: frozenset
     area: float  # A(boundary) = sum of a_e over edges leaving the set
     vmass: float
-
-    @classmethod
-    def of_mask(cls, g: WeightedGraph, mask: int) -> "AdmissibleSet":
-        """The vertices of a bitmask, with area and mass summed afresh."""
-        inside = [(mask >> i) & 1 for i in range(g.n)]
-        edges = zip(g.eu.tolist(), g.ev.tolist(), g.ea.tolist())
-        area = sum(a for i, j, a in edges if inside[i] != inside[j])
-        mass = sum(x for x, b in zip(g.vmeasure.tolist(), inside) if b)
-        return cls(_mask_set(g, mask), float(area), float(mass))
 
 
 @dataclass
@@ -129,16 +124,32 @@ def _check_pool(size: int) -> None:
             f"{size} free vertices exceed the {POOL_LIMIT} that int64 subset masks hold")
 
 
+def _ordered_sums(bits: np.ndarray, ju: np.ndarray, jv: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per column of ``bits``: w[k] over the k with bits[ju[k]] != bits[jv[k]],
+    added in ascending k from 0.0.  Each reduction adds the rows of a
+    (terms, columns) array along the slow axis, which runs in order: SUM_BLOCK
+    terms at a time, the running sum carried in as row 0.  ``bits`` needs at
+    least two columns; over one, numpy would add pairwise."""
+    total = np.zeros(bits.shape[1])
+    for k in range(0, len(w), SUM_BLOCK):
+        block = slice(k, k + SUM_BLOCK)
+        rows = np.empty((len(w[block]) + 1, len(total)))
+        rows[0] = total
+        np.multiply(bits[ju[block]] != bits[jv[block]], w[block, None], out=rows[1:])
+        total = np.add.reduce(rows, axis=0)
+    return total
+
+
 def enumerate_connected_subsets(g: WeightedGraph, allowed_mask: int) -> np.ndarray:
     """The (mask, area, mass) table of every nonempty connected subset S of
     ``allowed_mask``, each once: ``area`` = A(boundary S), ``mass`` = V(S).
 
     Built one size at a time on pool-local bits (bit j = j-th allowed vertex):
     the next level is every set of this one plus one vertex of its frontier,
-    deduplicated by sorting.  ``area`` sums a_e over the edges with exactly
-    one endpoint in S in edge order, as ``AdmissibleSet.of_mask`` does, so a
-    whole component has area exactly 0; ``mass`` is summed by byte tables and
-    can differ from a fresh sum by a rounding step.
+    deduplicated by sorting.  ``area`` adds a_e over the edges with exactly
+    one endpoint in S in edge order, and ``mass`` adds V(v) over S in
+    ascending vertex order, both from 0.0 (``_ordered_sums``), so a whole
+    component has area exactly 0.
     """
     pool = [i for i in range(g.n) if (allowed_mask >> i) & 1]
     _check_pool(len(pool))
@@ -151,9 +162,11 @@ def enumerate_connected_subsets(g: WeightedGraph, allowed_mask: int) -> np.ndarr
     near = np.array([sum(1 << local[w] for w in g.neighbors(v) if local[w] >= 0) for v in pool],
                     dtype=np.int64)
     near_t = _byte_tables(near, np.bitwise_or)
-    mass_t = _byte_tables(g.vmeasure[pool], np.add)
-    cut = [(local[u], local[v], a) for u, v, a in zip(g.eu.tolist(), g.ev.tolist(), g.ea.tolist())
-           if u != v and max(local[u], local[v]) >= 0]  # local -1: off the pool
+    ju, jv = np.take(local, g.eu), np.take(local, g.ev)
+    cut = np.flatnonzero((ju != jv) & (np.maximum(ju, jv) >= 0))  # local -1: off the pool
+    edges = ju[cut], jv[cut], g.ea[cut]
+    # a free vertex is in S when its row differs from row -1 (off the pool)
+    members = np.arange(len(pool)), np.full(len(pool), -1), g.vmeasure[pool]
     levels = []
     layer = np.left_shift(1, np.arange(len(pool), dtype=np.int64))
     while layer.size:
@@ -167,14 +180,11 @@ def enumerate_connected_subsets(g: WeightedGraph, allowed_mask: int) -> np.ndarr
     table = np.empty(len(masks), dtype)
     for lo in range(0, len(masks), CHUNK):
         part = masks[lo:lo + CHUNK]
-        bits = np.zeros((len(pool) + 1, len(part)), np.uint8)  # row -1 (off the pool) stays 0
-        bits[:-1] = _unpack(part, len(pool))[:, :len(pool)].T
-        area, crossing = np.zeros(len(part)), np.empty(len(part), bool)
-        for ju, jv, a in cut:  # edge by edge, in order
-            np.not_equal(bits[ju], bits[jv], out=crossing)  # exactly one endpoint in S
-            np.add(area, a, out=area, where=crossing)
-        table["area"][lo:lo + CHUNK] = area
-        table["mass"][lo:lo + CHUNK] = _lookup(mass_t, part, np.add)
+        # one row per free vertex, then row -1 (off the pool), which stays 0
+        bits = np.zeros((len(pool) + 1, max(len(part), 2)), np.uint8)
+        bits[:-1, :len(part)] = _unpack(part, len(pool))[:, :len(pool)].T
+        table["area"][lo:lo + CHUNK] = _ordered_sums(bits, *edges)[:len(part)]
+        table["mass"][lo:lo + CHUNK] = _ordered_sums(bits, *members)[:len(part)]
     if pool == list(range(len(pool))):
         table["mask"] = masks
     else:
@@ -185,6 +195,12 @@ def enumerate_connected_subsets(g: WeightedGraph, allowed_mask: int) -> np.ndarr
 
 def _mask_set(g: WeightedGraph, mask: int) -> frozenset:
     return frozenset(g.vertices[i] for i in range(g.n) if (mask >> i) & 1)
+
+
+def _witness(g: WeightedGraph, row) -> AdmissibleSet:
+    """The admissible set of a subset-table row, with the row's sums."""
+    mask, area, mass = row.item()
+    return AdmissibleSet(_mask_set(g, mask), area, mass)
 
 
 def _sort_key(g: WeightedGraph, mask: int) -> tuple:
@@ -216,23 +232,16 @@ def _is_simple_path(g: WeightedGraph) -> list[int] | None:
     """Vertex order along the path if g is a simple path graph, else None."""
     if g.n < 2 or len(g.edges) != g.n - 1 or bool(g.loop_mask.any()):
         return None
-    deg = np.zeros(g.n, dtype=int)
-    np.add.at(deg, g.eu, 1)
-    np.add.at(deg, g.ev, 1)
-    if deg.max() > 2 or np.sum(deg == 1) != 2:
+    ends = [i for i, near in enumerate(g.adjacency) if len(near) == 1]
+    if len(ends) != 2 or max(map(len, g.adjacency)) > 2:
         return None
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for k in range(len(g.edges)):
-        adj[int(g.eu[k])].append(int(g.ev[k]))
-        adj[int(g.ev[k])].append(int(g.eu[k]))
-    start = int(np.nonzero(deg == 1)[0].min())
-    order, prev, cur = [start], -1, start
+    order, prev = [ends[0]], -1
     while len(order) < g.n:
-        nxt = [x for x in adj[cur] if x != prev]
+        nxt = [x for x in g.adjacency[order[-1]] if x != prev]
         if not nxt:
             return None
-        prev, cur = cur, nxt[0]
-        order.append(cur)
+        prev = order[-1]
+        order.append(nxt[0])
     return order
 
 
@@ -308,10 +317,10 @@ def _iso_constant(g: WeightedGraph, nu: float, variant: str, force: bool) -> Iso
     best = np.nanmin(vals)
     if best == math.inf:
         return IsoReport(nu, variant, math.inf, None)  # a lone vertex: no proper subset
-    # the band absorbs the rounding drift of the incremental sums, so exact
-    # ties (e.g. complement pairs) go to the least sorted-id key
-    near = table["mask"][vals <= best + 1e-12 * abs(best)].tolist()
-    wit = AdmissibleSet.of_mask(g, min(near, key=lambda mask: _sort_key(g, mask)))
+    # the band absorbs rounding in the sums, so exact ties (e.g. complement
+    # pairs, whose sums add different terms) go to the least sorted-id key
+    near = np.flatnonzero(vals <= best + 1e-12 * abs(best)).tolist()
+    wit = _witness(g, table[min(near, key=lambda k: _sort_key(g, int(table["mask"][k])))])
     value = float(_quotient(wit.area, wit.vmass, total - wit.vmass, nu, variant))
     return IsoReport(nu, variant, value, wit)
 

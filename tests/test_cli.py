@@ -322,6 +322,17 @@ def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
 
 
+def test_repeated_calls_share_one_parser(tmp_path, capsys):
+    g = _write_c4(tmp_path)
+    capsys.readouterr()
+    assert main(["iso", g, "--variant", "bogus"]) == 2
+    assert "usage: graphcalc iso" in capsys.readouterr().err
+    assert main(["iso", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: graphcalc iso")
+    runs = [_run(capsys, "iso", g, "--nu", "2") for _ in range(2)]
+    assert runs[0] == runs[1] and runs[0][0] == 0
+
+
 def test_gen_stdout_roundtrip(capsys):
     code = main(["gen", "path", "5", "--dirichlet"])
     out = capsys.readouterr().out

@@ -189,3 +189,16 @@ def test_graph_is_immutable():
         g.vertices.append(5)
     with pytest.raises(AttributeError):
         g.vmeasure = np.ones(4)
+
+
+def test_adjacency_matches_the_edge_arrays():
+    # loops, parallel edges and an isolated vertex
+    rng = np.random.default_rng(29)
+    g = random_graph(9, rng, extra_edges=14, allow_loops=True)
+    g = build_graph(list(g.vertices) + [9], list(g.edges) + [g.edges[0], Edge(3, 3)])
+    assert len(g.adjacency) == g.n and bool(g.loop_mask.any())
+    for i in range(g.n):
+        near = {int(v) for u, v in zip(g.eu, g.ev) if u == i} | {
+            int(u) for u, v in zip(g.eu, g.ev) if v == i}
+        assert g.neighbors(i) is g.adjacency[i] == frozenset(near)
+    assert g.adjacency[9] == frozenset() and 3 in g.adjacency[3]

@@ -56,21 +56,13 @@ def test_connected_subsets_match_brute_force():
                         stack.append(j)
             return len(seen) == len(verts)
 
-        def area(mask):
-            return sum(
-                e.a for e in g.edges
-                if ((mask >> g.index(e.u)) & 1) != ((mask >> g.index(e.v)) & 1)
-            )
-
         brute = {m for m in range(1, 1 << g.n) if connected(m)}
-        got = list(enumerate_connected_subsets(g, _all_mask(g)))
+        got = enumerate_connected_subsets(g, _all_mask(g)).tolist()
         masks = [m for m, _, _ in got]
         assert len(masks) == len(set(masks))
         assert set(masks) == brute
         for mask, a, mass in got:
-            assert a == pytest.approx(area(mask), rel=1e-12, abs=0.0)
-            fresh = sum(g.vmeasure[i] for i in range(g.n) if (mask >> i) & 1)
-            assert mass == pytest.approx(fresh, rel=1e-12, abs=0.0)
+            assert (a, mass) == (_ordered_area(g, mask), _ordered_mass(g, mask))
 
 
 def _connected_within(g, mask):
@@ -84,14 +76,43 @@ def _connected_within(g, mask):
     return len(seen) == len(verts)
 
 
-def _fresh_area(g, mask):
-    return sum(a for u, v, a in zip(g.eu.tolist(), g.ev.tolist(), g.ea.tolist())
-               if ((mask >> u) & 1) != ((mask >> v) & 1))
+def _ordered_sum(terms):
+    total = 0.0  # one term after another, whatever Python's sum() does
+    for x in terms:
+        total += x
+    return total
+
+
+def _ordered_area(g, mask):
+    """a_e over the edges with exactly one endpoint in the mask, in edge order."""
+    return _ordered_sum(a for u, v, a in zip(g.eu.tolist(), g.ev.tolist(), g.ea.tolist())
+                        if ((mask >> u) & 1) != ((mask >> v) & 1))
+
+
+def _ordered_mass(g, mask):
+    """V(v) over the vertices of the mask, in ascending vertex order."""
+    return _ordered_sum(x for i, x in enumerate(g.vmeasure.tolist()) if (mask >> i) & 1)
+
+
+def _check_table_against_brute_force(g):
+    """The table over g's free vertices holds every connected subset once,
+    with its ordered sums, exactly; bit j of a pool-local brute-force subset
+    selects the j-th free vertex, the table holds vertex masks."""
+    pool = g.interior_indices().tolist()
+    brute = set()
+    for sub in range(1, 1 << len(pool)):
+        mask = sum(1 << v for j, v in enumerate(pool) if (sub >> j) & 1)
+        if _connected_within(g, mask):
+            brute.add(mask)
+    table = enumerate_connected_subsets(g, sum(1 << v for v in pool))
+    masks = table["mask"].tolist()
+    assert len(masks) == len(set(masks)) and set(masks) == brute
+    for mask, area, mass in table.tolist():
+        assert (area, mass) == (_ordered_area(g, mask), _ordered_mass(g, mask))
 
 
 def test_subset_table_matches_brute_force_over_the_pool():
-    # loops, parallel edges and boundaries; bit j of a pool-local brute-force
-    # subset selects the j-th free vertex, the table holds vertex masks
+    # loops, parallel edges and boundaries
     rng = np.random.default_rng(53)
     graphs = [random_graph(int(rng.integers(2, 12)), rng, extra_edges=int(rng.integers(0, 12)),
                            allow_loops=True, boundary_fraction=float(rng.choice([0.0, 0.3])))
@@ -99,21 +120,51 @@ def test_subset_table_matches_brute_force_over_the_pool():
     graphs.append(build_graph([1, 2, 3], [Edge(1, 2, 0.5), Edge(1, 2, 1.5), Edge(2, 2, 4.0),
                                           Edge(2, 3, 0.25)], boundary=[3]))
     for g in graphs:
-        pool = g.interior_indices().tolist()
-        if not pool:
-            continue
-        brute = set()
-        for sub in range(1, 1 << len(pool)):
-            mask = sum(1 << v for j, v in enumerate(pool) if (sub >> j) & 1)
-            if _connected_within(g, mask):
-                brute.add(mask)
-        table = enumerate_connected_subsets(g, sum(1 << v for v in pool))
-        masks = table["mask"].tolist()
-        assert len(masks) == len(set(masks)) and set(masks) == brute
-        for mask, area, mass in table.tolist():
-            assert area == pytest.approx(_fresh_area(g, mask), rel=1e-12, abs=0.0)
-            fresh = sum(g.vmeasure[i] for i in range(g.n) if (mask >> i) & 1)
-            assert mass == pytest.approx(fresh, rel=1e-12, abs=0.0)
+        if g.interior_indices().size:
+            _check_table_against_brute_force(g)
+
+
+def test_subset_table_on_a_dense_multigraph_and_a_lone_free_vertex():
+    # 320 edges take several edge blocks, each carrying the running area in;
+    # a lone free vertex makes a one-row table, whose sums still run in order:
+    # after its strong edge every weak one rounds away, added pairwise they would not
+    rng = np.random.default_rng(61)
+    ends = rng.integers(0, 12, size=(320, 2)).tolist()
+    dense = build_graph(list(range(12)), [Edge(u, v, float(rng.uniform(0.1, 7.0)))
+                                          for u, v in ends],
+                        measures=rng.uniform(0.1, 5.0, 12).tolist(), boundary=[10, 11])
+    assert len(dense.edges) >= 300 and bool(dense.loop_mask.any())
+    star = build_graph(list(range(41)), [Edge(0, k, 1.0 if k == 1 else 1e-16)
+                                         for k in range(1, 41)], boundary=range(1, 41))
+    for g in (dense, star):
+        _check_table_against_brute_force(g)
+    rep = iso_constant(dense, 2.0, "open", force=True)
+    assert rep.value == pytest.approx(min(
+        _ordered_area(dense, m) * _ordered_mass(dense, m) ** -0.5
+        for m, _, _ in enumerate_connected_subsets(dense, 1023).tolist()), rel=1e-12, abs=0.0)
+    assert iso_constant(star, 1.0).witness.area == _ordered_area(star, 1) == 1.0
+
+
+def test_witnesses_are_table_rows():
+    from graphcalc.heat import hypothesis_audit
+
+    rng = np.random.default_rng(67)
+    for _ in range(12):
+        g = random_graph(int(rng.integers(3, 11)), rng, extra_edges=int(rng.integers(0, 8)),
+                         allow_loops=True, boundary_fraction=float(rng.choice([0.0, 0.3])))
+        pool = sum(1 << int(i) for i in g.interior_indices())
+        rows = {m: (area, mass)
+                for m, area, mass in isoperimetry._subset_table(g, pool).tolist()}
+        witnesses = [iso_constant(g, nu, variant).witness
+                     for nu in (1.0, 2.0, math.inf)
+                     for variant in (["open"] + ["tilde", "tilde_prime"] * g.is_closed)]
+        audit = hypothesis_audit(g, lambda x: 0.5 * x ** 0.5)
+        if not audit["ok"]:
+            witnesses.append(isoperimetry.AdmissibleSet(audit["witness"], audit["area"],
+                                                        audit["vmass"]))
+        for w in filter(None, witnesses):
+            mask = sum(1 << g.index(v) for v in w.vertices)
+            assert (w.area, w.vmass) == rows[mask]
 
 
 def test_components_of_a_disconnected_graph_have_area_exactly_zero():

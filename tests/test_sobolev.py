@@ -17,7 +17,7 @@ from graphcalc import (
     sup_embedding_check,
     trudinger_check,
 )
-from graphcalc.graph import WeightedGraph
+from graphcalc.graph import Edge, WeightedGraph
 from graphcalc.generators import cycle, path, radial_graph, random_graph
 
 
@@ -88,6 +88,28 @@ def test_trudinger_vertex_and_edge_measures():
         trudinger_check(f, 1.0, 3.0)
     with pytest.raises(GraphError):
         trudinger_check(f, 0.5, 3.0, measure="bogus")
+
+
+def test_trudinger_edge_form_holds_with_the_edge_constant():
+    # the graphs and draws of test_block_checks_equal_columns, with the true
+    # I_nu: E(G) is 3-4 times V(G) on some of them, so the bound needs kappa
+    rng = np.random.default_rng(9)
+    graphs = [cycle(7), path(7, boundary=[7])]
+    graphs += [random_graph(int(rng.integers(4, 10)), rng, weighted=True,
+                            boundary_fraction=0.3 * (k % 2)) for k in range(6)]
+    draws = 0
+    for g in graphs:
+        rows = rng.standard_normal((12, g.n)) * g.interior_mask
+        f = VertexFunction(g, rows[rows.any(axis=1)].T)
+        for gamma in (0.2, 0.5, 0.9):
+            chk = trudinger_check(f, gamma, 3.0, measure="edge", force=True)
+            assert chk.passed and chk.inputs["kappa"] >= chk.inputs["rho_sup"]
+            draws += f.values.shape[1]
+    assert draws == 288
+    # a loop's two ends both sit at its vertex: kappa = (E(loop) + 1/2) / V(v)
+    g = WeightedGraph([1, 2], [1.0, 1.0], [Edge(1, 1, 3.0), Edge(1, 2)], boundary=[2])
+    chk = trudinger_check(VertexFunction(g, np.array([1.0, 0.0])), 0.5, 3.0, measure="edge")
+    assert (chk.inputs["rho_sup"], chk.inputs["kappa"]) == (2.0, 3.5)
 
 
 def test_iteration_constant_oracle():
