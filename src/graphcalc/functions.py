@@ -276,59 +276,67 @@ def split_shift(f: VertexFunction) -> VertexFunction:
 # -- co-area ------------------------------------------------------------------
 
 
+def _running_sums(x: np.ndarray) -> np.ndarray:
+    """(B, K) -> (B, K+1): 0.0, then the partial sums of each row in column order."""
+    out = np.zeros((len(x), x.shape[1] + 1))
+    np.cumsum(x, axis=1, out=out[:, 1:])
+    return out
+
+
 @dataclass
 class LevelSetSweep:
     """Boundary area of the super-level sets as a step function of the level.
 
-    ``breakpoints`` is a sorted list of (t, area) pairs; ``area`` is
-    A(boundary of {f > t}) on the open interval from this t to the next
-    (zero after the last breakpoint and before the first).
+    ``levels`` holds the sorted event levels, shape (K,) for one function or
+    (B, K) for a block; ``area`` has one more entry per draw: area[k] is
+    A(boundary of {f > t}) for t between levels[k-1] and levels[k], and
+    area[0] = area[K] = 0 (below the first event and above the last).
     """
 
-    breakpoints: list
+    levels: np.ndarray
+    area: np.ndarray
 
-    def area_at(self, t: float) -> float:
-        area = 0.0
-        for tk, ak in self.breakpoints:
-            if tk < t:
-                area = ak
-            else:
-                break
-        return area
+    def _per_draw(self, r: np.ndarray):
+        return r if self.levels.ndim == 2 else r.item()
 
-    def integral(self) -> float:
-        total = 0.0
-        for (t0, a0), (t1, _) in zip(self.breakpoints, self.breakpoints[1:]):
-            total += a0 * (t1 - t0)
-        return total
+    def area_at(self, t: float):
+        """A(boundary of {f > t}): the area after every event below t."""
+        area = np.atleast_2d(self.area)
+        below = (np.atleast_2d(self.levels) < t).sum(axis=1)
+        return self._per_draw(area[np.arange(len(area)), below])
+
+    def integral(self):
+        """The sum over k of area[k] (levels[k] - levels[k-1]), added in event
+        order from 0.0."""
+        levels, area = np.atleast_2d(self.levels), np.atleast_2d(self.area)
+        return self._per_draw(_running_sums(area[:, 1:-1] * np.diff(levels, axis=1))[:, -1])
 
 
 def coarea(f: VertexFunction) -> LevelSetSweep:
-    """Sweep of A(boundary Omega_f(t)) over levels t.
+    """Sweep of A(boundary Omega_f(t)) over levels t, for one function or a block.
 
     An edge is crossed by level t exactly when t lies strictly between its
-    endpoint values, so the area is a step function with jumps +-a_e at the
-    sorted vertex values, and its integral is sum a_e |f(u)-f(v)| =
-    ||grad f||_1 exactly.
+    endpoint values, so the area is a step function: an edge with
+    f(u) != f(v) adds the events +a_e at its lower value and -a_e at its
+    upper one, and the integral is sum a_e |f(u)-f(v)| = ||grad f||_1.  Each
+    draw sorts its events stably (lower ends in edge order, then upper ends)
+    and the area is their running sum, closed to exactly 0 after the last.
+    A flat edge's (a loop's, say) two zero events sit at the draw's lowest
+    level, where they add only exact zeros, so every draw gets the same
+    number of events and a column of a block gives exactly what it gives
+    alone.
     """
-    g = f.graph
-    events: dict[float, float] = {}
-    for k in range(len(g.edges)):
-        if g.loop_mask[k]:
-            continue
-        b, c = f.values[g.eu[k]], f.values[g.ev[k]]
-        if b == c:
-            continue
-        lo, hi = (b, c) if b < c else (c, b)
-        events[lo] = events.get(lo, 0.0) + g.ea[k]
-        events[hi] = events.get(hi, 0.0) - g.ea[k]
-    breakpoints = []
-    area = 0.0
-    for t in sorted(events):
-        area += events[t]
-        breakpoints.append((t, area))
-    if breakpoints:
-        # close the final interval exactly (accumulated float error -> 0)
-        t_last, _ = breakpoints[-1]
-        breakpoints[-1] = (t_last, 0.0)
-    return LevelSetSweep(breakpoints)
+    b, c = _edge_values(f)
+    flat = b == c
+    lo = np.minimum(b, c)
+    bottom = lo.min(axis=1, initial=np.inf, keepdims=True)
+    lo, hi = np.where(flat, bottom, lo), np.where(flat, bottom, np.maximum(b, c))
+    jump = np.where(flat, 0.0, f.graph.ea)
+    levels = np.concatenate([lo, hi], axis=1)
+    order = levels.argsort(axis=1, kind="stable")
+    area = _running_sums(np.take_along_axis(np.concatenate([jump, -jump], axis=1), order, axis=1))
+    area[:, -1] = 0.0
+    levels = np.take_along_axis(levels, order, axis=1)
+    if f.values.ndim == 1:
+        levels, area = levels[0], area[0]
+    return LevelSetSweep(levels, area)

@@ -57,6 +57,34 @@ def test_output_is_byte_identical(tmp_path, capsys):
     assert c == d
 
 
+GREEN_DOC = """{"vertices": [{"id": "a", "measure": 1.5}, {"id": "b", "measure": 0.25}, \
+{"id": "c", "measure": 2}, {"id": "d", "measure": 0.75}, {"id": "e", "measure": 1, "boundary": true}, \
+{"id": "f", "measure": 3}], "edges": [{"u": "a", "v": "b", "a": 2.5, "length": 0.5}, \
+{"u": "b", "v": "c", "a": 0.5, "length": 2}, {"u": "c", "v": "d", "a": 1.25, "length": 1}, \
+{"u": "d", "v": "a", "a": 3, "length": 0.25}, {"u": "a", "v": "c", "a": 0.75, "length": 1.5}, \
+{"u": "a", "v": "c", "a": 2, "length": 1}, {"u": "d", "v": "e", "a": 1, "length": 1}, \
+{"u": "e", "v": "f", "a": 0.5, "length": 2}, {"u": "f", "v": "c", "a": 1.75, "length": 0.5}, \
+{"u": "b", "v": "b", "a": 4, "length": 1}]}
+"""
+
+
+@pytest.mark.parametrize("seed, residual", [(0, "3.59417381176925e-15"),
+                                            (3, "7.1054273576010019e-15")])
+def test_verify_green_stdout_golden(tmp_path, capsys, seed, residual):
+    # a boundary vertex, parallel edges and a loop; the draws are those of
+    # one trial at a time (f, then X, then h)
+    doc = tmp_path / "green.json"
+    doc.write_text(GREEN_DOC)
+    code, out = _run(capsys, "verify", str(doc), "--suite", "green", "--seed", str(seed),
+                     "--trials", "40")
+    assert code == 0
+    assert out == (
+        '{"schema": "graphcalc/1", "command": "verify", "input_sha256": '
+        '"e5a16003d5769b9420ec8390d465f7b3b38c249cd7c36726fd47589cf13793d6", '
+        f'"max_residual": {residual}, "failures": 0, "suite": "green", "trials": 40, '
+        f'"seed": {seed}}}\n')
+
+
 def test_bounds_c4(tmp_path, capsys):
     g = _write_c4(tmp_path)
     capsys.readouterr()

@@ -256,6 +256,66 @@ def test_block_equals_columns():
         assert is_split(shifted).all()
 
 
+def test_coarea_block_rows_equal_single_calls_bit_for_bit():
+    # _block_cases has loops, rounded draws (flat edges, tied levels) and
+    # Dirichlet draws (tied zeros); this graph adds parallel edges
+    rng = np.random.default_rng(31)
+    multi = build_graph(["a", "b", "c", "d"],
+                        [Edge("a", "b", 2.0), Edge("a", "b", 0.5, 3.0), Edge("b", "c", 1.5),
+                         Edge("c", "a"), Edge("c", "d", 0.25), Edge("d", "d", 4.0)],
+                        boundary=["d"])
+    draws = rng.standard_normal((12, 4))
+    cases = _block_cases() + [(multi, draws), (multi, draws * multi.interior_mask),
+                              (multi, np.round(draws))]
+    for g, rows in cases:
+        sweep = coarea(VertexFunction(g, rows.T))
+        got = sweep.integral()
+        assert isinstance(got, np.ndarray) and got.shape == (len(rows),)
+        for k, r in enumerate(rows):
+            single = coarea(VertexFunction(g, r))
+            want = single.integral()
+            assert type(want) is float and got[k] == want
+            assert np.array_equal(sweep.levels[k], single.levels)
+            assert np.array_equal(sweep.area[k], single.area)
+            assert want == pytest.approx(grad_lp_norm(VertexFunction(g, r), 1), rel=1e-12, abs=0)
+
+
+def test_coarea_flat_edges_and_loops_add_nothing():
+    # c and d carry only a loop and an edge that the draws keep flat, so
+    # their levels must not split the steps of the edge a-b
+    rng = np.random.default_rng(41)
+    rows = rng.standard_normal((50, 4))
+    rows[:, 3] = rows[:, 2]
+    bare = build_graph(["a", "b", "c", "d"], [Edge("a", "b", 3.3)])
+    flat = build_graph(["a", "b", "c", "d"],
+                       [Edge("a", "b", 3.3), Edge("c", "c", 2.0), Edge("c", "d", 1.5)])
+    want = coarea(VertexFunction(bare, rows.T)).integral()
+    assert np.array_equal(coarea(VertexFunction(flat, rows.T)).integral(), want)
+
+
+def test_coarea_area_at_counts_crossing_edges():
+    rng = np.random.default_rng(37)
+    for k in range(15):
+        g = random_graph(int(rng.integers(2, 12)), rng, weighted=True, allow_loops=True,
+                         boundary_fraction=0.3 if k % 2 else 0.0)
+        rows = rng.standard_normal((6, g.n)) * g.interior_mask
+        if k % 3 == 0:
+            rows = np.round(rows)
+        sweep = coarea(VertexFunction(g, rows.T))
+        for j, r in enumerate(rows):
+            lo = np.minimum(r[g.eu], r[g.ev])
+            hi = np.maximum(r[g.eu], r[g.ev])
+            levels = np.unique(r)
+            probes = np.concatenate([[levels[0] - 1.0], (levels[1:] + levels[:-1]) / 2.0,
+                                     [levels[-1] + 1.0]])
+            single = coarea(VertexFunction(g, r))
+            for t in probes:
+                want = float(np.sum(g.ea[(lo < t) & (t < hi)]))
+                assert single.area_at(t) == pytest.approx(want, rel=1e-12, abs=1e-12)
+                assert sweep.area_at(t)[j] == single.area_at(t)
+            assert single.area_at(probes[-1]) == 0.0 and single.area_at(probes[0]) == 0.0
+
+
 def test_split_interval_block_is_exact_with_tied_zeros():
     # Dirichlet draws: every boundary vertex is a tied zero
     rng = np.random.default_rng(29)

@@ -43,6 +43,41 @@ def test_suite_determinism():
     assert a == b
 
 
+def _rescaled(g, s):
+    """g with every conductance a_e multiplied by s."""
+    return WeightedGraph(g.vertices, g.vmeasure,
+                         [Edge(e.u, e.v, e.a * s, e.length) for e in g.edges], g.boundary)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e3, 1e6])
+@pytest.mark.parametrize("suite", ["coarea", "green"])
+def test_residual_suites_pass_rescaled_weights(suite, scale):
+    # exact identities: only rounding is left, and it scales with the weights
+    for seed in range(6):
+        g = _rescaled(random_graph(10, np.random.default_rng(seed), weighted=True), scale)
+        assert run_suite(g, suite, trials=40, seed=seed)["failures"] == 0
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3, 1e6])
+def test_coarea_suite_catches_a_dropped_jump(monkeypatch, scale):
+    from graphcalc import verify
+    from graphcalc.functions import LevelSetSweep
+
+    true_coarea = verify.coarea
+
+    def dropped(f):  # the last draw's sweep misses its first nonzero jump
+        sweep = true_coarea(f)
+        area = sweep.area.copy()
+        k = np.flatnonzero(np.diff(area[-1]))[0]
+        area[-1, k + 1:] -= area[-1, k + 1] - area[-1, k]
+        return LevelSetSweep(sweep.levels, area)
+
+    monkeypatch.setattr(verify, "coarea", dropped)
+    for seed in range(6):
+        g = _rescaled(random_graph(10, np.random.default_rng(seed), weighted=True), scale)
+        assert run_suite(g, "coarea", trials=40, seed=seed)["failures"] == 1
+
+
 def test_unknown_suite():
     with pytest.raises(GraphError):
         run_suite(cycle(4), "bogus")
