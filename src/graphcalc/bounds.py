@@ -6,7 +6,10 @@ eigenvalue, or the second eigenvalue of a closed graph).  The magnifier bound
 comes with an explicit transport field certificate read off an exact max
 flow: one Edmonds-Karp on integer capacities over the common denominator of
 the measures and c, whose breadth-first search takes neighbours in ascending
-order, so the fields are those of earlier releases.
+order, so the fields are those of earlier releases.  Its checks run on
+integers over one common denominator of the field, c and the measures, and
+give the same flags and values as exact Fraction arithmetic, so the ``flow``
+stdout is unchanged.
 """
 
 from __future__ import annotations
@@ -287,7 +290,7 @@ def alon_field(
     """
     ids = sorted(set(A), key=str)
     if not ids:
-        return AlonField(EdgeField(g, np.zeros(len(g.edges))), frozenset(), Fraction(0), [Fraction(0)] * len(g.edges))
+        raise GraphError("A must be nonempty")
     if not generalized and not _traditional(g):
         raise GraphError("traditional measures required (or pass generalized=True)")
     for v in ids:
@@ -327,51 +330,63 @@ def alon_field(
     net = [0] * len(g.edges)
     for k, a, sign in carried:
         net[k] += sign * flow[a]
-    exact = [Fraction(x, scale) for x in net]
-    X = EdgeField(g, np.array([float(x) for x in exact]))
-    return AlonField(X, frozenset(ids), c, exact)
+    # int / int is correctly rounded: the same floats as float(Fraction(x, scale))
+    X = EdgeField(g, np.array([x / scale for x in net]))
+    return AlonField(X, frozenset(ids), c, [Fraction(x, scale) for x in net])
 
 
 def alon_field_checks(g: WeightedGraph, af: AlonField) -> dict:
-    """Exact verification of the four field conditions; returns a report."""
-    meas = [Fraction(float(x)) for x in g.vmeasure]
-    inflow = [Fraction(0)] * g.n  # net n~.X, scaled by V(v)
-    arriving = [Fraction(0)] * g.n  # positive part of the network-sense arrival
-    sq = [Fraction(0)] * g.n  # sum of l_e X_e^2 at v
-    sup_len = Fraction(0)
-    for k, e in enumerate(g.edges):
-        if e.u == e.v:
-            continue
-        x = af.exact[k]
-        iu, iv = g.index(e.u), g.index(e.v)
-        inflow[iv] += x
-        inflow[iu] -= x
-        # the field pointing away from a vertex = transport arriving there
-        if x > 0:
-            arriving[iu] += x
-        elif x < 0:
-            arriving[iv] += -x
-        le = Fraction(float(e.length))
-        sup_len = max(sup_len, le)
-        sq[iu] += le * x * x
-        sq[iv] += le * x * x
+    """Exact verification of the four field conditions; returns a report.
+
+    Everything is recomputed from ``af.exact``, ``af.c`` and the graph, so any
+    AlonField can be checked.  The field, c and the measures are integer
+    numerators over one common denominator D (the edge lengths over their own
+    L), every condition is an integer comparison, and only rho_sq and its cap
+    are built as Fractions.
+    """
     c = af.c
+    mden, m = _integer_measures(g)
+    D = math.lcm(mden, c.denominator, *(x.denominator for x in af.exact))
+    m = [v * (D // mden) for v in m]
+    x = [v.numerator * (D // v.denominator) for v in af.exact]
+    eu, ev = g.eu.tolist(), g.ev.tolist()
+    edges = [k for k in range(len(x)) if eu[k] != ev[k]]
+    lens = [le.as_integer_ratio() for le in g.elen.tolist()]
+    L = math.lcm(*(lens[k][1] for k in edges))
+    inflow = [0] * g.n  # net n~.X, scaled by V(v), over D
+    arriving = [0] * g.n  # positive part of the network-sense arrival, over D
+    sq = [0] * g.n  # sum of l_e X_e^2 at v, over L D^2
+    sup_len = 0
+    for k in edges:
+        xk, iu, iv = x[k], eu[k], ev[k]
+        inflow[iv] += xk
+        inflow[iu] -= xk
+        # the field pointing away from a vertex = transport arriving there
+        if xk > 0:
+            arriving[iu] += xk
+        else:
+            arriving[iv] -= xk
+        le = lens[k][0] * (L // lens[k][1])
+        sup_len = max(sup_len, le)
+        sq[iu] += le * xk * xk
+        sq[iv] += le * xk * xk
     in_A = [v in af.A for v in g.vertices]
-    ok_mag = all(abs(x) <= 1 for x in af.exact)
-    ok_div_A = all(
-        inflow[i] >= c * meas[i] for i in range(g.n) if in_A[i]
-    )
+    cn, cd = c.numerator, c.denominator
+    ok_div_A = all(cd * inflow[i] >= cn * m[i] for i in range(g.n) if in_A[i])
     ok_div_out = all(inflow[i] <= 0 for i in range(g.n) if not in_A[i])
-    ok_inflow = all(arriving[i] <= meas[i] for i in range(g.n))
-    fl = c.numerator // c.denominator
-    fr = c - fl
-    rho_bound = (2 + fl + fr * fr) * sup_len / 2
-    rho_x = max((sq[i] / (2 * meas[i]) for i in range(g.n)), default=Fraction(0))
+    # rho_sq = max over v of sq / (2 V(v)) = sq / (2 L D m): the largest sq/m
+    best = 0
+    for i in range(1, g.n):
+        if sq[i] * m[best] > sq[best] * m[i]:
+            best = i
+    rho_x = Fraction(sq[best], 2 * L * D * m[best]) if g.n else Fraction(0)
+    fl, fr = divmod(cn, cd)  # floor(c) and frac(c) * cd
+    rho_bound = Fraction(((2 + fl) * cd * cd + fr * fr) * sup_len, 2 * cd * cd * L)
     return {
-        "magnitude": ok_mag,
+        "magnitude": all(abs(v) <= D for v in x),
         "divergence_on_A": ok_div_A,
         "divergence_off_A": ok_div_out,
-        "unit_inflow": ok_inflow,
+        "unit_inflow": all(a <= v for a, v in zip(arriving, m)),
         "rho_sq_bound": rho_x <= rho_bound,
         "rho_sq": rho_x,
         "rho_sq_cap": rho_bound,
@@ -386,6 +401,9 @@ def nodal_region_reduction(g: WeightedGraph):
 
     Vertices where the eigenfunction vanishes act as boundary for both
     regions; the returned bound is a certified lower estimate of lambda_2.
+    The eigenfunction is the second column of the eigenbasis LAPACK returns:
+    when lambda_2 is degenerate (e.g. on cycles) another build may return
+    another vector of its eigenspace, and so another nodal region.
     """
     if not g.is_closed:
         raise GraphError("nodal reduction applies to closed graphs")

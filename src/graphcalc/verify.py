@@ -37,8 +37,9 @@ from . import sobolev as sb
 __all__ = ["run_suite", "SUITES"]
 
 # An exact identity fails when its residual exceeds REL_TOL times the sum of
-# the absolute values of the terms it adds, so the check does not move when
-# every weight is rescaled.
+# the absolute values of the terms it adds, and an inequality when its lower
+# side falls short by more than REL_TOL times the upper one, so no check
+# moves when every weight is rescaled.
 REL_TOL = 1e-12
 
 
@@ -58,6 +59,11 @@ def _block(g: WeightedGraph, rows: np.ndarray) -> VertexFunction:
 def _nonzero(rows: np.ndarray) -> np.ndarray:
     """The draws that are not identically zero; the quotient suites skip f = 0."""
     return rows[rows.any(axis=1)]
+
+
+def _below(lhs, rhs) -> int:
+    """How many lhs fall below rhs by more than REL_TOL * |rhs|."""
+    return int(np.count_nonzero(lhs < rhs - REL_TOL * np.abs(rhs)))
 
 
 def _worst(residuals) -> float:
@@ -102,7 +108,7 @@ def _suite_ff(g, trials, rng):
         consts = {nu: iso_constant(g, nu, "open", force=True).value for nu in nus}
         f = _block(g, _nonzero(_draws(g, trials, rng, dirichlet=True)))
         for nu in nus:
-            failures += int(np.count_nonzero(sobolev_quotient(f, nu) < consts[nu] - 1e-9))
+            failures += _below(sobolev_quotient(f, nu), consts[nu])
     else:
         tilde = {nu: iso_constant(g, nu, "tilde", force=True).value for nu in nus}
         prime = {nu: iso_constant(g, nu, "tilde_prime", force=True).value for nu in nus}
@@ -111,11 +117,11 @@ def _suite_ff(g, trials, rng):
         grad_f, grad_fs = grad_lp_norm(f, 1), grad_lp_norm(fs, 1)
         for nu in nus:
             nup = conjugate(nu)
-            failures += int(np.count_nonzero(grad_fs < tilde[nu] * lp_norm_vertex(fs, nup) - 1e-9))
+            failures += _below(grad_fs, tilde[nu] * lp_norm_vertex(fs, nup))
             # the min-shift quotient needs the true nu'-balancing shift
             a = balance_interval(f)[0] if nup == 1.0 else balance_point(f, nup)
             best = lp_norm_vertex(f.shifted(a), nup)
-            failures += int(np.count_nonzero(grad_f < prime[nu] * best - 1e-9))
+            failures += _below(grad_f, prime[nu] * best)
     return {"failures": failures}
 
 

@@ -25,7 +25,7 @@ from graphcalc import (
     rayleigh_quotient,
     true_lambda,
 )
-from graphcalc.bounds import BoundReport, BoundValue, _max_flow
+from graphcalc.bounds import AlonField, BoundReport, BoundValue, _max_flow, _traditional
 from graphcalc.isoperimetry import enumerate_connected_subsets
 from graphcalc.generators import complete, cycle, hypercube, path, radial_graph, random_graph
 
@@ -245,6 +245,92 @@ def test_alon_field_golden_fractions():
     assert af.c == 1
     assert af.exact == [Fraction(x) for x in "-1 0 0 -1 -1 1 0 -1 0 0 0 0".split()]
     assert alon_field(q3, ["000"]).exact == [-1, -1] + [0] * 10
+
+
+def _reference_checks(g, af):
+    """The per-edge Fraction arithmetic that alon_field_checks replaced."""
+    meas = [Fraction(float(x)) for x in g.vmeasure]
+    inflow = [Fraction(0)] * g.n
+    arriving = [Fraction(0)] * g.n
+    sq = [Fraction(0)] * g.n
+    sup_len = Fraction(0)
+    for k, e in enumerate(g.edges):
+        if e.u == e.v:
+            continue
+        x = af.exact[k]
+        iu, iv = g.index(e.u), g.index(e.v)
+        inflow[iv] += x
+        inflow[iu] -= x
+        if x > 0:
+            arriving[iu] += x
+        elif x < 0:
+            arriving[iv] += -x
+        le = Fraction(float(e.length))
+        sup_len = max(sup_len, le)
+        sq[iu] += le * x * x
+        sq[iv] += le * x * x
+    c = af.c
+    in_A = [v in af.A for v in g.vertices]
+    fl = c.numerator // c.denominator
+    fr = c - fl
+    rho_bound = (2 + fl + fr * fr) * sup_len / 2
+    rho_x = max((sq[i] / (2 * meas[i]) for i in range(g.n)), default=Fraction(0))
+    return {
+        "magnitude": all(abs(x) <= 1 for x in af.exact),
+        "divergence_on_A": all(inflow[i] >= c * meas[i] for i in range(g.n) if in_A[i]),
+        "divergence_off_A": all(inflow[i] <= 0 for i in range(g.n) if not in_A[i]),
+        "unit_inflow": all(arriving[i] <= meas[i] for i in range(g.n)),
+        "rho_sq_bound": rho_x <= rho_bound,
+        "rho_sq": rho_x,
+        "rho_sq_cap": rho_bound,
+    }
+
+
+def _equivalence_graph(rng):
+    """A small random graph: weighted or traditional, with boundary, loops,
+    parallel edges and (dyadic or not) non-unit lengths."""
+    n = int(rng.integers(2, 8))
+    weighted = bool(rng.integers(2))
+    g = random_graph(n, rng, weighted=weighted, allow_loops=True,
+                     boundary_fraction=float(rng.choice([0.0, 0.0, 0.3])))
+    edges = list(g.edges)
+    edges += [edges[int(i)] for i in rng.integers(len(edges), size=int(rng.integers(0, 3)))]
+    lengths = rng.choice([1.0, 0.5, 2.0, 0.1, 1.0 / 3.0, 2.75], size=len(edges))
+    if rng.integers(2):
+        edges = [Edge(e.v, e.u, e.a, float(le)) for e, le in zip(edges, lengths)]
+    return WeightedGraph(g.vertices, g.vmeasure, edges, g.boundary)
+
+
+def test_integer_checks_equal_the_fraction_reference():
+    rng = np.random.default_rng(2024)
+    cases, seen = 0, {}
+    while cases < 1200:
+        g = _equivalence_graph(rng)
+        interior = [v for v in g.vertices if v not in g.boundary]
+        if not interior:
+            continue
+        size = int(rng.integers(1, len(interior) + 1))
+        A = rng.choice(np.array(interior, dtype=object), size=size, replace=False).tolist()
+        generalized = not _traditional(g) or bool(rng.integers(2))
+        for c in (None, Fraction(1, 3), Fraction(0)):
+            try:
+                af = alon_field(g, A, c=c, generalized=generalized)
+            except GraphError:  # c < 0 certified, or 1/3 not reached
+                continue
+            fields = [af.exact]
+            k = int(rng.integers(len(g.edges)))
+            for delta in (Fraction(1, 7), Fraction(-1, 7), Fraction(-5, 2), Fraction(3)):
+                fields.append(af.exact[:k] + [af.exact[k] + delta] + af.exact[k + 1:])
+            for exact in fields:
+                case = AlonField(af.field, af.A, af.c, exact)
+                got, want = alon_field_checks(g, case), _reference_checks(g, case)
+                assert got == want, (g.to_dict(), A, c, exact)
+                assert isinstance(got["rho_sq"], Fraction) and isinstance(got["rho_sq_cap"], Fraction)
+                for name, flag in got.items():
+                    if isinstance(flag, bool):
+                        seen.setdefault(name, set()).add(flag)
+                cases += 1
+    assert len(seen) == 5 and all(flags == {True, False} for flags in seen.values()), seen
 
 
 def test_q1_q2_inequality():

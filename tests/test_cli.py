@@ -223,6 +223,16 @@ def test_flow_command(tmp_path, capsys):
     assert doc["c"] == pytest.approx(1.0)
 
 
+def test_flow_with_an_empty_set_exits_2(tmp_path, capsys):
+    # an empty --set used to print "A": [], "c": 0, "passed": true with exit 0
+    target = tmp_path / "k4.json"
+    assert main(["gen", "complete", "4", "-o", str(target)]) == 0
+    capsys.readouterr()
+    for A in (",", "", ",,"):
+        for extra in ([], ["-c", "1/3"]):
+            _assert_usage_error(*_run_err(capsys, "flow", str(target), "--set", A, *extra))
+
+
 def test_contract_gaps_exit_2(tmp_path, capsys):
     # ids equal as strings made witnesses ambiguous; an empty document ended
     # in a traceback from heat and verify; a NaN nu printed a value

@@ -139,6 +139,27 @@ def test_eigenvalue_corollary():
         eigenvalue_lower_bounds(path(4, boundary=[4]), 3.0)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e3, 1e6])
+def test_heat_bounds_pass_rescaled_weights(scale):
+    # both sides of each check scale with the weights (the diagonal bound as
+    # scale^{-nu/2}), and so do the slacks
+    def rescaled(g):
+        return WeightedGraph(g.vertices, g.vmeasure,
+                             [Edge(e.u, e.v, e.a * scale, e.length) for e in g.edges], g.boundary)
+
+    for nu in (2.5, 3.0, 4.0):
+        for g in (radial_graph(10, nu), doubled_radial(10, nu).graph):
+            out = nash_diagonal_bound(rescaled(g), nu, force=True)
+            assert out["applicable"] and out["passed"]
+    for g in (cycle(8), hypercube(3), doubled_radial(8, 3.0).graph):
+        assert eigenvalue_lower_bounds(rescaled(g), 3.0, force=True)["sound"]
+    g = rescaled(build_graph([1, 2, 3, 4], [Edge(1, 2, a=3.0), Edge(2, 3, a=3.0), Edge(3, 4, a=3.0)],
+                             boundary=[4]))
+    out = general_decay_bound(g, power_profile(g, 3.0), [(x, t) for x in (1, 2, 3) for t in (0.1, 1.0, 10.0)])
+    # A >= V / phi(V) does not scale with the weights: at 1e-6 it fails
+    assert out["hypothesis"]["ok"] == (scale > 1.0) and out["passed"] == (scale > 1.0)
+
+
 def test_decay_profile_power_closed_form():
     g = radial_graph(8, 3.0)
     prof = power_profile(g, 3.0)

@@ -58,6 +58,15 @@ def test_residual_suites_pass_rescaled_weights(suite, scale):
         assert run_suite(g, suite, trials=40, seed=seed)["failures"] == 0
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e3, 1e6])
+def test_ff_suite_passes_rescaled_weights(scale):
+    # s_nu(f) and I_nu both scale with the weights, and so does the slack
+    for seed in range(6):
+        for bnd in (0.0, 0.3):
+            g = random_graph(10, np.random.default_rng(seed), boundary_fraction=bnd, allow_loops=True)
+            assert run_suite(_rescaled(g, scale), "ff", trials=40, seed=seed)["failures"] == 0
+
+
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3, 1e6])
 def test_coarea_suite_catches_a_dropped_jump(monkeypatch, scale):
     from graphcalc import verify
