@@ -25,7 +25,8 @@ from .graph import GraphError, WeightedGraph, with_boundary
 from .functions import VertexFunction, lp_norm_vertex, grad_lp_norm
 from .operators import EdgeField, default_mode, eigenvalues, spectral_decomposition
 from .graph import half_degrees
-from .isoperimetry import default_variant, iso_constant, magnification, neighborhood_measures
+from .isoperimetry import (_integer_measures, _least_ratio, default_variant, iso_constant,
+                           magnification)
 
 __all__ = [
     "BoundValue",
@@ -229,44 +230,22 @@ def _max_flow(n: int, arcs, s: int, t: int) -> list[int]:
             res[a ^ 1] += aug
 
 
-def _integer_measures(g: WeightedGraph) -> tuple[int, list[int]]:
-    """(den, m) with V(v) = m[v] / den exactly: every float is a dyadic rational."""
-    ratios = [float(x).as_integer_ratio() for x in g.vmeasure]
-    den = math.lcm(*(d for _, d in ratios))
-    return den, [p * (den // d) for p, d in ratios]
-
-
 def certified_magnification(g: WeightedGraph, A) -> Fraction:
-    """min over nonempty B subset of A of V(Gamma(B))/V(B) - 1, exactly.
+    """min over nonempty B subset of A of V(Gamma(B))/V(B) - 1, exactly; no
+    half-measure limit applies.
 
-    This is the largest c for which the (1+c)-transport into every subset is
-    feasible (max-flow/min-cut).  The float ratios of each chunk of subsets
-    pick the candidates within 1e-12 of the chunk's least; the exact minimum
-    is taken over those.
+    For every c up to this value the (1+c)-transport of ``alon_field`` is
+    feasible.  Its network also has the identity slot, so by max-flow/min-cut
+    it is feasible exactly when V(B u Gamma(B)) >= (1+c) V(B) for every B,
+    which can allow a larger c: on the path a-b-c with A = {a, c} this
+    function gives -1/2 and ``alon_field`` certifies c = 1/2.  One float scan
+    picks the candidates and the integer measures decide
+    (``isoperimetry._least_ratio``).
     """
     ids = sorted(A, key=str)
     if not ids:
         raise GraphError("A must be nonempty")
-    # over their common denominator, float measures and their sums are exact integers
-    meas = _integer_measures(g)[1]
-    meas = np.array(meas, dtype=np.int64 if sum(meas) < 2**63 else object)
-    least = []
-    for _, mass, gmass in neighborhood_measures(g, ids, meas):
-        ratio = _float_ratio(gmass, mass).astype(float) if meas.dtype == object else gmass / mass
-        near = np.flatnonzero(ratio <= ratio.min() * (1.0 + 1e-12)).tolist()
-        least.append(min(Fraction(int(gmass[j]), int(mass[j])) for j in near))
-    return min(least) - 1
-
-
-def _ratio(num: int, den: int) -> float:
-    """num/den correctly rounded (Python integer division), inf past the float range."""
-    try:
-        return num / den
-    except OverflowError:
-        return math.inf
-
-
-_float_ratio = np.frompyfunc(_ratio, 2, 1)
+    return _least_ratio(g, ids, half=False)[1] - 1
 
 
 def alon_field(

@@ -348,7 +348,8 @@ def hypothesis_audit(g: WeightedGraph, phi: Callable[[float], float], force=Fals
     table = _subset_table(g, pool)
     mass = table["mass"]
     phis = np.fromiter(map(phi, mass.tolist()), float, len(mass))
-    failing = np.flatnonzero(table["area"] + 1e-12 < mass / phis)
+    need = mass / phis
+    failing = np.flatnonzero(table["area"] + 1e-12 * need < need)  # slack relative to V/phi(V)
     if failing.size:  # the first failing row: the smallest sets come first
         wit = _witness(g, table[failing[0]])
         return {"ok": False, "witness": wit.vertices, "area": wit.area, "vmass": wit.vmass}

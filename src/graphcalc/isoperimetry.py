@@ -20,10 +20,9 @@ magnification scans, add per-byte table entries.
   variants, and the sorted-id tie rule sees only the masks within 1e-12 of
   the minimum.  The winning row is the witness, with the row's sums.
 - ``neighborhood_measures`` scans all 2^k subsets of a vertex set in chunks
-  of CHUNK, with byte tables for V(B), Gamma(B) and V(Gamma(B)).
-  ``magnification`` and ``bounds.certified_magnification`` read it;
-  ``magnification`` keeps the first minimiser of a chunk, and a later chunk
-  replaces it only when at least 1e-15 lower.
+  of CHUNK, with byte tables for V(B), Gamma(B) and V(Gamma(B)).  For
+  ``magnification`` and ``bounds.certified_magnification`` its float ratios
+  pick the sets near the least, and integer measures decide those exactly.
 
 A vectorized interval sweep handles long paths instead.
 """
@@ -32,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -56,6 +56,7 @@ MAGNIFICATION_CAP = 20
 POOL_LIMIT = 63  # pool-local subset masks are int64
 CHUNK = 1 << 12  # subsets or table rows per numpy step; 2**16 raised peak RSS by a tenth
 SUM_BLOCK = 8  # terms per ordered reduction; 16 and 64 raised iso-enum peak RSS by 2% and 4%
+TINY = 2.0**-1073  # twice the absolute error of a quotient below the normal range
 _BITS = (np.arange(256) >> np.arange(8)[:, None]) & 1 == 1  # [j, b]: bit j of byte b
 
 
@@ -333,11 +334,31 @@ def neighborhood(g: WeightedGraph, vertex_ids) -> frozenset:
     return frozenset(g.vertices[w] for v in vertex_ids for w in g.neighbors(g.index(v)))
 
 
-def neighborhood_measures(g: WeightedGraph, vertex_ids, measures: np.ndarray):
+def _integer_measures(g: WeightedGraph) -> tuple[int, tuple[int, ...]]:
+    """(den, m) with V(v) = m[v] / den exactly (every float is a dyadic
+    rational), kept in the graph's memo."""
+    def build():
+        ratios = [x.as_integer_ratio() for x in g.vmeasure.tolist()]
+        den = math.lcm(*(d for _, d in ratios))
+        return den, tuple(p * (den // d) for p, d in ratios)
+    return g.memo(("integer_measures",), build)
+
+
+def _scan_measures(g: WeightedGraph) -> np.ndarray:
+    """``g.vmeasure``, times 2**-128 when its sums could overflow: a power of
+    two scales exactly, and ratios and the half test do not see it."""
+    if float(g.vmeasure.max()) * g.n < 2.0**1000:
+        return g.vmeasure
+    scaled = np.ldexp(g.vmeasure, -128)
+    if np.any(np.ldexp(scaled, 128) != g.vmeasure):
+        raise GraphError("the vertex measures span more than the float range")
+    return scaled
+
+
+def neighborhood_measures(g: WeightedGraph, vertex_ids):
     """Yield ``(sub, V(B), V(Gamma(B)))`` arrays over every nonempty subset B of
     ``vertex_ids`` (bit j of ``sub`` selects ``vertex_ids[j]``), in chunks of
-    at most CHUNK consecutive ``sub``; V is given per vertex by ``measures``
-    (integer measures give exact sums).
+    at most CHUNK consecutive ``sub``; V is ``_scan_measures(g)``.
 
     Both sums go through byte tables: entry b of table k holds the sum over
     the set bits of byte k of a mask, and a mask's sum adds its bytes'
@@ -346,6 +367,7 @@ def neighborhood_measures(g: WeightedGraph, vertex_ids, measures: np.ndarray):
     """
     idx = [g.index(v) for v in vertex_ids]
     _check_pool(len(idx))
+    measures = _scan_measures(g)
     near = np.zeros((len(idx), g.n), dtype=bool)
     for j, i in enumerate(idx):
         near[j, list(g.neighbors(i))] = True
@@ -354,17 +376,67 @@ def neighborhood_measures(g: WeightedGraph, vertex_ids, measures: np.ndarray):
     words = np.zeros((len(idx), 8 * -(-len(used) // 8)), np.uint8)
     words[:, :len(used)] = near[:, used]
     gamma_t = _byte_tables(words.view(np.uint64), np.bitwise_or)
-    padded = np.zeros(8 * near.shape[1], measures.dtype)
+    padded = np.zeros(8 * near.shape[1])
     padded[:g.n] = measures
     vol_t = _byte_tables(padded.reshape(-1, 8)[used].ravel(), np.add)
     mass_t = _byte_tables(measures[idx], np.add)
     for lo in range(1, 1 << len(idx), CHUNK):
         sub = np.arange(lo, min(lo + CHUNK, 1 << len(idx)), dtype=np.int64)
         gamma = _lookup(gamma_t, sub, np.bitwise_or).view(np.uint8)
-        gmass = np.zeros(len(sub), measures.dtype)
+        gmass = np.zeros(len(sub))
         for k, t in enumerate(vol_t):
             gmass += t[gamma[:, k]]
         yield sub, _lookup(mass_t, sub, np.add), gmass
+
+
+def _least_ratio(g: WeightedGraph, ids, half: bool):
+    """``(sub, exact, ratio)`` of the first B (in scan order) with the least
+    V(Gamma(B))/V(B) among the nonempty B subset of ``ids`` with 2 V(B) <=
+    V(G) if ``half``: the Fraction and the float quotient of the scanned sums.
+    None if no B is admissible.
+
+    A float sum of k positive terms errs by at most (k-1)u relatively, in
+    any order (u = eps/2), and a quotient by u more (or 2**-1075 below the
+    normal range).  So band = 2(n + |ids|) eps covers every error twice:
+    sets with 2 V(B) > V(G)(1 + band) are over half under any rounding, and
+    if a chunk's least float ratio r is an admissible set's, every set whose
+    exact ratio is at most that set's lies within r(1 + band) + TINY.  Those
+    are decided on the integer measures; the ones over half drop out and the
+    least is taken again.  Integer sums below 2**53 are exact in floats, so
+    sets with equal float sums are then decided once.
+    """
+    m = _integer_measures(g)[1]
+    whole, idx = sum(m), [g.index(v) for v in ids]
+    band = 2 * (g.n + len(idx)) * np.finfo(float).eps
+    cap = float(_scan_measures(g).sum()) * (1.0 + band)  # 2 V(B) above: over half
+
+    def exact(sub: int) -> Fraction | None:
+        members = [i for j, i in enumerate(idx) if sub >> j & 1]
+        mb = sum(m[i] for i in members)
+        if not (half and 2 * mb > whole):
+            return Fraction(sum(m[w] for w in frozenset().union(*map(g.neighbors, members))), mb)
+
+    best, limit = None, math.inf  # a float ratio above limit cannot beat the best
+    for sub, mass, gmass in neighborhood_measures(g, ids):
+        ratio = gmass / mass
+        if half:
+            ratio[2.0 * mass > cap] = math.nan  # NaN: out of the running
+        while (least := np.fmin.reduce(ratio)) <= limit:
+            kept = np.flatnonzero(ratio <= least * (1.0 + band) + TINY)
+            first = group = np.arange(len(kept))
+            if whole < 2**53 and len(kept) > 8:  # a grouping costs about four decisions
+                _, first, group = np.unique(mass[kept] + 1j * gmass[kept],  # one per pair of sums
+                                            return_index=True, return_inverse=True)
+            exacts = [exact(s) for s in sub[kept[first]].tolist()]
+            if None in exacts:
+                ratio[kept[np.equal(exacts, None)[group]]] = math.nan
+                continue
+            j = min(range(len(first)), key=lambda t: (exacts[t], first[t]))
+            if best is None or exacts[j] < best[1]:
+                best = int(sub[kept[first[j]]]), exacts[j], float(ratio[kept[first[j]]])
+                limit = best[2] * (1.0 + band) + TINY
+            break
+    return best
 
 
 def magnification(g: WeightedGraph, force: bool = False):
@@ -372,9 +444,8 @@ def magnification(g: WeightedGraph, force: bool = False):
 
     A ranges over ALL nonempty subsets of the interior (connectedness cannot
     be assumed here: neighborhoods of separate components may overlap); on a
-    closed graph only V(A) <= V(G)/2 competes.  The scan keeps the first
-    minimiser of each chunk, and a later chunk replaces it only when at least
-    1e-15 lower.
+    closed graph only V(A) <= V(G)/2 competes, decided exactly.  The witness
+    is the first exact minimiser (``_least_ratio``); c is its float ratio - 1.0.
     """
     return g.memo(("magnification",), lambda: _magnification(g, force))
 
@@ -384,15 +455,11 @@ def _magnification(g: WeightedGraph, force: bool):
     if not pool:
         raise GraphError("no interior vertices")
     _check_cap(len(pool), MAGNIFICATION_CAP, force)
-    limit = (0.5 + 1e-12) * g.total_measure() if g.is_closed else math.inf
-    c, best = math.inf, 0
-    for sub, mass, gmass in neighborhood_measures(g, pool, g.vmeasure):
-        ratio = gmass / mass - 1.0
-        ratio[mass > limit] = math.inf
-        j = int(np.argmin(ratio))
-        if ratio[j] < c - 1e-15:
-            c, best = float(ratio[j]), int(sub[j])
-    return c, frozenset(v for b, v in enumerate(pool) if (best >> b) & 1)
+    found = _least_ratio(g, pool, g.is_closed)
+    if found is None:  # a lone vertex of a closed graph: no set is at most half
+        return math.inf, frozenset()
+    sub, _, ratio = found
+    return ratio - 1.0, frozenset(v for b, v in enumerate(pool) if (sub >> b) & 1)
 
 
 # -- quotients and characteristic approximants --------------------------------

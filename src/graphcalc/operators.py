@@ -210,14 +210,9 @@ def _decompose(g: WeightedGraph, mode: str) -> SpectralDecomposition:
     return SpectralDecomposition(g, mode, evals, _frozen(full))
 
 
-def spectral_decomposition(
-    g: WeightedGraph, mode: str = "closed", k: int | None = None
-) -> SpectralDecomposition:
+def spectral_decomposition(g: WeightedGraph, mode: str = "closed") -> SpectralDecomposition:
     """Full eigendecomposition, kept in the graph's memo per mode; arrays are read-only."""
-    dec = g.memo(("spectral", mode), lambda: _decompose(g, mode))
-    if k is None:
-        return dec
-    return SpectralDecomposition(g, mode, dec.eigenvalues[:k], dec.eigenfunctions[:, :k])
+    return g.memo(("spectral", mode), lambda: _decompose(g, mode))
 
 
 @dataclass

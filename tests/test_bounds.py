@@ -152,6 +152,29 @@ def test_certified_magnification_with_integers_past_int64():
         assert isinstance(got, Fraction) and got == brute
 
 
+def test_certified_magnification_when_the_float_total_overflows():
+    g = build_graph(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")],
+                    measures=[1e308, 1e308, 1.0, 3.0, 0.1])
+    exact = [Fraction(float(x)) for x in g.vmeasure]
+    A = ["a", "b", "c", "d"]
+    brute = min(
+        sum(exact[g.index(v)] for v in neighborhood(g, B)) / sum(exact[g.index(v)] for v in B)
+        for k in range(1, len(A) + 1)
+        for B in itertools.combinations(A, k)
+    ) - 1
+    assert certified_magnification(g, A) == brute
+
+
+def test_certified_magnification_is_below_what_alon_field_certifies():
+    # B = {a, c} reaches only b; the identity slot lets a and c keep their own
+    # measure, so the transport of (1 + 1/2) V into A's closed neighbourhood is feasible
+    g = path(3)
+    assert certified_magnification(g, [1, 3]) == Fraction(-1, 2)
+    checks = alon_field_checks(g, alon_field(g, [1, 3], c=Fraction(1, 2)))
+    assert all(checks[k] for k in ("magnitude", "divergence_on_A", "divergence_off_A",
+                                   "unit_inflow", "rho_sq_bound"))
+
+
 def test_alon_field_k4():
     g = complete(4)
     af = alon_field(g, [1, 2])

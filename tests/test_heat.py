@@ -187,6 +187,17 @@ def test_hypothesis_audit():
     assert hypothesis_audit(strong, phi)["ok"]
 
 
+def test_hypothesis_audit_slack_is_relative():
+    # a - b with boundary b: A = 0.5 s**(2/3) lies below V/phi(V) = s**(2/3)
+    # at every scale s; an absolute slack of 1e-12 passed it at s = 1e-21
+    phi = lambda x: x ** (1.0 / 3.0)
+    for s in (1.0, 1e-21):
+        g = build_graph([("a", s), ("b", 1.0)], [Edge("a", "b", a=0.5 * s ** (2.0 / 3.0))],
+                        boundary=["b"])
+        out = hypothesis_audit(g, phi)
+        assert not out["ok"] and out["witness"] == {"a"}, s
+
+
 def test_hypothesis_audit_reads_the_shared_table(monkeypatch):
     from graphcalc import isoperimetry
 

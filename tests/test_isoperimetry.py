@@ -218,6 +218,23 @@ def test_magnification_matches_brute_force_across_chunks():
         assert wmass <= limit and wgamma / wmass - 1.0 == pytest.approx(c, rel=1e-12, abs=1e-15)
 
 
+def test_magnification_admits_exactly_the_sets_of_at_most_half_the_measure():
+    from fractions import Fraction
+
+    # V(a) = 3 + 2**-40 lies above V(G)/2 = 3 + 2**-41, so {a} never competes
+    g = build_graph(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")],
+                    measures=[3.0 + 2.0**-40, 1.0, 1.0, 1.0])
+    c, witness = magnification(g)
+    assert c == 1.0
+    exact = {v: Fraction(float(g.vmeasure[g.index(v)])) for v in g.vertices}
+    assert 2 * sum(exact[v] for v in witness) <= sum(exact.values())
+    # as dyadic rationals, 0.1 + 0.2 lies above half of 0.1 + 0.3 + 0.2 and 0.3
+    # below it: {y} is admissible and {x, z} is not
+    p = build_graph(["x", "y", "z"], [("x", "y"), ("y", "z")], measures=[0.1, 0.3, 0.2])
+    c, witness = magnification(p)
+    assert witness == {"y"} and c == (0.1 + 0.2) / 0.3 - 1.0 > 0.0
+
+
 def test_iso_open_path_oracle():
     g = path(3, boundary=[3])
     rep = iso_constant(g, math.inf, "open")

@@ -193,9 +193,7 @@ def test_spectral_arrays_are_read_only():
     g = _multigraph(8, rng)
     lams = eigenvalues(g)
     dec = spectral_decomposition(g)
-    head = spectral_decomposition(g, k=3)
-    for arr in (lams, dec.eigenvalues, dec.eigenfunctions, head.eigenvalues,
-                head.eigenfunctions):
+    for arr in (lams, dec.eigenvalues, dec.eigenfunctions):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 
