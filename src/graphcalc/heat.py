@@ -349,7 +349,7 @@ def hypothesis_audit(g: WeightedGraph, phi: Callable[[float], float], force=Fals
     mass = table["mass"]
     phis = np.fromiter(map(phi, mass.tolist()), float, len(mass))
     need = mass / phis
-    failing = np.flatnonzero(table["area"] + 1e-12 * need < need)  # slack relative to V/phi(V)
+    failing = np.flatnonzero(table["area"] < need * (1.0 - 1e-12))  # slack relative to V/phi(V)
     if failing.size:  # the first failing row: the smallest sets come first
         wit = _witness(g, table[failing[0]])
         return {"ok": False, "witness": wit.vertices, "area": wit.area, "vmass": wit.vmass}

@@ -19,10 +19,11 @@ magnification scans, add per-byte table entries.
   vectorized quotient over it: the whole vertex set gets inf in the tilde
   variants, and the sorted-id tie rule sees only the masks within 1e-12 of
   the minimum.  The winning row is the witness, with the row's sums.
-- ``neighborhood_measures`` scans all 2^k subsets of a vertex set in chunks
-  of CHUNK, with byte tables for V(B), Gamma(B) and V(Gamma(B)).  For
+- ``_least_ratio`` scans all 2^k subsets of a vertex set in chunks of
+  CHUNK, with byte tables for V(B), Gamma(B) and V(Gamma(B)).  For
   ``magnification`` and ``bounds.certified_magnification`` its float ratios
-  pick the sets near the least, and integer measures decide those exactly.
+  pick the sets near the least, and integer measures decide those exactly,
+  once per group of sets with the same count of each distinct measure.
 
 A vectorized interval sweep handles long paths instead.
 """
@@ -48,7 +49,6 @@ __all__ = [
     "characteristic_approx",
     "enumerate_connected_subsets",
     "neighborhood",
-    "neighborhood_measures",
 ]
 
 DEFAULT_CAP = 22
@@ -345,98 +345,120 @@ def _integer_measures(g: WeightedGraph) -> tuple[int, tuple[int, ...]]:
 
 
 def _scan_measures(g: WeightedGraph) -> np.ndarray:
-    """``g.vmeasure``, times 2**-128 when its sums could overflow: a power of
-    two scales exactly, and ratios and the half test do not see it."""
-    if float(g.vmeasure.max()) * g.n < 2.0**1000:
+    """``g.vmeasure`` times the power of two that keeps n max V(v) below
+    2**1000, so that no sum overflows.  The scaling is exact unless max V /
+    min V reaches about 2**2000, and ratios and the half test do not see it."""
+    shift = math.frexp(float(g.vmeasure.max()))[1] + g.n.bit_length() - 1000
+    if shift <= 0:
         return g.vmeasure
-    scaled = np.ldexp(g.vmeasure, -128)
-    if np.any(np.ldexp(scaled, 128) != g.vmeasure):
-        raise GraphError("the vertex measures span more than the float range")
+    scaled = np.ldexp(g.vmeasure, -shift)
+    if np.any(np.ldexp(scaled, shift) != g.vmeasure):
+        raise GraphError("the vertex measures span too wide a range to scale exactly")
     return scaled
 
 
-def neighborhood_measures(g: WeightedGraph, vertex_ids):
-    """Yield ``(sub, V(B), V(Gamma(B)))`` arrays over every nonempty subset B of
-    ``vertex_ids`` (bit j of ``sub`` selects ``vertex_ids[j]``), in chunks of
-    at most CHUNK consecutive ``sub``; V is ``_scan_measures(g)``.
-
-    Both sums go through byte tables: entry b of table k holds the sum over
-    the set bits of byte k of a mask, and a mask's sum adds its bytes'
-    entries in ascending order.  Gamma(B) is the OR of the members' neighbour
-    bytes, restricted to the vertex bytes that Gamma can touch.
-    """
-    idx = [g.index(v) for v in vertex_ids]
+def _neighborhood_tables(g: WeightedGraph, idx: list[int], measures: np.ndarray):
+    """(gamma_t, used, mass_t, vol_t): byte tables for masks over the vertices
+    ``idx`` (bit j selects idx[j]).  Gamma(B) is the OR of the members'
+    neighbour bytes, restricted to the vertex bytes ``used`` that Gamma can
+    touch; ``mass_t`` and ``vol_t`` sum ``measures`` over B and Gamma(B)."""
     _check_pool(len(idx))
-    measures = _scan_measures(g)
     near = np.zeros((len(idx), g.n), dtype=bool)
     for j, i in enumerate(idx):
         near[j, list(g.neighbors(i))] = True
     near = np.packbits(near, axis=1, bitorder="little")
-    used = np.flatnonzero(near.any(axis=0))  # the vertex bytes Gamma can touch
+    used = np.flatnonzero(near.any(axis=0))
     words = np.zeros((len(idx), 8 * -(-len(used) // 8)), np.uint8)
     words[:, :len(used)] = near[:, used]
-    gamma_t = _byte_tables(words.view(np.uint64), np.bitwise_or)
     padded = np.zeros(8 * near.shape[1])
     padded[:g.n] = measures
-    vol_t = _byte_tables(padded.reshape(-1, 8)[used].ravel(), np.add)
-    mass_t = _byte_tables(measures[idx], np.add)
-    for lo in range(1, 1 << len(idx), CHUNK):
-        sub = np.arange(lo, min(lo + CHUNK, 1 << len(idx)), dtype=np.int64)
-        gamma = _lookup(gamma_t, sub, np.bitwise_or).view(np.uint8)
-        gmass = np.zeros(len(sub))
-        for k, t in enumerate(vol_t):
-            gmass += t[gamma[:, k]]
-        yield sub, _lookup(mass_t, sub, np.add), gmass
+    return (_byte_tables(words.view(np.uint64), np.bitwise_or), used,
+            _byte_tables(measures[idx], np.add),
+            _byte_tables(padded.reshape(-1, 8)[used].ravel(), np.add))
+
+
+def _neighborhood_sums(sub: np.ndarray, gamma_t, mass_t, vol_t):
+    """(V(B), V(Gamma(B))) per mask of ``sub``: each sum adds its bytes'
+    table entries in ascending order."""
+    gamma = _lookup(gamma_t, sub, np.bitwise_or).view(np.uint8)
+    gmass = np.zeros(len(sub))
+    for k, t in enumerate(vol_t):
+        gmass += t[gamma[:, k]]
+    return _lookup(mass_t, sub, np.add), gmass
+
+
+def _first_rows(keys: np.ndarray) -> np.ndarray:
+    """The index of the first of each set of equal rows of ``keys``, ascending."""
+    order = np.lexsort(keys.T)  # stable: equal rows keep their order
+    keys = keys[order]
+    fresh = np.ones(len(order), dtype=bool)
+    fresh[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    return np.sort(order[fresh])
 
 
 def _least_ratio(g: WeightedGraph, ids, half: bool):
-    """``(sub, exact, ratio)`` of the first B (in scan order) with the least
-    V(Gamma(B))/V(B) among the nonempty B subset of ``ids`` with 2 V(B) <=
-    V(G) if ``half``: the Fraction and the float quotient of the scanned sums.
-    None if no B is admissible.
+    """``(sub, exact, ratio)`` of the first B (in scan order: ascending mask,
+    bit j for ids[j]) with the least V(Gamma(B))/V(B) among the nonempty B
+    subset of ``ids`` with 2 V(B) <= V(G) if ``half``: the Fraction and the
+    float quotient of the scanned sums.  None if no B is admissible.
 
-    A float sum of k positive terms errs by at most (k-1)u relatively, in
-    any order (u = eps/2), and a quotient by u more (or 2**-1075 below the
-    normal range).  So band = 2(n + |ids|) eps covers every error twice:
-    sets with 2 V(B) > V(G)(1 + band) are over half under any rounding, and
-    if a chunk's least float ratio r is an admissible set's, every set whose
-    exact ratio is at most that set's lies within r(1 + band) + TINY.  Those
-    are decided on the integer measures; the ones over half drop out and the
-    least is taken again.  Integer sums below 2**53 are exact in floats, so
-    sets with equal float sums are then decided once.
+    The scan adds ``_scan_measures`` over CHUNK masks at a time.  A float sum
+    of k positive terms errs by at most (k-1)u relatively, in any order (u =
+    eps/2), and a quotient by u more (or 2**-1075 below the normal range).  So
+    band = 2(n + |ids|) eps covers every error twice: a set with 2 V(B) >
+    V(G)(1 + band) is over half under any rounding and drops out, and if r is
+    an admissible set's float ratio, every set whose exact ratio is at most
+    that set's lies within r(1 + band) + TINY.  The sets within the band of
+    the least float ratio are decided on the integer measures m: 2 m(B) <=
+    m(G) and the least Fraction.  Sets with the same count of each distinct
+    measure in B and in Gamma(B) have the same sums, so each such group is
+    decided once.  If the set with the least float ratio is over half, the
+    scan runs again, and then only the sets with 2 V(B) <= V(G)(1 - band),
+    at most half under any rounding, set the band.
     """
     m = _integer_measures(g)[1]
-    whole, idx = sum(m), [g.index(v) for v in ids]
+    idx = [g.index(v) for v in ids]
+    measures = _scan_measures(g)
+    gamma_t, used, *tables = _neighborhood_tables(g, idx, measures)
     band = 2 * (g.n + len(idx)) * np.finfo(float).eps
-    cap = float(_scan_measures(g).sum()) * (1.0 + band)  # 2 V(B) above: over half
+    mid, whole = float(measures.sum()) / 2.0 if half else math.inf, sum(m)
+    classes = dict(zip(g.vmeasure.tolist(), m))  # each distinct measure with its m
+    kinds = np.zeros((8 * -(-g.n // 8), len(classes)))  # [v, c]: V(v) is the c-th of them
+    kinds[:g.n] = g.vmeasure[:, None] == list(classes)
+    near_kinds = kinds.reshape(-1, 8, len(classes))[used].reshape(-1, len(classes))
+    value = list(classes.values())
 
-    def exact(sub: int) -> Fraction | None:
-        members = [i for j, i in enumerate(idx) if sub >> j & 1]
-        mb = sum(m[i] for i in members)
-        if not (half and 2 * mb > whole):
-            return Fraction(sum(m[w] for w in frozenset().union(*map(g.neighbors, members))), mb)
+    def exact(row: list) -> Fraction | None:  # from the counts of a set; None: over half
+        mb, gb = (sum(int(k) * x for k, x in zip(part, value))
+                  for part in (row[:len(value)], row[len(value):]))
+        return None if half and 2 * mb > whole else Fraction(gb, mb)
 
-    best, limit = None, math.inf  # a float ratio above limit cannot beat the best
-    for sub, mass, gmass in neighborhood_measures(g, ids):
-        ratio = gmass / mass
-        if half:
-            ratio[2.0 * mass > cap] = math.nan  # NaN: out of the running
-        while (least := np.fmin.reduce(ratio)) <= limit:
-            kept = np.flatnonzero(ratio <= least * (1.0 + band) + TINY)
-            first = group = np.arange(len(kept))
-            if whole < 2**53 and len(kept) > 8:  # a grouping costs about four decisions
-                _, first, group = np.unique(mass[kept] + 1j * gmass[kept],  # one per pair of sums
-                                            return_index=True, return_inverse=True)
-            exacts = [exact(s) for s in sub[kept[first]].tolist()]
-            if None in exacts:
-                ratio[kept[np.equal(exacts, None)[group]]] = math.nan
-                continue
-            j = min(range(len(first)), key=lambda t: (exacts[t], first[t]))
-            if best is None or exacts[j] < best[1]:
-                best = int(sub[kept[first[j]]]), exacts[j], float(ratio[kept[first[j]]])
-                limit = best[2] * (1.0 + band) + TINY
+    for strict in (False, True):
+        limit, subs, ratios = math.inf, [np.zeros(0, np.int64)], [np.zeros(0)]
+        for lo in range(1, 1 << len(idx), CHUNK):
+            sub = np.arange(lo, min(lo + CHUNK, 1 << len(idx)), dtype=np.int64)
+            mass, gmass = _neighborhood_sums(sub, gamma_t, *tables)
+            ratio = gmass / mass
+            ratio[mass > mid * (1.0 + band)] = math.nan  # over half under any rounding
+            if (least := np.fmin.reduce(ratio)) <= limit:
+                if strict:
+                    least = np.fmin.reduce(np.where(mass <= mid * (1.0 - band), ratio, math.nan))
+                limit = min(limit, least * (1.0 + band) + TINY)
+                rows = np.flatnonzero(ratio <= limit)
+                subs.append(sub[rows])
+                ratios.append(ratio[rows])
+        sub, ratio = np.concatenate(subs), np.concatenate(ratios)  # may hold sets past the band
+        gamma = np.unpackbits(_lookup(gamma_t, sub, np.bitwise_or).view(np.uint8)[:, :len(used)],
+                              axis=1, bitorder="little")
+        counts = np.hstack([_unpack(sub, len(idx))[:, :len(idx)] @ kinds[idx], gamma @ near_kinds])
+        if strict or not len(sub) or exact(counts[np.argmin(ratio)].tolist()) is not None:
             break
-    return best
+    decided = [(q, j) for j in _first_rows(counts).tolist()
+               if (q := exact(counts[j].tolist())) is not None]
+    if not decided:
+        return None
+    least, j = min(decided)
+    return int(sub[j]), least, float(ratio[j])
 
 
 def magnification(g: WeightedGraph, force: bool = False):

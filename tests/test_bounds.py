@@ -153,16 +153,24 @@ def test_certified_magnification_with_integers_past_int64():
 
 
 def test_certified_magnification_when_the_float_total_overflows():
-    g = build_graph(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")],
-                    measures=[1e308, 1e308, 1.0, 3.0, 0.1])
-    exact = [Fraction(float(x)) for x in g.vmeasure]
-    A = ["a", "b", "c", "d"]
-    brute = min(
-        sum(exact[g.index(v)] for v in neighborhood(g, B)) / sum(exact[g.index(v)] for v in B)
-        for k in range(1, len(A) + 1)
-        for B in itertools.combinations(A, k)
-    ) - 1
-    assert certified_magnification(g, A) == brute
+    # the second graph's total is finite, but a scale that keeps n max V(v)
+    # below 2**1000 must not flush 1e-300 to zero
+    for measures, A in (([1e308, 1e308, 1.0, 3.0, 0.1], ["a", "b", "c", "d"]),
+                        ([1e302, 1e302, 1e302, 1e302, 1e-300], ["a", "b", "c", "e"])):
+        g = build_graph(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")],
+                        measures=measures)
+        exact = [Fraction(float(x)) for x in g.vmeasure]
+        brute = min(
+            sum(exact[g.index(v)] for v in neighborhood(g, B)) / sum(exact[g.index(v)] for v in B)
+            for k in range(1, len(A) + 1)
+            for B in itertools.combinations(A, k)
+        ) - 1
+        with np.errstate(over="ignore"):
+            assert certified_magnification(g, A) == brute, measures
+    # no power of two brings 2e308 below 2**1000 and keeps 5e-324 exact
+    g = build_graph(list("abc"), [("a", "b"), ("b", "c")], measures=[1e308, 1e308, 5e-324])
+    with pytest.raises(GraphError, match="too wide a range"):
+        certified_magnification(g, ["a", "c"])
 
 
 def test_certified_magnification_is_below_what_alon_field_certifies():

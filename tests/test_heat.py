@@ -189,12 +189,14 @@ def test_hypothesis_audit():
 
 def test_hypothesis_audit_slack_is_relative():
     # a - b with boundary b: A = 0.5 s**(2/3) lies below V/phi(V) = s**(2/3)
-    # at every scale s; an absolute slack of 1e-12 passed it at s = 1e-21
-    phi = lambda x: x ** (1.0 / 3.0)
-    for s in (1.0, 1e-21):
+    # at every scale s; an absolute slack of 1e-12 passed it at s = 1e-21.
+    # x**4 underflows to 0 at s = 1e-100, so V/phi(V) is inf: no area meets it
+    cube_root, fourth = (lambda x: x ** (1.0 / 3.0)), (lambda x: x ** 4)
+    for phi, s in ((cube_root, 1.0), (cube_root, 1e-21), (fourth, 1e-100)):
         g = build_graph([("a", s), ("b", 1.0)], [Edge("a", "b", a=0.5 * s ** (2.0 / 3.0))],
                         boundary=["b"])
-        out = hypothesis_audit(g, phi)
+        with np.errstate(divide="ignore"):
+            out = hypothesis_audit(g, phi)
         assert not out["ok"] and out["witness"] == {"a"}, s
 
 

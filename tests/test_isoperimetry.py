@@ -235,6 +235,15 @@ def test_magnification_admits_exactly_the_sets_of_at_most_half_the_measure():
     assert witness == {"y"} and c == (0.1 + 0.2) / 0.3 - 1.0 > 0.0
 
 
+def test_magnification_decides_ties_of_non_dyadic_measures_exactly():
+    # every 8-set of complete(16) has ratio exactly 2, but with measures 0.1
+    # their float sums differ; the witness is the first 8-set in scan order
+    k = complete(16)
+    g = build_graph(k.vertices, k.edges, measures=np.full(16, 0.1))
+    c, witness = magnification(g)
+    assert witness == frozenset(range(1, 9)) and c == pytest.approx(1.0, rel=1e-15)
+
+
 def test_iso_open_path_oracle():
     g = path(3, boundary=[3])
     rep = iso_constant(g, math.inf, "open")
