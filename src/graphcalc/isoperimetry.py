@@ -451,7 +451,8 @@ def _least_ratio(g: WeightedGraph, ids, half: bool):
         gamma = np.unpackbits(_lookup(gamma_t, sub, np.bitwise_or).view(np.uint8)[:, :len(used)],
                               axis=1, bitorder="little")
         counts = np.hstack([_unpack(sub, len(idx))[:, :len(idx)] @ kinds[idx], gamma @ near_kinds])
-        if strict or not len(sub) or exact(counts[np.argmin(ratio)].tolist()) is not None:
+        if (strict or not half or not len(sub)
+                or exact(counts[np.argmin(ratio)].tolist()) is not None):  # least is admissible
             break
     decided = [(q, j) for j in _first_rows(counts).tolist()
                if (q := exact(counts[j].tolist())) is not None]
