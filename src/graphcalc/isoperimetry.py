@@ -11,19 +11,20 @@ vertices, also under ``force``; ORs over a mask, and the sums of the
 magnification scans, add per-byte table entries.
 
 - ``enumerate_connected_subsets`` builds the (mask, area, mass) table of the
-  connected subsets one size level at a time: byte tables of the neighbour
-  masks give every set's frontier, one step forms all children of a level,
-  and sorting removes the duplicates.  Area and mass are each summed once,
-  in one order: edge by edge and vertex by vertex.  The table is kept in the
-  graph's memo, one per pool, with the reports.  Every (nu, variant) is one
-  vectorized quotient over it: the whole vertex set gets inf in the tilde
-  variants, and the sorted-id tie rule sees only the masks within 1e-12 of
-  the minimum.  The winning row is the witness, with the row's sums.
-- ``_least_ratio`` scans all 2^k subsets of a vertex set in chunks of
-  CHUNK, with byte tables for V(B), Gamma(B) and V(Gamma(B)).  For
-  ``magnification`` and ``bounds.certified_magnification`` its float ratios
-  pick the sets near the least, and integer measures decide those exactly,
-  once per group of sets with the same count of each distinct measure.
+  connected subsets by ESU (Wernicke 2006), all depths at once, so each set
+  is formed once and nothing is deduplicated; the rows run by (size, mask).
+  Area and mass are each summed once, in one order: edge by edge and vertex
+  by vertex.  The table is kept in the graph's memo, one per pool, with the
+  reports.  Every (nu, variant) is one vectorized quotient over it: the whole
+  vertex set gets inf in the tilde variants, and the sorted-id tie rule sees
+  only the masks within 1e-12 of the minimum.  The winning row is the
+  witness, with the row's sums.
+- ``_least_ratio`` scans the nonempty subsets of each class of the relation
+  "Gamma(a) meets Gamma(b)" on a vertex set, in chunks of CHUNK, with byte
+  tables for V(B), Gamma(B) and V(Gamma(B)).  For ``magnification`` and
+  ``bounds.certified_magnification`` its float ratios pick the sets near the
+  least, and integer measures decide those exactly, once per group of sets
+  with the same count of each distinct measure.
 
 A vectorized interval sweep handles long paths instead.
 """
@@ -102,23 +103,6 @@ def _unpack(masks: np.ndarray, width: int) -> np.ndarray:
     return np.unpackbits(byts[:, :-(-width // 8)], axis=1, bitorder="little")
 
 
-def _children(layer: np.ndarray, near_t: np.ndarray, width: int) -> np.ndarray:
-    """Every set of ``layer`` plus one vertex of its frontier (with repeats)."""
-    front = _lookup(near_t, layer, np.bitwise_or) & ~layer
-    rows, children = _unpack(front, width).nonzero()
-    np.left_shift(1, children, out=children)
-    children |= layer[rows]
-    return children
-
-
-def _unique(masks: np.ndarray) -> np.ndarray:
-    """The distinct masks, sorted (sorts ``masks`` in place)."""
-    masks.sort()
-    fresh = np.ones(len(masks), dtype=bool)
-    np.not_equal(masks[1:], masks[:-1], out=fresh[1:])
-    return masks[fresh]
-
-
 def _check_pool(size: int) -> None:
     if size > POOL_LIMIT:
         raise GraphError(
@@ -145,39 +129,49 @@ def enumerate_connected_subsets(g: WeightedGraph, allowed_mask: int) -> np.ndarr
     """The (mask, area, mass) table of every nonempty connected subset S of
     ``allowed_mask``, each once: ``area`` = A(boundary S), ``mass`` = V(S).
 
-    Built one size at a time on pool-local bits (bit j = j-th allowed vertex):
-    the next level is every set of this one plus one vertex of its frontier,
-    deduplicated by sorting.  ``area`` adds a_e over the edges with exactly
-    one endpoint in S in edge order, and ``mass`` adds V(v) over S in
-    ascending vertex order, both from 0.0 (``_ordered_sums``), so a whole
-    component has area exactly 0.
+    ESU on pool-local bits (bit j = j-th allowed vertex): each round moves
+    the lowest vertex w of every nonempty extension X of a set S into a child
+    S + w, whose extension is the rest of X plus the neighbours of w outside
+    T = S, N(S) and the vertices below min S.  Rows run by (size, mask).
+    ``area`` adds a_e over the edges with exactly one endpoint in S in edge
+    order, and ``mass`` adds V(v) over S in ascending vertex order, both from
+    0.0 (``_ordered_sums``), so a whole component has area exactly 0.
     """
     pool = [i for i in range(g.n) if (allowed_mask >> i) & 1]
     _check_pool(len(pool))
     dtype = [("mask", "i8" if g.n < 64 else object), ("area", "f8"), ("mass", "f8")]
     if not pool:
         return np.empty(0, dtype)
-    local = [-1] * g.n
-    for j, v in enumerate(pool):
-        local[v] = j
-    near = np.array([sum(1 << local[w] for w in g.neighbors(v) if local[w] >= 0) for v in pool],
-                    dtype=np.int64)
-    near_t = _byte_tables(near, np.bitwise_or)
-    ju, jv = np.take(local, g.eu), np.take(local, g.ev)
+    local = np.full(g.n, -1)
+    local[pool] = np.arange(len(pool))
+    ju, jv = local[g.eu], local[g.ev]
+    inner = np.array([ju, jv])[:, (ju >= 0) & (jv >= 0)]  # the edges within the pool
+    near = np.zeros(len(pool), np.int64)  # bit k of near[j]: pool vertices j and k are adjacent
+    np.bitwise_or.at(near, inner.ravel(), np.left_shift(1, inner[::-1].ravel()))
     cut = np.flatnonzero((ju != jv) & (np.maximum(ju, jv) >= 0))  # local -1: off the pool
     edges = ju[cut], jv[cut], g.ea[cut]
     # a free vertex is in S when its row differs from row -1 (off the pool)
     members = np.arange(len(pool)), np.full(len(pool), -1), g.vmeasure[pool]
-    levels = []
-    layer = np.left_shift(1, np.arange(len(pool), dtype=np.int64))
-    while layer.size:
-        levels.append(layer)
-        if len(levels) == len(pool):  # the whole pool: no larger set
-            break
-        parts = [_unique(_children(layer[lo:lo + CHUNK], near_t, len(pool)))
-                 for lo in range(0, len(layer), CHUNK)]
-        layer = parts[0] if len(parts) == 1 else _unique(np.concatenate(parts))
-    masks = np.concatenate(levels)
+    bit = np.left_shift(1, np.arange(len(pool), dtype=np.int64))
+    below = (bit << 1) - 1
+    near_of = np.zeros(67, np.int64)  # by w % 67: 2 is a primitive root mod 67
+    near_of[bit % 67] = near
+    state = np.array([bit, np.ones_like(bit), near & ~below, near | below])  # S, |S|, X, T
+    masks, sizes = [bit], [state[1]]
+    while state.shape[1]:
+        state = state[:, state[2] != 0]
+        s, size, x, t = state
+        w = x & -x
+        x ^= w  # the parent keeps the rest of its extension
+        nw = near_of[w % 67]
+        masks.append(s | w)
+        sizes.append(size + 1)
+        state = np.concatenate([state, [masks[-1], sizes[-1], x | (nw & ~t), t | nw]], axis=1)
+    masks, sizes = np.concatenate(masks), np.concatenate(sizes).astype(np.uint8)
+    masks = masks[np.argsort(sizes, kind="stable")]  # the smallest sets first
+    ends = np.cumsum(np.bincount(sizes)).tolist()
+    for lo, hi in zip([0] + ends, ends):
+        masks[lo:hi].sort()
     table = np.empty(len(masks), dtype)
     for lo in range(0, len(masks), CHUNK):
         part = masks[lo:lo + CHUNK]
@@ -358,23 +352,50 @@ def _scan_measures(g: WeightedGraph) -> np.ndarray:
 
 
 def _neighborhood_tables(g: WeightedGraph, idx: list[int], measures: np.ndarray):
-    """(gamma_t, used, mass_t, vol_t): byte tables for masks over the vertices
-    ``idx`` (bit j selects idx[j]).  Gamma(B) is the OR of the members'
-    neighbour bytes, restricted to the vertex bytes ``used`` that Gamma can
-    touch; ``mass_t`` and ``vol_t`` sum ``measures`` over B and Gamma(B)."""
+    """(order, sizes, gamma_t, used, mass_t, vol_t) for masks over the
+    vertices ``idx`` (bit j selects idx[j]): ``order`` lists the bits class
+    by class of "Gamma(a) meets Gamma(b)" closed transitively, ``sizes`` the
+    classes' sizes.  Gamma(B) ORs byte tables of the members' neighbours
+    within the vertex bytes ``used``; ``mass_t``, ``vol_t`` sum ``measures``."""
     _check_pool(len(idx))
     near = np.zeros((len(idx), g.n), dtype=bool)
-    for j, i in enumerate(idx):
-        near[j, list(g.neighbors(i))] = True
+    near[[j for j, i in enumerate(idx) for _ in g.neighbors(i)],
+         [w for i in idx for w in g.neighbors(i)]] = True
+    reach = near @ near.T  # [a, b]: Gamma(a) meets Gamma(b)
+    reach.flat[::len(idx) + 1] = True  # also when Gamma(a) is empty
+    while np.count_nonzero(step := reach @ reach) > np.count_nonzero(reach):
+        reach = step
+    least = reach.argmax(axis=1)  # the least member of each row's class
+    sizes = np.bincount(least)
     near = np.packbits(near, axis=1, bitorder="little")
-    used = np.flatnonzero(near.any(axis=0))
+    used = np.logical_or.reduce(near, axis=0).nonzero()[0]
     words = np.zeros((len(idx), 8 * -(-len(used) // 8)), np.uint8)
     words[:, :len(used)] = near[:, used]
     padded = np.zeros(8 * near.shape[1])
     padded[:g.n] = measures
-    return (_byte_tables(words.view(np.uint64), np.bitwise_or), used,
+    return (np.argsort(least, kind="stable"), sizes[sizes > 0].tolist(),
+            _byte_tables(words.view(np.uint64), np.bitwise_or), used,
             _byte_tables(measures[idx], np.add),
             _byte_tables(padded.reshape(-1, 8)[used].ravel(), np.add))
+
+
+def _class_subsets(order: np.ndarray, sizes: list[int]):
+    """The nonempty subsets of each class (the next sizes[c] bits of ``order``)
+    in batches of at most CHUNK masks; one class is np.arange(1, 2**w) in turn."""
+    def batch():  # the masks in ``runs`` are over the bits as ``order`` lists them
+        sub = np.concatenate(runs)
+        return sub if len(sizes) == 1 else _unpack(sub, len(order))[:, :len(order)] @ (1 << order)
+    runs, count, off = [], 0, 0
+    for k in sizes:
+        for lo in range(1, 1 << k, CHUNK):
+            hi = min(lo + CHUNK, 1 << k)
+            if count + hi - lo > CHUNK:
+                yield batch()
+                runs, count = [], 0
+            runs.append(np.arange(lo << off, hi << off, 1 << off, dtype=np.int64))
+            count += hi - lo
+        off += k
+    yield batch()
 
 
 def _neighborhood_sums(sub: np.ndarray, gamma_t, mass_t, vol_t):
@@ -387,20 +408,23 @@ def _neighborhood_sums(sub: np.ndarray, gamma_t, mass_t, vol_t):
     return _lookup(mass_t, sub, np.add), gmass
 
 
-def _first_rows(keys: np.ndarray) -> np.ndarray:
-    """The index of the first of each set of equal rows of ``keys``, ascending."""
-    order = np.lexsort(keys.T)  # stable: equal rows keep their order
+def _first_rows(keys: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """The index of the least ``sub`` of each set of equal rows of ``keys``."""
+    order = np.lexsort((sub, *keys.T))
     keys = keys[order]
     fresh = np.ones(len(order), dtype=bool)
-    fresh[1:] = np.any(keys[1:] != keys[:-1], axis=1)
-    return np.sort(order[fresh])
+    fresh[1:] = np.logical_or.reduce(keys[1:] != keys[:-1], axis=1)
+    return order[fresh]
 
 
 def _least_ratio(g: WeightedGraph, ids, half: bool):
-    """``(sub, exact, ratio)`` of the first B (in scan order: ascending mask,
-    bit j for ids[j]) with the least V(Gamma(B))/V(B) among the nonempty B
-    subset of ``ids`` with 2 V(B) <= V(G) if ``half``: the Fraction and the
-    float quotient of the scanned sums.  None if no B is admissible.
+    """``(sub, exact, ratio)`` of the first B (by mask, bit j for ids[j])
+    with the least V(Gamma(B))/V(B) among the nonempty B subset of ``ids``
+    with 2 V(B) <= V(G) if ``half``: the Fraction and the float quotient of
+    the scanned sums.  None if no B is admissible.
+
+    Only subsets of one class of "Gamma(a) meets Gamma(b)" are scanned: a B
+    across classes has the mediant of its parts' ratios, each admissible too.
 
     The scan adds ``_scan_measures`` over CHUNK masks at a time.  A float sum
     of k positive terms errs by at most (k-1)u relatively, in any order (u =
@@ -419,14 +443,14 @@ def _least_ratio(g: WeightedGraph, ids, half: bool):
     m = _integer_measures(g)[1]
     idx = [g.index(v) for v in ids]
     measures = _scan_measures(g)
-    gamma_t, used, *tables = _neighborhood_tables(g, idx, measures)
-    band = 2 * (g.n + len(idx)) * np.finfo(float).eps
+    order, sizes, gamma_t, used, *tables = _neighborhood_tables(g, idx, measures)
+    band = 2 * (g.n + len(idx)) * 2.0**-52  # 2(n + |ids|) eps
     mid, whole = float(measures.sum()) / 2.0 if half else math.inf, sum(m)
-    classes = dict(zip(g.vmeasure.tolist(), m))  # each distinct measure with its m
-    kinds = np.zeros((8 * -(-g.n // 8), len(classes)))  # [v, c]: V(v) is the c-th of them
-    kinds[:g.n] = g.vmeasure[:, None] == list(classes)
-    near_kinds = kinds.reshape(-1, 8, len(classes))[used].reshape(-1, len(classes))
-    value = list(classes.values())
+    distinct = dict(zip(g.vmeasure.tolist(), m))  # each distinct measure with its m
+    kinds = np.zeros((8 * -(-g.n // 8), len(distinct)))  # [v, c]: V(v) is the c-th of them
+    kinds[:g.n] = g.vmeasure[:, None] == list(distinct)
+    near_kinds = kinds.reshape(-1, 8, len(distinct))[used].reshape(-1, len(distinct))
+    value = list(distinct.values())
 
     def exact(row: list) -> Fraction | None:  # from the counts of a set; None: over half
         mb, gb = (sum(int(k) * x for k, x in zip(part, value))
@@ -435,10 +459,10 @@ def _least_ratio(g: WeightedGraph, ids, half: bool):
 
     for strict in (False, True):
         limit, subs, ratios = math.inf, [np.zeros(0, np.int64)], [np.zeros(0)]
-        for lo in range(1, 1 << len(idx), CHUNK):
-            sub = np.arange(lo, min(lo + CHUNK, 1 << len(idx)), dtype=np.int64)
+        for sub in _class_subsets(order, sizes):
             mass, gmass = _neighborhood_sums(sub, gamma_t, *tables)
-            ratio = gmass / mass
+            with np.errstate(over="ignore"):  # inf lies outside any band
+                ratio = gmass / mass
             ratio[mass > mid * (1.0 + band)] = math.nan  # over half under any rounding
             if (least := np.fmin.reduce(ratio)) <= limit:
                 if strict:
@@ -450,16 +474,17 @@ def _least_ratio(g: WeightedGraph, ids, half: bool):
         sub, ratio = np.concatenate(subs), np.concatenate(ratios)  # may hold sets past the band
         gamma = np.unpackbits(_lookup(gamma_t, sub, np.bitwise_or).view(np.uint8)[:, :len(used)],
                               axis=1, bitorder="little")
-        counts = np.hstack([_unpack(sub, len(idx))[:, :len(idx)] @ kinds[idx], gamma @ near_kinds])
+        counts = np.concatenate([_unpack(sub, len(idx))[:, :len(idx)] @ kinds[idx],
+                                 gamma @ near_kinds], axis=1)
         if (strict or not half or not len(sub)
                 or exact(counts[np.argmin(ratio)].tolist()) is not None):  # least is admissible
             break
-    decided = [(q, j) for j in _first_rows(counts).tolist()
-               if (q := exact(counts[j].tolist())) is not None]
+    decided = [(q, int(sub[j]), j) for j in _first_rows(counts, sub).tolist()
+               if (q := exact(counts[j].tolist())) is not None]  # ties go to the least mask
     if not decided:
         return None
-    least, j = min(decided)
-    return int(sub[j]), least, float(ratio[j])
+    least, mask, j = min(decided)
+    return mask, least, float(ratio[j])
 
 
 def magnification(g: WeightedGraph, force: bool = False):

@@ -278,6 +278,19 @@ def test_overflowing_sums_exit_2_for_every_loading_command(tmp_path, capsys):
             _assert_usage_error(*_run_err(capsys, argv[0], str(target), *argv[1:]))
 
 
+@pytest.mark.filterwarnings("error")
+def test_magnification_past_the_float_range_prints_no_warning(tmp_path, capsys):
+    # the ratio of the 1e-300 vertex, 2e302 / 1e-300, overflows to inf in the
+    # scan: a numpy warning on stderr, or exit 2 under this filter
+    doc = {"vertices": [{"id": v, "measure": x} for v, x in zip("abcde", [1e302] * 4 + [1e-300])],
+           "edges": [{"u": u, "v": v} for u, v in ("ab", "bc", "cd", "de", "ea")]}
+    target = tmp_path / "wide.json"
+    target.write_text(json.dumps(doc))
+    code, out, err = _run_err(capsys, "iso", str(target), "--magnification")
+    assert code == 0 and err == ""
+    assert json.loads(out)["magnification_witness"] == ["a", "c"]
+
+
 def test_flow_target_is_an_exact_fraction(tmp_path, capsys):
     target = tmp_path / "k4.json"
     assert main(["gen", "complete", "4", "-o", str(target)]) == 0

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from graphcalc import (
     with_boundary,
 )
 from graphcalc import isoperimetry
+from graphcalc.bounds import certified_magnification
 from graphcalc.isoperimetry import _iso_open_path
 from graphcalc.verify import run_suite
 from graphcalc.generators import complete, cycle, hypercube, path, random_graph
@@ -105,8 +107,15 @@ def _check_table_against_brute_force(g):
         if _connected_within(g, mask):
             brute.add(mask)
     table = enumerate_connected_subsets(g, sum(1 << v for v in pool))
+    _check_table(g, table, brute)
+
+
+def _check_table(g, table, sets):
+    """One row per set of ``sets``, by (size, mask), with the ordered sums."""
     masks = table["mask"].tolist()
-    assert len(masks) == len(set(masks)) and set(masks) == brute
+    assert len(masks) == len(set(masks)) and set(masks) == sets
+    keys = [(m.bit_count(), m) for m in masks]
+    assert keys == sorted(keys)
     for mask, area, mass in table.tolist():
         assert (area, mass) == (_ordered_area(g, mask), _ordered_mass(g, mask))
 
@@ -185,7 +194,40 @@ def test_free_vertex_pool_of_64_is_refused_even_under_force():
             iso_constant(g, 2.0, "tilde" if g.is_closed else "open", force=True)
         with pytest.raises(GraphError, match="63"):
             magnification(g, force=True)
-    assert len(enumerate_connected_subsets(cycle(63), _all_mask(cycle(63)))) == 63 * 62 + 1
+
+
+def test_subset_table_of_a_63_cycle():
+    # bit 62 is the last below the int64 sign bit: every proper arc, and the whole cycle
+    g = build_graph(range(63), [Edge(i, (i + 1) % 63, a=1.0 + i / 7) for i in range(63)],
+                    measures=1.0 + np.arange(63) / 11)
+    arcs = {sum(1 << (start + k) % 63 for k in range(size))
+            for start in range(63) for size in range(1, 63)}
+    _check_table(g, enumerate_connected_subsets(g, _all_mask(g)), arcs | {_all_mask(g)})
+
+
+def _first_least_ratio(g, pool, half):
+    """(sub, ratio) of the first sub in ascending order (bit j for pool[j])
+    with the least V(Gamma(B))/V(B), exactly, over the B with 2 m(B) <= m(G)
+    if ``half``; m are the measures' ``as_integer_ratio`` over one denominator."""
+    ratios = [x.as_integer_ratio() for x in g.vmeasure.tolist()]
+    den = math.lcm(*(d for _, d in ratios))
+    m = [p * (den // d) for p, d in ratios]
+    whole = sum(m)
+    # byte tables of m, so that m(Gamma) is a few lookups per subset
+    tables = [[sum(m[8 * k + j] for j in range(8) if b >> j & 1 and 8 * k + j < g.n)
+               for b in range(256)] for k in range(-(-g.n // 8))]
+    nbr = [sum(1 << w for w in g.neighbors(v)) for v in pool]
+    mass, gamma = [0] * (1 << len(pool)), [0] * (1 << len(pool))
+    best = None
+    for sub in range(1, 1 << len(pool)):
+        j, rest = (sub & -sub).bit_length() - 1, sub & (sub - 1)
+        mass[sub], gamma[sub] = mass[rest] + m[pool[j]], gamma[rest] | nbr[j]
+        if half and 2 * mass[sub] > whole:
+            continue
+        gm = sum(t[gamma[sub] >> 8 * k & 255] for k, t in enumerate(tables))
+        if best is None or gm * best[2] < best[1] * mass[sub]:
+            best = sub, gm, mass[sub]
+    return best[0], Fraction(best[1], best[2])
 
 
 def test_magnification_matches_brute_force_across_chunks():
@@ -199,28 +241,33 @@ def test_magnification_matches_brute_force_across_chunks():
     base = random_graph(12, rng)
     graphs.append(build_graph(list(range(13)), list(base.edges) + [Edge(12, 0)],
                               measures=np.r_[0.05, base.vmeasure[1:], 3.0]))
+    # the relation "Gamma(a) meets Gamma(b)" splits into classes on these
+    ladder = build_graph(range(14), [Edge(i, i + 1) for i in range(13) if i != 6]
+                         + [Edge(i, i + 7) for i in range(7)], measures=rng.uniform(0.5, 2.0, 14))
+    chords = build_graph(range(14), [Edge(i, (i + 1) % 14) for i in range(14)]
+                         + [Edge(i, i + 3) for i in range(0, 11, 2)])  # odd chords: bipartite
+    loops = build_graph(range(12), [Edge(i, i + 1) for i in range(11) if i != 5]
+                        + [Edge(6, 11), Edge(0, 0), Edge(9, 9, 2.0)],
+                        measures=rng.choice([0.1, 0.3], 12))  # a path and a cycle
+    # two equal copies on shuffled ids: exact ties across the classes, where
+    # the class scanned later may hold the lesser mask
+    part, ids = random_graph(7, rng, weighted=False), rng.permutation(14).tolist()
+    twins = build_graph(range(14), [Edge(ids[e.u + k], ids[e.v + k]) for k in (0, 7)
+                                    for e in part.edges],
+                        measures=np.tile(rng.choice([0.1, 0.2, 0.3], 7), 2)[np.argsort(ids)])
+    graphs += [ladder, with_boundary(ladder, [0, 13]), chords, hypercube(4), loops, twins]
     for g in graphs:
-        pool = g.interior_indices().tolist()
-        meas = g.vmeasure.tolist()
-        limit = (0.5 + 1e-12) * g.total_measure() if g.is_closed else math.inf
-        brute = math.inf
-        for sub in range(1, 1 << len(pool)):
-            inside = [v for j, v in enumerate(pool) if (sub >> j) & 1]
-            mass = sum(meas[v] for v in inside)
-            if mass > limit:
-                continue
-            gamma = set().union(*(g.neighbors(v) for v in inside))
-            brute = min(brute, sum(meas[v] for v in gamma) / mass - 1.0)
+        pool = [g.vertices[i] for i in g.interior_indices().tolist()]
+        sub, least = _first_least_ratio(g, g.interior_indices().tolist(), g.is_closed)
         c, witness = magnification(g)
-        assert c == pytest.approx(brute, rel=1e-12, abs=1e-15)
-        wmass = sum(meas[g.index(v)] for v in witness)
-        wgamma = sum(meas[i] for i in set().union(*(g.neighbors(g.index(v)) for v in witness)))
-        assert wmass <= limit and wgamma / wmass - 1.0 == pytest.approx(c, rel=1e-12, abs=1e-15)
+        assert witness == frozenset(v for j, v in enumerate(pool) if sub >> j & 1)
+        # c is the witness's float ratio minus 1.0
+        assert abs(Fraction(c) + 1 - least) <= 8 * g.n * Fraction(2.0**-52) * least
+        everywhere = _first_least_ratio(g, g.interior_indices().tolist(), False)[1]
+        assert certified_magnification(g, pool) == everywhere - 1
 
 
 def test_magnification_admits_exactly_the_sets_of_at_most_half_the_measure():
-    from fractions import Fraction
-
     # V(a) = 3 + 2**-40 lies above V(G)/2 = 3 + 2**-41, so {a} never competes
     g = build_graph(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")],
                     measures=[3.0 + 2.0**-40, 1.0, 1.0, 1.0])
