@@ -71,7 +71,9 @@ class BoundReport:
 
 
 def true_lambda(g: WeightedGraph, mode: str) -> float:
-    lams = eigenvalues(g, mode)
+    """The lowest eigenvalue in Dirichlet mode, the second lowest in closed
+    mode (where the lowest is 0)."""
+    lams = eigenvalues(g, mode, 1 if mode == "dirichlet" else 2)
     if mode == "dirichlet":
         return float(lams[0])
     if len(lams) < 2:

@@ -156,7 +156,7 @@ def _cmd_spectrum(args) -> int:
         raise GraphError(f"-k must be at least 1, got {args.k}")
     g, digest = _load_graph(args.graph)
     mode = _resolve_mode(g, args.mode)
-    lams = eigenvalues(g, mode)[: args.k]
+    lams = eigenvalues(g, mode, args.k)
     report = _head("spectrum", digest)
     report.update({"mode": mode, "k": len(lams), "eigenvalues": list(lams)})
     rows = [{"index": i, "eigenvalue": float(x)} for i, x in enumerate(lams)]

@@ -135,6 +135,10 @@ class WeightedGraph:
             self._memo[key] = build()
         return self._memo[key]
 
+    def memoized(self, key):
+        """The result kept under ``key``, or None when none was built yet."""
+        return self._memo.get(key)
+
     # -- basic queries ----------------------------------------------------
 
     @property

@@ -54,11 +54,17 @@ def default_t_grid(lo: float = 1e-2, hi: float = 1e2, per_decade: int = 32) -> n
 _TINY = np.finfo(float).tiny
 
 
-def _kernel_block(phi: np.ndarray, lam: np.ndarray, t: float) -> np.ndarray:
-    """K(t) on the rows of phi: B B^T with B = phi e^{-t lam/2}, which numpy
-    hands to BLAS syrk (half the flops of a general product, and the result
-    is exactly symmetric)."""
-    B = phi * np.exp(-0.5 * t * lam)
+def _kernel_block(phi: np.ndarray, lam: np.ndarray, t: float, rows=None) -> np.ndarray:
+    """K(t) on the given rows of phi (all rows by default): B B^T with
+    B = phi[rows] e^{-t lam/2}, which numpy hands to BLAS syrk (half the flops
+    of a general product, and the result is exactly symmetric).  B is
+    C-ordered whatever the layout of phi, so the product is too."""
+    w = np.exp(-0.5 * t * lam)
+    if rows is None:
+        B = np.multiply(phi, w, order="C")
+    else:
+        B = phi[rows]
+        B *= w
     return B @ B.T
 
 
@@ -115,21 +121,22 @@ def heat_grid(kern: HeatKernel, ts) -> tuple[list[dict], bool]:
     g = d.graph
     closed = d.mode == "closed"
     phi, lam, vm = d.eigenfunctions, d.eigenvalues, g.vmeasure
+    idx = None
     if not closed:  # the rows laplacian_matrix solved for: the interior
         idx = g.interior_indices()
-        phi, vm = phi[idx], vm[idx]
+        vm = vm[idx]
     zeros = len(vm) < g.n  # the boundary rows and columns of K are exact zeros
     sv = np.sqrt(vm)[:, None]
     rows, passed = [], True
     for t in map(float, ts):
-        K = _kernel_block(phi, lam, t)
+        K = _kernel_block(phi, lam, t, idx)
         mass = K @ vm
         lo, hi = float(K.min()), float(K.max())
         scale = max(hi, -lo)
         low_diag, high_mass = float(np.diagonal(K).min()), float(mass.max())
         if zeros:  # min and max keep their first argument when it is NaN
             lo, low_diag, high_mass = min(lo, 0.0), min(low_diag, 0.0), max(high_mass, 0.0)
-        C = _kernel_block(phi, lam, t / 2.0)
+        C = _kernel_block(phi, lam, t / 2.0, idx)
         C *= sv  # C = V^{1/2} K(t/2), so C^T C = K(t/2) V K(t/2)
         semi = C.T @ C
         del C

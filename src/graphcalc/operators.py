@@ -5,12 +5,19 @@ The Laplacian acts on vertex values by
     (Lap f)(v) = V(v)^-1 sum_{e ~ {u,v}} a_e (f(v) - f(u)) / l_e
 
 (self-loops drop out), which is V-symmetric and nonnegative.  Eigensolves go
-through the similarity-symmetrized matrix S = V^{1/2} M V^{-1/2}, dense:
+through the similarity-symmetrized matrix S = V^{1/2} M V^{-1/2}:
 ``eigenvalues`` solves for eigenvalues only, ``spectral_decomposition`` also
 for eigenfunctions, with a deterministic sign convention so reports are
 reproducible.  Both keep their read-only results in the graph's memo
 (``WeightedGraph.memo``), so each graph and mode is solved at most once per
 routine.
+
+Above SPARSE_ROWS solved rows, ``eigenvalues(g, mode, k)`` finds the k lowest
+eigenvalues of a sparse S by shift-invert Lanczos and certifies them with an
+LDL^T inertia count, and the full decomposition overwrites S in place.  Both
+need scipy, which is imported only then: below the threshold the dense numpy
+solves are faster, and the import (about 26 MB and a quarter second) would
+dominate.
 """
 
 from __future__ import annotations
@@ -37,6 +44,13 @@ __all__ = [
 ]
 
 MAX_DENSE = 2000
+# Above this many solved rows the k lowest eigenvalues are found sparse (with
+# one BLAS thread, the sparse solve overtakes the dense one between 250 and
+# 300 rows) and the dense decomposition runs in place.
+SPARSE_ROWS = 300
+# Rows and columns are scaled and symmetrized in blocks of at least this many
+# rows, and of at most 1/32 of them, so S is the only n^2 array alive.
+_MIN_BLOCK = 16
 
 
 @dataclass
@@ -88,6 +102,28 @@ def divergence(g: WeightedGraph, X: EdgeField) -> VertexFunction:
     return VertexFunction(g, -nf.values)
 
 
+def _solved_rows(g: WeightedGraph, mode: str) -> np.ndarray:
+    """The vertex indices a mode solves for: all in closed mode, the interior
+    in Dirichlet mode (the boundary condition)."""
+    if mode == "closed":
+        return np.arange(g.n)
+    if mode == "dirichlet":
+        idx = g.interior_indices()
+        if len(idx) == 0:
+            raise GraphError("dirichlet mode needs a nonempty interior")
+        return idx
+    raise GraphError(f"unknown mode {mode!r}")
+
+
+def _edge_rows(g: WeightedGraph, idx: np.ndarray):
+    """(i, j, w): per non-loop edge, the rows of its endpoints (-1 off idx)
+    and its conductance a_e / l_e, in stored edge order."""
+    pos = -np.ones(g.n, dtype=int)
+    pos[idx] = np.arange(len(idx))
+    keep = ~g.loop_mask
+    return pos[g.eu[keep]], pos[g.ev[keep]], g.ea[keep] / g.elen[keep]
+
+
 def laplacian_matrix(g: WeightedGraph, mode: str = "closed") -> tuple[np.ndarray, np.ndarray]:
     """(M, idx): the Laplacian matrix over the selected vertices.
 
@@ -95,19 +131,8 @@ def laplacian_matrix(g: WeightedGraph, mode: str = "closed") -> tuple[np.ndarray
     to the interior (the boundary condition).  idx maps matrix rows back to
     vertex indices.
     """
-    if mode == "closed":
-        idx = np.arange(g.n)
-    elif mode == "dirichlet":
-        idx = g.interior_indices()
-        if len(idx) == 0:
-            raise GraphError("dirichlet mode needs a nonempty interior")
-    else:
-        raise GraphError(f"unknown mode {mode!r}")
-    pos = -np.ones(g.n, dtype=int)
-    pos[idx] = np.arange(len(idx))
-    keep = ~g.loop_mask
-    i, j = pos[g.eu[keep]], pos[g.ev[keep]]
-    w = g.ea[keep] / g.elen[keep]
+    idx = _solved_rows(g, mode)
+    i, j, w = _edge_rows(g, idx)
     nr = len(idx)
     W = np.zeros(nr * nr)  # row-major, so entry (r, c) sits at r * nr + c
     # np.add.at sums in index order, and the index lists below run edge by
@@ -120,8 +145,8 @@ def laplacian_matrix(g: WeightedGraph, mode: str = "closed") -> tuple[np.ndarray
     i, j = i[both], j[both]
     np.add.at(W, np.column_stack([i * nr + j, j * nr + i]).ravel(), -np.repeat(w[both], 2))
     W = W.reshape(nr, nr)
-    M = W / g.vmeasure[idx][:, None]
-    return M, idx
+    W /= g.vmeasure[idx][:, None]
+    return W, idx
 
 
 def laplacian_apply(g: WeightedGraph, f: VertexFunction) -> VertexFunction:
@@ -162,14 +187,32 @@ def _symmetrized(g: WeightedGraph, mode: str) -> tuple[np.ndarray, np.ndarray, n
     if g.n > MAX_DENSE:
         raise GraphError(f"dense eigensolve capped at {MAX_DENSE} vertices")
     with np.errstate(over="ignore", invalid="ignore"):
-        M, idx = laplacian_matrix(g, mode)
+        S, idx = laplacian_matrix(g, mode)
         s = np.sqrt(g.vmeasure[idx])
-        S = M * (s[:, None] / s[None, :])
-        S = (S + S.T) / 2.0
-    if not np.isfinite(S).all():
+        n = len(idx)
+        step = max(_MIN_BLOCK, n // 32)
+        finite = True
+        # in place, one block of rows at a time from the last: the same values
+        # as S = M (s_r / s_c) followed by S = (S + S^T) / 2.  A block's rows
+        # are scaled, then its part of the upper triangle is averaged with its
+        # mirror, whose rows are scaled already and which no block has touched.
+        for lo in reversed(range(0, n, step)):
+            hi = lo + step
+            S[lo:hi] *= s[lo:hi, None] / s[None, :]
+            T = S[lo:hi, lo:] + S[lo:, lo:hi].T
+            T /= 2.0
+            S[lo:hi, lo:] = T
+            S[lo:, lo:hi] = T.T
+            finite = finite and bool(np.isfinite(T).all())
+            del T
+    _check_finite(finite)
+    return S, idx, s
+
+
+def _check_finite(finite: bool) -> None:
+    if not finite:
         raise GraphError("Laplacian overflows: a vertex's sum of a_e/l_e over its "
                          "measure, or twice it, is not finite")
-    return S, idx, s
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -182,29 +225,139 @@ def _eigenvalue_array(evals: np.ndarray, mode: str) -> np.ndarray:
     return _frozen(np.maximum(evals, 0.0) if mode == "closed" else evals)
 
 
-def eigenvalues(g: WeightedGraph, mode: str = "closed") -> np.ndarray:
-    """Ascending Laplacian eigenvalues, without eigenvectors (read-only array).
+def eigenvalues(g: WeightedGraph, mode: str = "closed", k: int | None = None) -> np.ndarray:
+    """Ascending Laplacian eigenvalues, without eigenvectors (read-only array):
+    all of them, or the k lowest (fewer when there are fewer rows).
 
-    One eigvalsh, kept in the graph's memo; when the full decomposition was
-    solved first, its eigenvalues are served instead.  Both come from the
-    same S, but the two LAPACK routines may differ in the last bits.
+    The whole spectrum is one dense eigvalsh, kept in the graph's memo; when
+    the full decomposition was solved first, its eigenvalues are served
+    instead.  Both come from the same S, but the two LAPACK routines may
+    differ in the last bits.  The k lowest are a prefix of that array when
+    it is kept already, or when there are at most SPARSE_ROWS solved rows or
+    k + 1 reaches their count.  Otherwise they come from ``_sparse_lowest``
+    and are kept under their own key; they agree with the dense values to
+    rounding, not bit for bit.  If its certificate fails, the dense solve
+    answers, and refuses a graph above MAX_DENSE vertices.
     """
-    return g.memo(("eigenvalues", mode), lambda: _eigenvalue_array(
+    full = ("eigenvalues", mode)
+    if k is not None and g.memoized(full) is None:
+        rows = len(_solved_rows(g, mode))
+        if SPARSE_ROWS < rows and 0 < k < rows - 1:
+            return g.memo(full + (k,), lambda: _lowest(g, mode, k))
+    lams = g.memo(full, lambda: _eigenvalue_array(
         np.linalg.eigvalsh(_symmetrized(g, mode)[0]), mode))
+    return lams if k is None else lams[:k]
+
+
+def _lowest(g: WeightedGraph, mode: str, k: int) -> np.ndarray:
+    lams = _sparse_lowest(g, mode, k)
+    if lams is not None:
+        return _eigenvalue_array(lams, mode)
+    if g.n > MAX_DENSE:
+        raise GraphError(f"the sparse eigensolve failed its inertia check, and the dense "
+                         f"one is capped at {MAX_DENSE} vertices")
+    return eigenvalues(g, mode)[:k]
+
+
+def _sparse_symmetrized(g: WeightedGraph, mode: str):
+    """(S, L): S as a scipy CSC matrix, built from the edge arrays, with
+    L(v) on the diagonal and -(a_e/l_e)/(s_u s_v) off it (parallel edges
+    summed), s = V^{1/2}.  It is symmetric by construction and never
+    densified."""
+    from scipy.sparse import csc_matrix
+
+    idx = _solved_rows(g, mode)
+    i, j, w = _edge_rows(g, idx)
+    nr = len(idx)
+    vm = g.vmeasure[idx]
+    s = np.sqrt(vm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = np.bincount(i[i >= 0], w[i >= 0], nr) + np.bincount(j[j >= 0], w[j >= 0], nr)
+        diag /= vm
+        both = (i >= 0) & (j >= 0)
+        i, j = i[both], j[both]
+        off = -w[both] / (s[i] * s[j])
+        S = csc_matrix((np.concatenate([diag, off, off]),
+                        (np.concatenate([np.arange(nr), i, j]),
+                         np.concatenate([np.arange(nr), j, i]))), shape=(nr, nr))
+        _check_finite(np.isfinite(S.data).all() and np.isfinite(2.0 * diag).all())
+    return S, diag
+
+
+def _sparse_lowest(g: WeightedGraph, mode: str, k: int) -> np.ndarray | None:
+    """The k lowest eigenvalues, certified, or None when the certificate fails.
+
+    Shift-invert Lanczos (ARPACK's eigsh, Ericsson & Ruhe 1980) finds the
+    k + 1 lowest eigenvalues of the sparse S around a shift sigma0 < 0, from
+    one sparse LU of S - sigma0 I that keeps the diagonal pivots of a
+    symmetric ordering.  The certificate is Sylvester's law of inertia: with
+    sigma halfway between the computed lambda_{k-1} and lambda_k, the same
+    factorization of S - sigma I is P (S - sigma I) P^T = L D L^T when the row
+    and column permutations agree, and then exactly as many eigenvalues lie
+    below sigma as D has negative entries.  The answer stands when that
+    count is k and lambda_k exceeds lambda_{k-1} by more than 1e-12 of the
+    spectral bound 2 max L, so that rounding cannot move sigma across an
+    eigenvalue: a repeated eigenvalue at lambda_k fails.  A factorization
+    that hits a zero pivot, or a Lanczos run that does not converge, fails
+    too.
+    """
+    from scipy.sparse import identity
+    from scipy.sparse.linalg import LinearOperator, eigsh, splu
+
+    S, diag = _sparse_symmetrized(g, mode)
+    n = S.shape[0]
+    scale = 2.0 * float(diag.max())  # every eigenvalue lies in [0, 2 max L]
+
+    def factor(sigma):
+        return splu(S - sigma * identity(n, format="csc"), permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0, options={"SymmetricMode": True})
+
+    # below 0, so that S - sigma0 I is definite although 0 is an eigenvalue
+    # in closed mode, and close to 0 on the scale of L
+    sigma0 = -1e-3 * float(diag.mean())
+    # a fixed start, so that repeated solves agree bit for bit, and a
+    # positive one, so that it is not orthogonal to a positive eigenvector
+    v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
+    try:
+        lu = factor(sigma0)
+        op = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+        lams = np.sort(eigsh(S, k + 1, sigma=sigma0, OPinv=op, tol=0, v0=v0,
+                             return_eigenvectors=False))
+        if not lams[k] - lams[k - 1] > 1e-12 * scale:
+            return None
+        lu = factor((lams[k - 1] + lams[k]) / 2.0)
+    except RuntimeError:  # a zero pivot, or ARPACK did not converge
+        return None
+    if not (np.array_equal(lu.perm_r, lu.perm_c)
+            and np.count_nonzero(lu.U.diagonal() < 0) == k):
+        return None
+    return lams[:k]
 
 
 def _decompose(g: WeightedGraph, mode: str) -> SpectralDecomposition:
     S, idx, s = _symmetrized(g, mode)
-    evals, Y = np.linalg.eigh(S)
-    # map back: phi = V^{-1/2} y is V-orthonormal when y is orthonormal
-    phi = Y / s[:, None]
+    if len(idx) > SPARSE_ROWS:
+        from scipy.linalg import eigh
+
+        # LAPACK's syevd, as in numpy's eigh, but overwriting S (whose
+        # transpose is the same matrix in Fortran order) with the
+        # eigenvectors instead of working on a copy
+        evals, phi = eigh(S.T, overwrite_a=True, check_finite=False, driver="evd")
+    else:
+        evals, phi = np.linalg.eigh(S)
+    del S
+    # map back in place: phi = V^{-1/2} y is V-orthonormal when y is orthonormal
+    phi /= s[:, None]
     # deterministic sign: first coordinate exceeding a relative threshold positive
-    thr = 1e-12 * np.abs(phi).max(axis=0)
-    first = np.argmax(np.abs(phi) > thr, axis=0)
-    flip = phi[first, np.arange(phi.shape[1])] < 0
-    phi[:, flip] = -phi[:, flip]
-    full = np.zeros((g.n, phi.shape[1]))
-    full[idx, :] = phi
+    a = np.abs(phi)
+    first = np.argmax(a > 1e-12 * a.max(axis=0), axis=0)
+    del a
+    phi *= np.where(phi[first, np.arange(phi.shape[1])] < 0, -1.0, 1.0)
+    if mode == "closed":
+        full = phi
+    else:
+        full = np.zeros((g.n, phi.shape[1]))
+        full[idx, :] = phi
     evals = _eigenvalue_array(evals, mode)
     g.memo(("eigenvalues", mode), lambda: evals)  # unless eigenvalues solved first
     return SpectralDecomposition(g, mode, evals, _frozen(full))

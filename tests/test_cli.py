@@ -1,10 +1,16 @@
 import contextlib
 import io
 import json
+import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import graphcalc
 from graphcalc.cli import main
 
 
@@ -130,6 +136,40 @@ def test_spectrum_k_is_prefix_and_bounds_lambda_matches(tmp_path, capsys):
     code, out = _run(capsys, "bounds", str(target))
     assert code == 0
     assert json.loads(out)["lambda"] == full["eigenvalues"][1]
+
+
+def test_spectrum_k_is_sparse_past_the_dense_cap(tmp_path, capsys):
+    # 2,500 vertices: past MAX_DENSE, so only the certified sparse solve answers
+    target = str(tmp_path / "p2500.json")
+    assert main(["gen", "path", "2500", "-o", target]) == 0
+    capsys.readouterr()
+    code, out = _run(capsys, "spectrum", target, "-k", "2")
+    assert code == 0
+    lams = json.loads(out)["eigenvalues"]
+    exact = [2.0 - 2.0 * math.cos(j * math.pi / 2500) for j in (0, 1)]
+    assert lams == pytest.approx(exact, rel=0, abs=4e-12)  # 1e-12 lambda_max
+    assert _run(capsys, "spectrum", target, "-k", "2") == (0, out)  # byte-stable
+    _assert_usage_error(*_run_err(capsys, "spectrum", target))
+
+
+def test_small_commands_import_no_scipy_solvers(tmp_path):
+    # below SPARSE_ROWS every solve is numpy's, so no scipy import costs time or memory
+    target = str(tmp_path / "r12.json")
+    assert main(["gen", "random", "12", "--seed", "3", "-o", target]) == 0
+    code = textwrap.dedent(f"""
+        import contextlib, io, sys
+        import graphcalc.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert graphcalc.cli.main(["spectrum", {target!r}, "-k", "2"]) == 0
+            assert graphcalc.cli.main(["heat", {target!r}]) in (0, 1)
+        print(sorted(m for m in sys.modules if m.startswith(("scipy.linalg", "scipy.sparse"))))
+    """)
+    src = os.path.dirname(os.path.dirname(graphcalc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_iso_command(tmp_path, capsys):

@@ -20,8 +20,10 @@ from graphcalc import (
     spectral_decomposition,
     with_boundary,
 )
+from graphcalc import heat_grid, heat_kernel, operators
 from graphcalc.generators import cycle, path, random_graph
-from graphcalc.operators import MAX_DENSE
+from graphcalc.operators import (MAX_DENSE, SPARSE_ROWS, _decompose, _sparse_lowest,
+                                 _symmetrized)
 
 
 def _multigraph(n, rng, dirichlet=False):
@@ -240,3 +242,113 @@ def test_overflowing_laplacian_is_refused():
     # within the bound the spectrum is finite: lambda_max = 2 L = 2e307
     lams = eigenvalues(WeightedGraph([1, 2], [1, 1], [Edge(1, 2, a=1e307)]))
     assert lams[-1] == pytest.approx(2e307, rel=1e-12)
+    # the sparse solve above SPARSE_ROWS refuses the same sums
+    g = path(400)
+    g = WeightedGraph(g.vertices, g.vmeasure, list(g.edges) + [Edge(1, 2, a=1e308)] * 2)
+    for mode in ("closed", "dirichlet"):
+        h = with_boundary(g, [400]) if mode == "dirichlet" else g
+        with pytest.raises(GraphError, match="overflow"):
+            eigenvalues(h, mode, 2)
+
+
+def _large(rng, mode):
+    """A weighted multigraph of 440 vertices (a loop, a parallel edge) whose
+    solved rows exceed SPARSE_ROWS; in Dirichlet mode a tenth is boundary."""
+    g = _multigraph(440, rng)
+    if mode == "dirichlet":
+        g = with_boundary(g, [g.vertices[i] for i in rng.choice(g.n, g.n // 10, replace=False)])
+    return g
+
+
+@pytest.mark.parametrize("mode", ["closed", "dirichlet"])
+def test_sparse_lowest_eigenvalues_match_dense(mode):
+    g = _large(np.random.default_rng(41), mode)
+    dense = np.linalg.eigvalsh(_symmetrized(g, mode)[0])
+    assert len(dense) > SPARSE_ROWS
+    for k in (1, 2, 5):
+        lams = _sparse_lowest(g, mode, k)
+        assert lams is not None  # certified: no fallback
+        got = eigenvalues(g, mode, k)
+        assert got.shape == (k,)
+        assert np.max(np.abs(got - dense[:k])) <= 1e-12 * dense[-1]
+        assert np.array_equal(got, np.maximum(lams, 0.0) if mode == "closed" else lams)
+        with pytest.raises(ValueError):
+            got[0] = 1.0
+    assert g.memoized(("eigenvalues", mode)) is None  # no dense solve ran
+
+
+def test_sparse_lowest_falls_back_on_a_repeated_eigenvalue():
+    # on a cycle lambda_1 = lambda_2, so no shift separates lambda_1 from lambda_2
+    g = cycle(400)
+    assert _sparse_lowest(g, "closed", 2) is None
+    assert np.array_equal(eigenvalues(g, "closed", 2), eigenvalues(cycle(400))[:2])
+    assert g.memoized(("eigenvalues", "closed")) is not None  # the dense fallback ran
+    # two disjoint cycles: 0 is a double eigenvalue, their lambda_1's are not
+    edges = ([Edge(i, (i + 1) % 200) for i in range(200)]
+             + [Edge(200 + i, 200 + (i + 1) % 230) for i in range(230)])
+    two = WeightedGraph(list(range(430)), [1.0] * 430, edges)
+    dense = np.linalg.eigvalsh(_symmetrized(two, "closed")[0])
+    assert _sparse_lowest(two, "closed", 1) is None
+    assert _sparse_lowest(two, "closed", 2) is not None
+    for k in (1, 2):
+        got = eigenvalues(two, "closed", k)
+        assert np.max(np.abs(got - dense[:k])) <= 1e-12 * dense[-1]
+
+
+def test_eigenvalues_k_reads_the_dense_solve_where_it_applies(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sparse solve called")
+
+    monkeypatch.setattr(operators, "_sparse_lowest", refuse)
+    # k + 1 reaches the row count
+    g = path(302)
+    for k in (301, 302, 500):
+        assert np.array_equal(eigenvalues(g, "closed", k), eigenvalues(path(302))[:k])
+    # at most SPARSE_ROWS rows
+    g = path(SPARSE_ROWS)
+    assert np.array_equal(eigenvalues(g, "closed", 2), eigenvalues(path(SPARSE_ROWS))[:2])
+    # the full spectrum is kept already
+    g = path(400)
+    full = eigenvalues(g)
+    assert np.array_equal(eigenvalues(g, "closed", 2), full[:2])
+
+
+def test_a_wrong_sparse_eigenvalue_fails_the_certificate(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    true_eigsh = spla.eigsh
+
+    def skip_lambda_1(A, k, **kw):  # lambda_0, lambda_2, ..., lambda_k
+        return np.delete(np.sort(true_eigsh(A, k + 1, **kw)), 1)
+
+    monkeypatch.setattr(spla, "eigsh", skip_lambda_1)
+    for mode in ("closed", "dirichlet"):
+        g = _large(np.random.default_rng(43), mode)
+        assert _sparse_lowest(g, mode, 2) is None
+        dense = np.linalg.eigvalsh(_symmetrized(g, mode)[0])
+        assert np.array_equal(eigenvalues(g, mode, 2), eigenvalues(g, mode)[:2])
+        assert np.max(np.abs(eigenvalues(g, mode, 2) - dense[:2])) <= 1e-12 * dense[-1]
+
+
+def test_dense_stages_keep_few_n_squared_arrays():
+    import tracemalloc
+
+    g = _large(np.random.default_rng(47), "dirichlet")
+    rows = len(g.interior_indices())
+    assert rows > SPARSE_ROWS  # the in-place decomposition
+    n2 = rows * rows * 8.0  # bytes of one rows-by-rows array
+
+    def peak(run):
+        run()  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1] / n2
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: _symmetrized(g, "dirichlet")) <= 1.2
+    assert peak(lambda: _decompose(g, "dirichlet")) <= 3.2
+    kern = heat_kernel(g, "dirichlet")
+    # beyond the eigenfunctions, which the decomposition holds already
+    assert peak(lambda: heat_grid(kern, [0.25, 1.0, 4.0, 16.0])) <= 3.2
