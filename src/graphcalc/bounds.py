@@ -25,8 +25,8 @@ from .graph import GraphError, WeightedGraph, with_boundary
 from .functions import VertexFunction, lp_norm_vertex, grad_lp_norm
 from .operators import EdgeField, default_mode, eigenvalues, spectral_decomposition
 from .graph import half_degrees
-from .isoperimetry import (_integer_measures, _least_ratio, default_variant, iso_constant,
-                           magnification)
+from .isoperimetry import _integer_measures, _least_ratio, default_variant, magnification
+from .sobolev import _finite_constant
 
 __all__ = [
     "BoundValue",
@@ -82,25 +82,25 @@ def true_lambda(g: WeightedGraph, mode: str) -> float:
 
 
 def _iso_infty(g: WeightedGraph, **kw) -> float:
-    return iso_constant(g, math.inf, default_variant(g), **kw).value
+    return _finite_constant(g, math.inf, default_variant(g), **kw)
 
 
-def dodziuk_bound(g: WeightedGraph, i_infty: float | None = None, **kw) -> BoundValue:
+def dodziuk_bound(g: WeightedGraph, **kw) -> BoundValue:
     """lambda >= I_inf^2 / (4 rho_sup)  (I~ on closed graphs)."""
-    I = _iso_infty(g, **kw) if i_infty is None else i_infty
+    I = _iso_infty(g, **kw)
     rho = half_degrees(g).rho_sup
     value = I * I / (4.0 * rho) if I else 0.0  # without edges both I and rho are 0
     return BoundValue("dodziuk", value, True, {"I_inf": I, "rho_sup": rho})
 
 
-def mohar_bound(g: WeightedGraph, i_infty: float | None = None, **kw) -> BoundValue:
+def mohar_bound(g: WeightedGraph, **kw) -> BoundValue:
     """lambda >= 2 rho_sup - sqrt(4 rho_sup^2 - I_inf^2); unit lengths only.
 
     Always at least the Dodziuk value: 2r - sqrt(4r^2 - I^2) =
     I^2 / (2r + sqrt(4r^2 - I^2)) >= I^2/(4r).
     """
     unit = bool(np.all(g.elen == 1.0))
-    I = _iso_infty(g, **kw) if i_infty is None else i_infty
+    I = _iso_infty(g, **kw)
     rho = half_degrees(g).rho_sup
     inputs = {"I_inf": I, "rho_sup": rho}
     if not unit:
@@ -120,6 +120,8 @@ def alon_bound(g: WeightedGraph, c: float | None = None, **kw) -> BoundValue:
         return BoundValue("alon", 0.0, False, {"reason": "non-traditional measures"})
     if c is None:
         c, _ = magnification(g, **kw)
+    if math.isinf(c):  # no admissible set
+        raise GraphError("the magnification is infinite: the bound is undefined")
     inputs = {"c": c, "sup_len": float(np.max(g.elen, initial=1.0))}
     if c <= 0:
         return BoundValue("alon", 0.0, True, inputs)
@@ -139,6 +141,8 @@ def bobkov_bound(g: WeightedGraph, c: float | None = None, **kw) -> BoundValue:
         )
     if c is None:
         c, _ = magnification(g, **kw)
+    if math.isinf(c):  # no admissible set
+        raise GraphError("the magnification is infinite: the bound is undefined")
     if c <= 0:
         return BoundValue("bobkov", 0.0, True, {"c": c})
     val = c * c * (2.0 + c) / (6.0 + 6.0 * c + 2.0 * c * c)

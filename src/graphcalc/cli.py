@@ -98,7 +98,7 @@ def _load_graph(path: str) -> tuple[WeightedGraph, str]:
     digest = hashlib.sha256(raw).hexdigest()
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise GraphError(f"{path} is not valid JSON: {exc}") from exc
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
         g = WeightedGraph.from_dict(data)

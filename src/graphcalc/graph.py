@@ -207,7 +207,7 @@ class WeightedGraph:
                 )
         except KeyError as exc:
             raise GraphError(f"malformed graph document: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise GraphError(f"malformed graph document: {exc}") from exc
         if not vertices:
             raise GraphError("malformed graph document: no vertices")

@@ -5,7 +5,8 @@ The Laplacian acts on vertex values by
     (Lap f)(v) = V(v)^-1 sum_{e ~ {u,v}} a_e (f(v) - f(u)) / l_e
 
 (self-loops drop out), which is V-symmetric and nonnegative.  Eigensolves go
-through the similarity-symmetrized matrix S = V^{1/2} M V^{-1/2}:
+through the similarity-symmetrized matrix S = V^{1/2} M V^{-1/2}, symmetric
+up to rounding, of which every dense solve reads the lower triangle only:
 ``eigenvalues`` solves for eigenvalues only, ``spectral_decomposition`` also
 for eigenfunctions, with a deterministic sign convention so reports are
 reproducible.  Both keep their read-only results in the graph's memo
@@ -48,9 +49,6 @@ MAX_DENSE = 2000
 # one BLAS thread, the sparse solve overtakes the dense one between 250 and
 # 300 rows) and the dense decomposition runs in place.
 SPARSE_ROWS = 300
-# Rows and columns are scaled and symmetrized in blocks of at least this many
-# rows, and of at most 1/32 of them, so S is the only n^2 array alive.
-_MIN_BLOCK = 16
 
 
 @dataclass
@@ -177,40 +175,26 @@ class SpectralDecomposition:
 
 
 def _symmetrized(g: WeightedGraph, mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S, idx, s): S = V^{1/2} M V^{-1/2} made exactly symmetric, s = V^{1/2} on idx.
+    """(S, idx, s): S = V^{1/2} M V^{-1/2}, scaled in place, s = V^{1/2} on idx.
 
-    Every weight may be finite while a sum overflows, so S must be finite
-    or the solve returns inf or NaN.  S + S.T doubles each diagonal entry
-    L(v) before halving it, and the spectrum lies in [0, 2 max L], so a
-    finite S also keeps the eigenvalues finite.
+    S is symmetric up to rounding, and every solve reads its lower triangle
+    only.  Every weight may be finite while a sum overflows, so S must be
+    finite and, since the spectrum lies in [0, 2 max L], so must twice its
+    diagonal L(v), or the solve returns inf or NaN.
     """
     if g.n > MAX_DENSE:
         raise GraphError(f"dense eigensolve capped at {MAX_DENSE} vertices")
     with np.errstate(over="ignore", invalid="ignore"):
         S, idx = laplacian_matrix(g, mode)
         s = np.sqrt(g.vmeasure[idx])
-        n = len(idx)
-        step = max(_MIN_BLOCK, n // 32)
-        finite = True
-        # in place, one block of rows at a time from the last: the same values
-        # as S = M (s_r / s_c) followed by S = (S + S^T) / 2.  A block's rows
-        # are scaled, then its part of the upper triangle is averaged with its
-        # mirror, whose rows are scaled already and which no block has touched.
-        for lo in reversed(range(0, n, step)):
-            hi = lo + step
-            S[lo:hi] *= s[lo:hi, None] / s[None, :]
-            T = S[lo:hi, lo:] + S[lo:, lo:hi].T
-            T /= 2.0
-            S[lo:hi, lo:] = T
-            S[lo:, lo:hi] = T.T
-            finite = finite and bool(np.isfinite(T).all())
-            del T
-    _check_finite(finite)
+        S *= s[:, None]
+        S /= s
+        _check_finite(S, S.diagonal())
     return S, idx, s
 
 
-def _check_finite(finite: bool) -> None:
-    if not finite:
+def _check_finite(S: np.ndarray, diag: np.ndarray) -> None:
+    if not (np.isfinite(S).all() and np.isfinite(2.0 * diag).all()):
         raise GraphError("Laplacian overflows: a vertex's sum of a_e/l_e over its "
                          "measure, or twice it, is not finite")
 
@@ -280,7 +264,7 @@ def _sparse_symmetrized(g: WeightedGraph, mode: str):
         S = csc_matrix((np.concatenate([diag, off, off]),
                         (np.concatenate([np.arange(nr), i, j]),
                          np.concatenate([np.arange(nr), j, i]))), shape=(nr, nr))
-        _check_finite(np.isfinite(S.data).all() and np.isfinite(2.0 * diag).all())
+        _check_finite(S.data, diag)
     return S, diag
 
 
@@ -335,14 +319,16 @@ def _sparse_lowest(g: WeightedGraph, mode: str, k: int) -> np.ndarray | None:
 
 
 def _decompose(g: WeightedGraph, mode: str) -> SpectralDecomposition:
+    """Eigenvalues and V-orthonormal eigenfunctions from the lower triangle of
+    S, as numpy's solves read it.  Above SPARSE_ROWS solved rows scipy's eigh
+    runs LAPACK's syevd, as numpy's eigh does, but overwrites S with the
+    eigenvectors instead of working on a copy: S.T is the same matrix in
+    Fortran order, and its upper triangle is the lower triangle of S."""
     S, idx, s = _symmetrized(g, mode)
     if len(idx) > SPARSE_ROWS:
         from scipy.linalg import eigh
 
-        # LAPACK's syevd, as in numpy's eigh, but overwriting S (whose
-        # transpose is the same matrix in Fortran order) with the
-        # eigenvectors instead of working on a copy
-        evals, phi = eigh(S.T, overwrite_a=True, check_finite=False, driver="evd")
+        evals, phi = eigh(S.T, lower=False, overwrite_a=True, check_finite=False, driver="evd")
     else:
         evals, phi = np.linalg.eigh(S)
     del S

@@ -63,9 +63,21 @@ class InequalityCheck:
         return self.failures == 0
 
 
-def _iso_for(g: WeightedGraph, nu: float, **kw) -> tuple[float, bool]:
-    """(constant, closed flag): I_nu with Dirichlet data, or I~_nu when closed."""
-    return iso_constant(g, nu, default_variant(g), **kw).value, g.is_closed
+def _finite_constant(g: WeightedGraph, nu: float, variant: str, **kw) -> float:
+    """I_nu of the variant, refused when infinite: no set is admissible."""
+    I = iso_constant(g, nu, variant, **kw).value
+    if math.isinf(I):
+        raise GraphError(f"the {variant} isoperimetric constant is infinite: no set is admissible")
+    return I
+
+
+def _iso_for(g: WeightedGraph, nu: float, **kw) -> tuple[float, bool, float]:
+    """(constant, closed flag, rho_sup): I_nu with Dirichlet data, or I~_nu when
+    closed.  Most checks raise rho_sup to negative powers, so 0 is refused."""
+    rho = half_degrees(g).rho_sup
+    if rho == 0:
+        raise GraphError("rho_sup is 0 (the graph has no edge): the constants are undefined")
+    return _finite_constant(g, nu, default_variant(g), **kw), g.is_closed, rho
 
 
 def general_F_check(
@@ -77,9 +89,8 @@ def general_F_check(
     if r < 1:
         raise GraphError("need r >= 1")
     g = f.graph
-    I, closed = _iso_for(g, nu, **iso_kw)
+    I, closed, rho = _iso_for(g, nu, **iso_kw)
     phi = split_shift(f) if closed else f
-    rho = half_degrees(g).rho_sup
     pp = conjugate(p)
     nup = conjugate(nu)
     Fphi = VertexFunction(g, _spow(phi.values, r))
@@ -99,9 +110,8 @@ def sobolev_check(f: VertexFunction, p: float, nu: float, **iso_kw) -> Inequalit
     if not (nu > p >= 1):
         raise GraphError("need nu > p >= 1")
     g = f.graph
-    I, closed = _iso_for(g, nu, **iso_kw)
+    I, closed, rho = _iso_for(g, nu, **iso_kw)
     phi = split_shift(f) if closed else f
-    rho = half_degrees(g).rho_sup
     c = I * rho ** (-(p - 1.0) / p) * (nu - p) / (p * (nu - 1.0))
     q = p * nu / (nu - p)
     lhs = grad_lp_norm(phi, p)
@@ -119,12 +129,11 @@ def nash_check(f: VertexFunction, nu: float, **iso_kw) -> InequalityCheck:
     if nu <= 2:
         raise GraphError("need nu > 2")
     g = f.graph
-    I, closed = _iso_for(g, nu, **iso_kw)
+    I, closed, rho = _iso_for(g, nu, **iso_kw)
     phi = f
     if closed:
         mean = vertex_integral(f) / g.total_measure()
         phi = f.shifted(mean)  # enforce the mean-zero hypothesis
-    rho = half_degrees(g).rho_sup
     lhs = grad_lp_norm(phi, 2)
     n1, n2 = lp_norm_vertex(phi, 1), lp_norm_vertex(phi, 2)
     if np.count_nonzero(n2 == 0):
@@ -150,9 +159,8 @@ def trudinger_check(
     if not 0.0 <= gamma < 1.0:
         raise GraphError("need 0 <= gamma < 1")
     g = f.graph
-    I, closed = _iso_for(g, nu, **iso_kw)
+    I, closed, rho = _iso_for(g, nu, **iso_kw)
     phi = split_shift(f) if closed else f
-    rho = half_degrees(g).rho_sup
     nup = conjugate(nu)
     gnorm = grad_lp_norm(phi, nu)
     if np.count_nonzero(gnorm == 0):
@@ -212,9 +220,8 @@ def sup_embedding_check(f: VertexFunction, p: float, nu: float, **iso_kw) -> Ine
     if not (p > nu >= 1):
         raise GraphError("need p > nu >= 1")
     g = f.graph
-    I, closed = _iso_for(g, nu, **iso_kw)
+    I, closed, rho = _iso_for(g, nu, **iso_kw)
     phi = split_shift(f)
-    rho = half_degrees(g).rho_sup
     pp = conjugate(p)
     c1, c2 = iteration_constant(p, nu)
     cstar = c1 ** (-c2)

@@ -105,13 +105,13 @@ def _suite_ff(g, trials, rng):
     failures = 0
     nus = [1.5, 2.0, 3.0, math.inf]
     if g.boundary:
-        consts = {nu: iso_constant(g, nu, "open", force=True).value for nu in nus}
+        consts = {nu: sb._finite_constant(g, nu, "open", force=True) for nu in nus}
         f = _block(g, _nonzero(_draws(g, trials, rng, dirichlet=True)))
         for nu in nus:
             failures += _below(sobolev_quotient(f, nu), consts[nu])
     else:
-        tilde = {nu: iso_constant(g, nu, "tilde", force=True).value for nu in nus}
-        prime = {nu: iso_constant(g, nu, "tilde_prime", force=True).value for nu in nus}
+        tilde = {nu: sb._finite_constant(g, nu, "tilde", force=True) for nu in nus}
+        prime = {nu: sb._finite_constant(g, nu, "tilde_prime", force=True) for nu in nus}
         f = _block(g, _draws(g, trials, rng))
         fs = split_shift(f)
         grad_f, grad_fs = grad_lp_norm(f, 1), grad_lp_norm(fs, 1)

@@ -231,12 +231,24 @@ def test_heat_rejects_negative_or_nonfinite_t(tmp_path, capsys):
         {"vertices": [{"id": 1, "measure": "nan"}, 2], "edges": []},
         {"vertices": [{"id": 1, "measure": "Infinity"}, 2], "edges": []},
         {"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "a": 1e308, "length": 1e308}]},
+        # integer literals too large for a float
+        {"vertices": [{"id": 1, "measure": 10**400}], "edges": []},
+        {"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "a": 10**400}]},
     ],
 )
 def test_malformed_document_is_usage_error(tmp_path, capsys, doc):
     target = tmp_path / "bad.json"
     target.write_text(json.dumps(doc))
     _assert_usage_error(*_run_err(capsys, "info", str(target)))
+
+
+def test_too_deeply_nested_json_is_usage_error(tmp_path, capsys):
+    # json.loads recurses once per bracket and raised RecursionError
+    target = tmp_path / "deep.json"
+    target.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = _run_err(capsys, "info", str(target))
+    _assert_usage_error(code, out, err)
+    assert "not valid JSON" in err
 
 
 def test_nonfinite_weight_is_usage_error_for_spectrum(tmp_path, capsys):
@@ -316,6 +328,29 @@ def test_overflowing_sums_exit_2_for_every_loading_command(tmp_path, capsys):
         target.write_text(json.dumps(doc))
         for argv in (["info"], ["iso"], ["iso", "--magnification"], ["bounds"]):
             _assert_usage_error(*_run_err(capsys, argv[0], str(target), *argv[1:]))
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
+@pytest.mark.parametrize("doc", [
+    {"vertices": [1], "edges": []},
+    {"vertices": [1], "edges": [{"u": 1, "v": 1}]},
+    {"vertices": [1, 2], "edges": []},
+], ids=["lone-vertex", "lone-vertex-with-loop", "two-isolated-vertices"])
+def test_degenerate_graphs_end_without_a_traceback(tmp_path, capsys, doc):
+    # I~ is infinite on a lone closed vertex and rho_sup is 0 without an
+    # edge: bounds and the Sobolev ladder divided by them or floored infinity
+    from graphcalc.verify import SUITES
+
+    target = tmp_path / "degenerate.json"
+    target.write_text(json.dumps(doc))
+    runs = [["info"], ["spectrum"], ["spectrum", "-k", "1"], ["iso"], ["iso", "--magnification"],
+            ["bounds"], ["bounds", "--mode", "closed"], ["bounds", "--mode", "dirichlet"],
+            ["heat"], ["flow", "--set", "1"]]
+    runs += [["verify", "--suite", suite, "--trials", "5"] for suite in SUITES]
+    for argv in runs:
+        code, _, err = _run_err(capsys, argv[0], str(target), *argv[1:])
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err and err.count("\n") <= 1, argv
 
 
 @pytest.mark.filterwarnings("error")

@@ -330,6 +330,30 @@ def test_a_wrong_sparse_eigenvalue_fails_the_certificate(monkeypatch):
         assert np.max(np.abs(eigenvalues(g, mode, 2) - dense[:2])) <= 1e-12 * dense[-1]
 
 
+@pytest.mark.parametrize("mode", ["closed", "dirichlet"])
+def test_dense_solves_read_the_lower_triangle_only(monkeypatch, mode):
+    # S is symmetric only up to rounding: numpy's eigvalsh and eigh and the
+    # in-place scipy eigh above SPARSE_ROWS must all read the same triangle
+    true_symmetrized = operators._symmetrized
+
+    def lower(*args):
+        S, idx, s = true_symmetrized(*args)
+        return np.tril(S), idx, s
+
+    builders = (lambda: _multigraph(40, np.random.default_rng(53), mode == "dirichlet"),
+                lambda: _large(np.random.default_rng(59), mode))
+    for large, build in enumerate(builders):
+        graphs = [build() for _ in range(4)]  # one per solve, so that none reads a memo
+        assert (len(laplacian_matrix(graphs[0], mode)[1]) > SPARSE_ROWS) == bool(large)
+        want = eigenvalues(graphs[0], mode), spectral_decomposition(graphs[1], mode)
+        with monkeypatch.context() as m:
+            m.setattr(operators, "_symmetrized", lower)
+            got = eigenvalues(graphs[2], mode), spectral_decomposition(graphs[3], mode)
+        scale = want[0][-1]
+        assert np.max(np.abs(got[0] - want[0])) <= 1e-12 * scale
+        assert np.max(np.abs(got[1].eigenvalues - want[1].eigenvalues)) <= 1e-12 * scale
+
+
 def test_dense_stages_keep_few_n_squared_arrays():
     import tracemalloc
 
