@@ -81,26 +81,22 @@ def true_lambda(g: WeightedGraph, mode: str) -> float:
     return float(lams[1])
 
 
-def _iso_infty(g: WeightedGraph, **kw) -> float:
-    return _finite_constant(g, math.inf, default_variant(g), **kw)
-
-
-def dodziuk_bound(g: WeightedGraph, **kw) -> BoundValue:
+def dodziuk_bound(g: WeightedGraph) -> BoundValue:
     """lambda >= I_inf^2 / (4 rho_sup)  (I~ on closed graphs)."""
-    I = _iso_infty(g, **kw)
+    I = _finite_constant(g, math.inf, default_variant(g))
     rho = half_degrees(g).rho_sup
     value = I * I / (4.0 * rho) if I else 0.0  # without edges both I and rho are 0
     return BoundValue("dodziuk", value, True, {"I_inf": I, "rho_sup": rho})
 
 
-def mohar_bound(g: WeightedGraph, **kw) -> BoundValue:
+def mohar_bound(g: WeightedGraph) -> BoundValue:
     """lambda >= 2 rho_sup - sqrt(4 rho_sup^2 - I_inf^2); unit lengths only.
 
     Always at least the Dodziuk value: 2r - sqrt(4r^2 - I^2) =
     I^2 / (2r + sqrt(4r^2 - I^2)) >= I^2/(4r).
     """
     unit = bool(np.all(g.elen == 1.0))
-    I = _iso_infty(g, **kw)
+    I = _finite_constant(g, math.inf, default_variant(g))
     rho = half_degrees(g).rho_sup
     inputs = {"I_inf": I, "rho_sup": rho}
     if not unit:
@@ -113,13 +109,13 @@ def _traditional(g: WeightedGraph) -> bool:
     return bool(np.all(g.vmeasure == 1.0) and np.all(g.ea == 1.0))
 
 
-def alon_bound(g: WeightedGraph, c: float | None = None, **kw) -> BoundValue:
+def alon_bound(g: WeightedGraph, c: float | None = None) -> BoundValue:
     """Magnifier bound: lambda >= max(c^2/(2c^2+4), c^2/(4+2 floor(c)+2 frac(c)^2)),
     divided by sup l_e when lengths are non-unit.  Traditional measures only."""
     if not _traditional(g):
         return BoundValue("alon", 0.0, False, {"reason": "non-traditional measures"})
     if c is None:
-        c, _ = magnification(g, **kw)
+        c, _ = magnification(g)
     if math.isinf(c):  # no admissible set
         raise GraphError("the magnification is infinite: the bound is undefined")
     inputs = {"c": c, "sup_len": float(np.max(g.elen, initial=1.0))}
@@ -130,7 +126,7 @@ def alon_bound(g: WeightedGraph, c: float | None = None, **kw) -> BoundValue:
     return BoundValue("alon", val / inputs["sup_len"], True, inputs)
 
 
-def bobkov_bound(g: WeightedGraph, c: float | None = None, **kw) -> BoundValue:
+def bobkov_bound(g: WeightedGraph, c: float | None = None) -> BoundValue:
     """lambda >= c^2 (2+c) / (6 + 6c + 2c^2) when a_e/l_e = V(u) + V(v)."""
     cond = g.ea / g.elen
     want = g.vmeasure[g.eu] + g.vmeasure[g.ev]
@@ -140,7 +136,7 @@ def bobkov_bound(g: WeightedGraph, c: float | None = None, **kw) -> BoundValue:
             "bobkov", 0.0, False, {"reason": "a_e/l_e != V(u)+V(v)"}
         )
     if c is None:
-        c, _ = magnification(g, **kw)
+        c, _ = magnification(g)
     if math.isinf(c):  # no admissible set
         raise GraphError("the magnification is infinite: the bound is undefined")
     if c <= 0:
@@ -149,16 +145,11 @@ def bobkov_bound(g: WeightedGraph, c: float | None = None, **kw) -> BoundValue:
     return BoundValue("bobkov", val, True, {"c": c})
 
 
-def bound_report(g: WeightedGraph, mode: str | None = None, **kw) -> BoundReport:
-    mode = default_mode(g) if mode is None else mode
-    lam = true_lambda(g, mode)
-    bounds = [
-        dodziuk_bound(g, **kw),
-        mohar_bound(g, **kw),
-        alon_bound(g, **kw),
-        bobkov_bound(g, **kw),
-    ]
-    return BoundReport(mode, lam, bounds)
+def bound_report(g: WeightedGraph) -> BoundReport:
+    """The four bounds against lambda, both in the graph's own mode."""
+    mode = default_mode(g)
+    return BoundReport(mode, true_lambda(g, mode),
+                       [dodziuk_bound(g), mohar_bound(g), alon_bound(g), bobkov_bound(g)])
 
 
 # -- Rayleigh and transport quotients ------------------------------------------
@@ -402,5 +393,5 @@ def nodal_region_reduction(g: WeightedGraph):
     side = pos if mpos <= mneg else neg
     others = [g.vertices[i] for i in range(g.n) if not side[i]]
     sub = with_boundary(g, others)
-    bound = dodziuk_bound(sub, force=True)
+    bound = dodziuk_bound(sub)
     return sub, bound, float(dec.eigenvalues[1])

@@ -167,7 +167,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_iso(args) -> int:
     g, digest = _load_graph(args.graph)
     variant = args.variant or default_variant(g)
-    rep = iso_constant(g, args.nu, variant, force=args.force)
+    rep = iso_constant(g, args.nu, variant)
     report = _head("iso", digest)
     report.update(
         {
@@ -178,7 +178,7 @@ def _cmd_iso(args) -> int:
         }
     )
     if args.magnification:
-        c, wit = magnification(g, force=args.force)
+        c, wit = magnification(g)
         report["magnification"] = c
         report["magnification_witness"] = sorted(map(str, wit)) if wit else None
     _emit(report, None, args.out)
@@ -187,7 +187,7 @@ def _cmd_iso(args) -> int:
 
 def _cmd_bounds(args) -> int:
     g, digest = _load_graph(args.graph)
-    rep = bound_report(g, args.mode)
+    rep = bound_report(g)
     report = _head("bounds", digest)
     report.update({"mode": rep.mode, "lambda": rep.lam, "sound": rep.sound})
     rows = []
@@ -327,12 +327,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--variant", choices=["open", "tilde", "tilde_prime"], default=None
     )
     p.add_argument("--magnification", action="store_true")
-    p.add_argument("--force", action="store_true", help="ignore the size cap")
     p.set_defaults(func=_cmd_iso)
 
     p = sub.add_parser("bounds", help="Cheeger-type eigenvalue bounds")
     common(p)
-    p.add_argument("--mode", choices=["closed", "dirichlet"], default=None)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("heat", help="heat kernel diagnostics over a t-grid")

@@ -251,9 +251,9 @@ def build_graph(
 # -- half degrees ----------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class HalfDegreeStats:
-    rho: np.ndarray
+    rho: np.ndarray  # read-only
     rho_sup: float
     rho_inf: float
     regularity: float | None  # r such that rho == r/2, or None
@@ -262,24 +262,28 @@ class HalfDegreeStats:
         return bool(np.all(np.abs(self.rho - r / 2.0) <= tol * (1.0 + abs(r))))
 
 
-def half_degrees(g: WeightedGraph, tol: float = 1e-12) -> HalfDegreeStats:
-    """rho(v) = V(v)^-1 * sum over incident edges of E(e)/2.
+def half_degrees(g: WeightedGraph) -> HalfDegreeStats:
+    """rho(v) = V(v)^-1 * sum over incident edges of E(e)/2, kept in the
+    graph's memo.
 
     A self-loop counts once (a single incidence contributing E(e)/2), which
     is what makes a reversible chain with holding probabilities exactly
     1-regular.
     """
-    acc = np.zeros(g.n)
-    np.add.at(acc, g.eu, g.emeasure / 2.0)
-    mask = ~g.loop_mask
-    np.add.at(acc, g.ev[mask], g.emeasure[mask] / 2.0)
-    rho = acc / g.vmeasure
-    sup = float(rho.max()) if g.n else 0.0
-    inf = float(rho.min()) if g.n else 0.0
-    reg = None
-    if g.n and sup - inf <= tol * (1.0 + sup):
-        reg = 2.0 * float(rho.mean())
-    return HalfDegreeStats(rho, sup, inf, reg)
+    def build():
+        acc = np.zeros(g.n)
+        np.add.at(acc, g.eu, g.emeasure / 2.0)
+        mask = ~g.loop_mask
+        np.add.at(acc, g.ev[mask], g.emeasure[mask] / 2.0)
+        rho = acc / g.vmeasure
+        rho.setflags(write=False)
+        sup = float(rho.max()) if g.n else 0.0
+        inf = float(rho.min()) if g.n else 0.0
+        reg = None
+        if g.n and sup - inf <= 1e-12 * (1.0 + sup):
+            reg = 2.0 * float(rho.mean())
+        return HalfDegreeStats(rho, sup, inf, reg)
+    return g.memo(("half_degrees",), build)
 
 
 def natural_measure(g: WeightedGraph) -> WeightedGraph:
@@ -383,20 +387,24 @@ def double(g: WeightedGraph) -> DoubledGraph:
 # -- the Laplacian scale function L ------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class LStats:
-    values: np.ndarray  # L(v) = V(v)^-1 sum_{e at v, not a loop} a_e / l_e
+    values: np.ndarray  # L(v) = V(v)^-1 sum_{e at v, not a loop} a_e / l_e; read-only
     sup: float
 
 
 def L_stats(g: WeightedGraph) -> LStats:
-    acc = np.zeros(g.n)
-    mask = ~g.loop_mask
-    w = g.ea[mask] / g.elen[mask]
-    np.add.at(acc, g.eu[mask], w)
-    np.add.at(acc, g.ev[mask], w)
-    vals = acc / g.vmeasure
-    return LStats(vals, float(vals.max(initial=0.0)))
+    """L(v) and its supremum, kept in the graph's memo."""
+    def build():
+        acc = np.zeros(g.n)
+        mask = ~g.loop_mask
+        w = g.ea[mask] / g.elen[mask]
+        np.add.at(acc, g.eu[mask], w)
+        np.add.at(acc, g.ev[mask], w)
+        vals = acc / g.vmeasure
+        vals.setflags(write=False)
+        return LStats(vals, float(vals.max(initial=0.0)))
+    return g.memo(("L_stats",), build)
 
 
 # -- small structural helpers -------------------------------------------------

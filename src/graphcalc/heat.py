@@ -26,7 +26,7 @@ from .graph import GraphError, WeightedGraph, component_labels, half_degrees, wi
 from .functions import VertexFunction, grad_lp_norm
 from .operators import (SpectralDecomposition, default_mode, eigenvalues, laplacian_apply,
                         spectral_decomposition)
-from .isoperimetry import DEFAULT_CAP, _check_cap, _subset_table, _witness, iso_constant
+from .isoperimetry import _subset_table, _witness, iso_constant
 
 __all__ = [
     "HeatKernel",
@@ -228,7 +228,6 @@ def nash_diagonal_bound(
     nu: float,
     mode: str | None = None,
     t_grid: np.ndarray | None = None,
-    **iso_kw,
 ) -> dict:
     """G(x,x,t) <= C2 t^{-nu/2} with C2 = (nu/2)^{nu/2} C1^{-nu}.
 
@@ -241,10 +240,10 @@ def nash_diagonal_bound(
     mode = default_mode(g) if mode is None else mode
     rho = half_degrees(g).rho_sup
     if mode == "dirichlet":
-        I = iso_constant(g, nu, "open", **iso_kw).value
+        I = iso_constant(g, nu, "open").value
         gamma = 1.0
     else:
-        I = iso_constant(g, nu, "tilde", **iso_kw).value
+        I = iso_constant(g, nu, "tilde").value
         gamma = 2.0
     if I <= 0:
         return {"applicable": False, "reason": "iso constant vanishes"}
@@ -266,13 +265,13 @@ def nash_diagonal_bound(
     }
 
 
-def eigenvalue_lower_bounds(g: WeightedGraph, nu: float, **iso_kw) -> dict:
+def eigenvalue_lower_bounds(g: WeightedGraph, nu: float) -> dict:
     """lambda_k >= (k/V(G))^{2/nu} 2^{-4/nu} (I~_nu rho_sup^{-1/2}/2)^2 / e."""
     if nu <= 2:
         raise GraphError("nu > 2 required")
     if not g.is_closed:
         raise GraphError("closed graphs only")
-    I = iso_constant(g, nu, "tilde", **iso_kw).value
+    I = iso_constant(g, nu, "tilde").value
     rho = half_degrees(g).rho_sup
     vol = g.total_measure()
     base = 2.0 ** (-4.0 / nu) * (I / (2.0 * math.sqrt(rho))) ** 2 / math.e
@@ -346,12 +345,11 @@ def power_profile(g: WeightedGraph, nu: float) -> DecayProfile:
     return DecayProfile(lambda x: x ** (1.0 / nu), 1.0 / (32.0 * rho), power=nu)
 
 
-def hypothesis_audit(g: WeightedGraph, phi: Callable[[float], float], force=False) -> dict:
+def hypothesis_audit(g: WeightedGraph, phi: Callable[[float], float]) -> dict:
     """Check A(boundary Omega) >= V(Omega)/phi(V(Omega)) over admissible sets."""
     pool = sum(1 << int(i) for i in g.interior_indices())
     if pool == 0:
         raise GraphError("no interior vertices")
-    _check_cap(pool.bit_count(), DEFAULT_CAP, force)
     table = _subset_table(g, pool)
     mass = table["mass"]
     phis = np.fromiter(map(phi, mass.tolist()), float, len(mass))
@@ -364,12 +362,12 @@ def hypothesis_audit(g: WeightedGraph, phi: Callable[[float], float], force=Fals
 
 
 def general_decay_bound(
-    g: WeightedGraph, profile: DecayProfile, probes: Sequence[tuple], force=False
+    g: WeightedGraph, profile: DecayProfile, probes: Sequence[tuple]
 ) -> dict:
     """K(x,x,t) <= F^{-1}(C t) under the hypothesis A >= V/phi(V)."""
     if not g.boundary:
         raise GraphError("the decay estimate needs a nonempty boundary")
-    audit = hypothesis_audit(g, profile.phi, force=force)
+    audit = hypothesis_audit(g, profile.phi)
     if not audit["ok"]:
         return {"hypothesis": audit, "passed": False}
     ker = heat_kernel(g, "dirichlet")

@@ -7,8 +7,10 @@ quotients, and partial edge segments only add area).
 
 One numpy kernel does every subset scan.  A subset is an int64 mask over the
 pool of free vertices (bit j = j-th free vertex), so a pool holds at most 63
-vertices, also under ``force``; ORs over a mask, and the sums of the
-magnification scans, add per-byte table entries.
+vertices; ORs over a mask, and the sums of the magnification scans, add
+per-byte table entries.  A scan that would visit more than SUBSET_CAP
+subsets raises ``GraphError``: the table build counts its rows as it forms
+them, the magnification scan sums 2**k - 1 over its classes of k vertices.
 
 - ``enumerate_connected_subsets`` builds the (mask, area, mass) table of the
   connected subsets by ESU (Wernicke 2006), all depths at once, so each set
@@ -52,8 +54,7 @@ __all__ = [
     "neighborhood",
 ]
 
-DEFAULT_CAP = 22
-MAGNIFICATION_CAP = 20
+SUBSET_CAP = 2**22 - 1  # subsets one scan may visit: the nonempty subsets of 22 vertices
 POOL_LIMIT = 63  # pool-local subset masks are int64
 CHUNK = 1 << 12  # subsets or table rows per numpy step; 2**16 raised peak RSS by a tenth
 SUM_BLOCK = 8  # terms per ordered reduction; 16 and 64 raised iso-enum peak RSS by 2% and 4%
@@ -109,6 +110,11 @@ def _check_pool(size: int) -> None:
             f"{size} free vertices exceed the {POOL_LIMIT} that int64 subset masks hold")
 
 
+def _check_subsets(count: int) -> None:
+    if count > SUBSET_CAP:
+        raise GraphError(f"the enumeration would visit more than {SUBSET_CAP} subsets")
+
+
 def _ordered_sums(bits: np.ndarray, ju: np.ndarray, jv: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Per column of ``bits``: w[k] over the k with bits[ju[k]] != bits[jv[k]],
     added in ascending k from 0.0.  Each reduction adds the rows of a
@@ -136,6 +142,7 @@ def enumerate_connected_subsets(g: WeightedGraph, allowed_mask: int) -> np.ndarr
     ``area`` adds a_e over the edges with exactly one endpoint in S in edge
     order, and ``mass`` adds V(v) over S in ascending vertex order, both from
     0.0 (``_ordered_sums``), so a whole component has area exactly 0.
+    Rows past SUBSET_CAP raise before the round that would form them.
     """
     pool = [i for i in range(g.n) if (allowed_mask >> i) & 1]
     _check_pool(len(pool))
@@ -157,9 +164,11 @@ def enumerate_connected_subsets(g: WeightedGraph, allowed_mask: int) -> np.ndarr
     near_of = np.zeros(67, np.int64)  # by w % 67: 2 is a primitive root mod 67
     near_of[bit % 67] = near
     state = np.array([bit, np.ones_like(bit), near & ~below, near | below])  # S, |S|, X, T
-    masks, sizes = [bit], [state[1]]
+    masks, sizes, rows = [bit], [state[1]], len(pool)
     while state.shape[1]:
         state = state[:, state[2] != 0]
+        rows += state.shape[1]  # one child per set with a nonempty extension
+        _check_subsets(rows)
         s, size, x, t = state
         w = x & -x
         x ^= w  # the parent keeps the rest of its extension
@@ -215,12 +224,6 @@ def _subset_table(g: WeightedGraph, allowed_mask: int) -> np.ndarray:
     """The (mask, area, mass) table of every connected subset of
     ``allowed_mask``, built once per graph and mask."""
     return g.memo(("subsets", allowed_mask), lambda: enumerate_connected_subsets(g, allowed_mask))
-
-
-def _check_cap(free: int, cap: int, force: bool) -> None:
-    if free > cap and not force:
-        raise GraphError(
-            f"{free} free vertices exceeds the enumeration cap {cap}; pass force=True to proceed")
 
 
 def _is_simple_path(g: WeightedGraph) -> list[int] | None:
@@ -284,17 +287,15 @@ def default_variant(g: WeightedGraph) -> str:
     return "open" if g.boundary else "tilde"
 
 
-def iso_constant(
-    g: WeightedGraph, nu: float, variant: str = "open", force: bool = False
-) -> IsoReport:
+def iso_constant(g: WeightedGraph, nu: float, variant: str = "open") -> IsoReport:
     if variant not in ("open", "tilde", "tilde_prime"):
         raise GraphError(f"unknown variant {variant!r}")
     if not nu >= 1:
         raise GraphError("nu must be in [1, inf]")
-    return g.memo(("iso", nu, variant), lambda: _iso_constant(g, nu, variant, force))
+    return g.memo(("iso", nu, variant), lambda: _iso_constant(g, nu, variant))
 
 
-def _iso_constant(g: WeightedGraph, nu: float, variant: str, force: bool) -> IsoReport:
+def _iso_constant(g: WeightedGraph, nu: float, variant: str) -> IsoReport:
     if variant != "open" and not g.is_closed:
         raise GraphError("tilde variants require a closed graph")
     allowed = sum(1 << i for i in g.interior_indices().tolist())  # every vertex if closed
@@ -302,7 +303,6 @@ def _iso_constant(g: WeightedGraph, nu: float, variant: str, force: bool) -> Iso
         raise GraphError("no interior vertices")
     if variant == "open" and g.n > 64 and _is_simple_path(g) is not None:
         return _iso_open_path(g, nu)
-    _check_cap(allowed.bit_count(), DEFAULT_CAP, force)
     table = _subset_table(g, allowed)
     total = g.total_measure()
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -425,6 +425,7 @@ def _least_ratio(g: WeightedGraph, ids, half: bool):
 
     Only subsets of one class of "Gamma(a) meets Gamma(b)" are scanned: a B
     across classes has the mediant of its parts' ratios, each admissible too.
+    More than SUBSET_CAP such subsets raise ``GraphError`` before the scan.
 
     The scan adds ``_scan_measures`` over CHUNK masks at a time.  A float sum
     of k positive terms errs by at most (k-1)u relatively, in any order (u =
@@ -444,6 +445,7 @@ def _least_ratio(g: WeightedGraph, ids, half: bool):
     idx = [g.index(v) for v in ids]
     measures = _scan_measures(g)
     order, sizes, gamma_t, used, *tables = _neighborhood_tables(g, idx, measures)
+    _check_subsets(sum((1 << k) - 1 for k in sizes))
     band = 2 * (g.n + len(idx)) * 2.0**-52  # 2(n + |ids|) eps
     mid, whole = float(measures.sum()) / 2.0 if half else math.inf, sum(m)
     distinct = dict(zip(g.vmeasure.tolist(), m))  # each distinct measure with its m
@@ -487,7 +489,7 @@ def _least_ratio(g: WeightedGraph, ids, half: bool):
     return mask, least, float(ratio[j])
 
 
-def magnification(g: WeightedGraph, force: bool = False):
+def magnification(g: WeightedGraph):
     """c = min over admissible A of V(Gamma(A))/V(A) - 1, with witness.
 
     A ranges over ALL nonempty subsets of the interior (connectedness cannot
@@ -495,14 +497,13 @@ def magnification(g: WeightedGraph, force: bool = False):
     closed graph only V(A) <= V(G)/2 competes, decided exactly.  The witness
     is the first exact minimiser (``_least_ratio``); c is its float ratio - 1.0.
     """
-    return g.memo(("magnification",), lambda: _magnification(g, force))
+    return g.memo(("magnification",), lambda: _magnification(g))
 
 
-def _magnification(g: WeightedGraph, force: bool):
+def _magnification(g: WeightedGraph):
     pool = [g.vertices[i] for i in g.interior_indices().tolist()]
     if not pool:
         raise GraphError("no interior vertices")
-    _check_cap(len(pool), MAGNIFICATION_CAP, force)
     found = _least_ratio(g, pool, g.is_closed)
     if found is None:  # a lone vertex of a closed graph: no set is at most half
         return math.inf, frozenset()

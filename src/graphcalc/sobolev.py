@@ -63,25 +63,25 @@ class InequalityCheck:
         return self.failures == 0
 
 
-def _finite_constant(g: WeightedGraph, nu: float, variant: str, **kw) -> float:
+def _finite_constant(g: WeightedGraph, nu: float, variant: str) -> float:
     """I_nu of the variant, refused when infinite: no set is admissible."""
-    I = iso_constant(g, nu, variant, **kw).value
+    I = iso_constant(g, nu, variant).value
     if math.isinf(I):
         raise GraphError(f"the {variant} isoperimetric constant is infinite: no set is admissible")
     return I
 
 
-def _iso_for(g: WeightedGraph, nu: float, **kw) -> tuple[float, bool, float]:
+def _iso_for(g: WeightedGraph, nu: float) -> tuple[float, bool, float]:
     """(constant, closed flag, rho_sup): I_nu with Dirichlet data, or I~_nu when
     closed.  Most checks raise rho_sup to negative powers, so 0 is refused."""
     rho = half_degrees(g).rho_sup
     if rho == 0:
         raise GraphError("rho_sup is 0 (the graph has no edge): the constants are undefined")
-    return _finite_constant(g, nu, default_variant(g), **kw), g.is_closed, rho
+    return _finite_constant(g, nu, default_variant(g)), g.is_closed, rho
 
 
 def general_F_check(
-    f: VertexFunction, r: float, p: float, nu: float, **iso_kw
+    f: VertexFunction, r: float, p: float, nu: float
 ) -> InequalityCheck:
     """I_nu ||F(phi)||_{nu'} <= rho_sup^{1/p'} ||grad phi||_p ||F'(phi)||_{p'}
     for the sign-preserving powers F(x) = {x}^r, r >= 1 (so (F')^{p'} is
@@ -89,7 +89,7 @@ def general_F_check(
     if r < 1:
         raise GraphError("need r >= 1")
     g = f.graph
-    I, closed, rho = _iso_for(g, nu, **iso_kw)
+    I, closed, rho = _iso_for(g, nu)
     phi = split_shift(f) if closed else f
     pp = conjugate(p)
     nup = conjugate(nu)
@@ -104,13 +104,13 @@ def general_F_check(
     )
 
 
-def sobolev_check(f: VertexFunction, p: float, nu: float, **iso_kw) -> InequalityCheck:
+def sobolev_check(f: VertexFunction, p: float, nu: float) -> InequalityCheck:
     """||grad phi||_p >= c_{nu,p} ||phi||_{p nu/(nu-p)},
     c_{nu,p} = I_nu rho_sup^{-(p-1)/p} (nu-p)/(p(nu-1))."""
     if not (nu > p >= 1):
         raise GraphError("need nu > p >= 1")
     g = f.graph
-    I, closed, rho = _iso_for(g, nu, **iso_kw)
+    I, closed, rho = _iso_for(g, nu)
     phi = split_shift(f) if closed else f
     c = I * rho ** (-(p - 1.0) / p) * (nu - p) / (p * (nu - 1.0))
     q = p * nu / (nu - p)
@@ -121,7 +121,7 @@ def sobolev_check(f: VertexFunction, p: float, nu: float, **iso_kw) -> Inequalit
     )
 
 
-def nash_check(f: VertexFunction, nu: float, **iso_kw) -> InequalityCheck:
+def nash_check(f: VertexFunction, nu: float) -> InequalityCheck:
     """||grad f||_2 >= (I_nu rho_sup^{-1/2}/2) ||f||_2^{1+2/nu} ||f||_1^{-2/nu}.
 
     Open case: Dirichlet f.  Closed case: the same constant with I~_nu holds
@@ -129,7 +129,7 @@ def nash_check(f: VertexFunction, nu: float, **iso_kw) -> InequalityCheck:
     if nu <= 2:
         raise GraphError("need nu > 2")
     g = f.graph
-    I, closed, rho = _iso_for(g, nu, **iso_kw)
+    I, closed, rho = _iso_for(g, nu)
     phi = f
     if closed:
         mean = vertex_integral(f) / g.total_measure()
@@ -143,7 +143,7 @@ def nash_check(f: VertexFunction, nu: float, **iso_kw) -> InequalityCheck:
 
 
 def trudinger_check(
-    f: VertexFunction, gamma: float, nu: float, measure: str = "vertex", **iso_kw
+    f: VertexFunction, gamma: float, nu: float, measure: str = "vertex"
 ) -> InequalityCheck:
     """int (exp(gamma |phi~|))^{nu'} dV <= V(G) (1-gamma)^{-nu'},
     phi~ = phi I_nu rho_sup^{-1/nu'} / ||grad phi||_nu, gamma < 1.
@@ -159,7 +159,7 @@ def trudinger_check(
     if not 0.0 <= gamma < 1.0:
         raise GraphError("need 0 <= gamma < 1")
     g = f.graph
-    I, closed, rho = _iso_for(g, nu, **iso_kw)
+    I, closed, rho = _iso_for(g, nu)
     phi = split_shift(f) if closed else f
     nup = conjugate(nu)
     gnorm = grad_lp_norm(phi, nu)
@@ -214,13 +214,13 @@ def iteration_constant(p: float, nu: float) -> tuple[float, float]:
     return math.exp(logc1), c2
 
 
-def sup_embedding_check(f: VertexFunction, p: float, nu: float, **iso_kw) -> InequalityCheck:
+def sup_embedding_check(f: VertexFunction, p: float, nu: float) -> InequalityCheck:
     """||grad phi||_p >= c*_{nu,p} V(G)^{1/p - 1/nu} I_nu rho_sup^{-1/p'} ||phi||_inf
     for split phi, p > nu, with c*_{nu,p} = c1^{-c2}."""
     if not (p > nu >= 1):
         raise GraphError("need p > nu >= 1")
     g = f.graph
-    I, closed, rho = _iso_for(g, nu, **iso_kw)
+    I, closed, rho = _iso_for(g, nu)
     phi = split_shift(f)
     pp = conjugate(p)
     c1, c2 = iteration_constant(p, nu)
@@ -239,14 +239,14 @@ def sup_embedding_check(f: VertexFunction, p: float, nu: float, **iso_kw) -> Ine
     )
 
 
-def gennash_check(f: VertexFunction, nu: float, **iso_kw) -> InequalityCheck:
+def gennash_check(f: VertexFunction, nu: float) -> InequalityCheck:
     """32 rho_sup (phi(4 ||f||_1^2 / ||f||_2^2))^2 ||grad f||_2^2 >= ||f||_2^2
     with phi(x) = x^{1/nu}, for Dirichlet f, assuming the isoperimetric
     hypothesis A >= V/phi(V), i.e. I_nu >= 1."""
     g = f.graph
     if not g.boundary:
         raise GraphError("the general Nash form is for graphs with boundary")
-    I = iso_constant(g, nu, "open", **iso_kw).value
+    I = iso_constant(g, nu, "open").value
     if I < 1.0 - 1e-12:
         raise GraphError("hypothesis fails: I_nu < 1 (rescale the edge weights)")
     rho = half_degrees(g).rho_sup
@@ -275,7 +275,7 @@ def sharpness_experiment(nu: float, p: float, m_grid, n: int = 1024) -> dict:
     pp = conjugate(p)
     rows = []
     if nu > p:
-        I = iso_constant(g, nu, "open", force=True).value
+        I = iso_constant(g, nu, "open").value
         q = p * nu / (nu - p)
         norm = I * rho ** (-1.0 / pp)
         for m in m_grid:

@@ -105,13 +105,13 @@ def _suite_ff(g, trials, rng):
     failures = 0
     nus = [1.5, 2.0, 3.0, math.inf]
     if g.boundary:
-        consts = {nu: sb._finite_constant(g, nu, "open", force=True) for nu in nus}
+        consts = {nu: sb._finite_constant(g, nu, "open") for nu in nus}
         f = _block(g, _nonzero(_draws(g, trials, rng, dirichlet=True)))
         for nu in nus:
             failures += _below(sobolev_quotient(f, nu), consts[nu])
     else:
-        tilde = {nu: sb._finite_constant(g, nu, "tilde", force=True) for nu in nus}
-        prime = {nu: sb._finite_constant(g, nu, "tilde_prime", force=True) for nu in nus}
+        tilde = {nu: sb._finite_constant(g, nu, "tilde") for nu in nus}
+        prime = {nu: sb._finite_constant(g, nu, "tilde_prime") for nu in nus}
         f = _block(g, _draws(g, trials, rng))
         fs = split_shift(f)
         grad_f, grad_fs = grad_lp_norm(f, 1), grad_lp_norm(fs, 1)
@@ -128,15 +128,15 @@ def _suite_ff(g, trials, rng):
 def _suite_sobolev(g, trials, rng):
     f = _block(g, _draws(g, trials, rng, dirichlet=bool(g.boundary)))
     pairs = ((1.0, 2.0), (2.0, 3.0), (1.5, 4.0))
-    checks = [sb.sobolev_check(f, p, nu, force=True) for p, nu in pairs]
-    checks.append(sb.general_F_check(f, r=2.0, p=2.0, nu=4.0, force=True))
-    checks.append(sb.sup_embedding_check(f, p=3.0, nu=2.0, force=True))
+    checks = [sb.sobolev_check(f, p, nu) for p, nu in pairs]
+    checks.append(sb.general_F_check(f, r=2.0, p=2.0, nu=4.0))
+    checks.append(sb.sup_embedding_check(f, p=3.0, nu=2.0))
     return {"failures": sum(c.failures for c in checks)}
 
 
 def _suite_nash(g, trials, rng):
     f = _block(g, _nonzero(_draws(g, trials, rng, dirichlet=bool(g.boundary))))
-    return {"failures": sum(sb.nash_check(f, nu, force=True).failures for nu in (2.5, 3.0, 4.0))}
+    return {"failures": sum(sb.nash_check(f, nu).failures for nu in (2.5, 3.0, 4.0))}
 
 
 def _suite_trudinger(g, trials, rng):
@@ -145,7 +145,7 @@ def _suite_trudinger(g, trials, rng):
     failures = 0
     exact0 = None
     for gamma in (0.0, 0.3, 0.7):
-        c = sb.trudinger_check(f, gamma, 3.0, force=True)
+        c = sb.trudinger_check(f, gamma, 3.0)
         failures += c.failures
         if gamma == 0.0 and len(c.rhs):
             exact0 = float(abs(c.lhs - c.rhs[-1]))  # the last draw's gap
@@ -159,7 +159,7 @@ def _suite_gennash(g, trials, rng):
         raise GraphError("gennash suite needs a graph with boundary")
     failures = 0
     for nu in (2.5, 3.0):
-        I = iso_constant(g, nu, "open", force=True).value
+        I = iso_constant(g, nu, "open").value
         if I <= 0:
             continue
         scaled = WeightedGraph(
@@ -169,7 +169,7 @@ def _suite_gennash(g, trials, rng):
             g.boundary,
         )
         f = _block(scaled, _nonzero(_draws(scaled, trials, rng, dirichlet=True)))
-        failures += sb.gennash_check(f, nu, force=True).failures
+        failures += sb.gennash_check(f, nu).failures
     return {"failures": failures}
 
 

@@ -157,7 +157,7 @@ def test_criterion_02_federer_fleming():
     open_graphs = _open_family(rng)
     trials = -(-10000 // len(open_graphs))
     for g in open_graphs:
-        consts = {nu: iso_constant(g, nu, "open", force=True) for nu in NUS}
+        consts = {nu: iso_constant(g, nu, "open") for nu in NUS}
         for nu, rep in consts.items():
             sub, fchi = characteristic_approx(g, rep.witness.vertices, eps=1e-6)
             gap = abs(sobolev_quotient(fchi, nu) - rep.value)
@@ -173,8 +173,8 @@ def test_criterion_02_federer_fleming():
     closed_graphs = _closed_family(rng)
     trials = -(-10000 // len(closed_graphs))
     for g in closed_graphs:
-        tilde = {nu: iso_constant(g, nu, "tilde", force=True).value for nu in NUS}
-        prime = {nu: iso_constant(g, nu, "tilde_prime", force=True).value for nu in NUS}
+        tilde = {nu: iso_constant(g, nu, "tilde").value for nu in NUS}
+        prime = {nu: iso_constant(g, nu, "tilde_prime").value for nu in NUS}
         for _ in range(trials):
             f = VertexFunction(g, rng.standard_normal(g.n))
             fs = split_shift(f)
@@ -203,8 +203,8 @@ def test_criterion_03_sandwich():
     ok = True
     for g in graphs:
         for nu in (1.0, 1.5, 2.0, 3.0, math.inf):
-            t = iso_constant(g, nu, "tilde", force=True).value
-            p = iso_constant(g, nu, "tilde_prime", force=True).value
+            t = iso_constant(g, nu, "tilde").value
+            p = iso_constant(g, nu, "tilde_prime").value
             cap = 2.0 ** (1.0 / nu) if nu != math.inf else 1.0
             tol = 1e-12 * (1.0 + abs(p))
             ok = ok and (t <= p + tol) and (p <= cap * t + tol)
@@ -313,7 +313,7 @@ def test_criterion_07_nash_decay():
     for nu in (2.5, 3.0, 4.0):
         out = nash_diagonal_bound(radial_graph(10, nu), nu)
         ok = ok and out["applicable"] and out["passed"]
-        out2 = nash_diagonal_bound(doubled_radial(10, nu).graph, nu, force=True)
+        out2 = nash_diagonal_bound(doubled_radial(10, nu).graph, nu)
         ok = ok and out2["applicable"] and out2["passed"]
     _conclude(7, "Nash diagonal decay", ok)
 
@@ -325,7 +325,7 @@ def test_criterion_08_eigenvalue_corollary():
     ok = True
     graphs = [cycle(8), hypercube(3), doubled_radial(8, 3.0).graph]
     for g in graphs:
-        out = eigenvalue_lower_bounds(g, 3.0, force=True)
+        out = eigenvalue_lower_bounds(g, 3.0)
         ok = ok and out["sound"]
     _conclude(8, "eigenvalue growth corollary", ok)
 
@@ -369,7 +369,7 @@ def test_criterion_10_inequality_fuzz():
         g = random_graph(int(rng.integers(4, 10)), rng, weighted=True, boundary_fraction=0.3)
         if g.boundary:
             open_pool.append(g)
-            I = iso_constant(g, 3.0, "open", force=True).value
+            I = iso_constant(g, 3.0, "open").value
             if I > 0:
                 gennash_pool.append(
                     WeightedGraph(
@@ -394,19 +394,19 @@ def test_criterion_10_inequality_fuzz():
         if not np.any(fo.values) or not np.any(fn.values):
             continue
         batch = [
-            sobolev_check(fo, 2.0, 3.0, force=True),
-            sobolev_check(fc, 1.5, 4.0, force=True),
-            nash_check(fo, 3.0, force=True),
-            nash_check(fc, 2.5, force=True),
-            trudinger_check(fc, 0.4, 3.0, force=True),
-            gennash_check(fn, 3.0, force=True),
-            sup_embedding_check(fo, 3.0, 2.0, force=True),
+            sobolev_check(fo, 2.0, 3.0),
+            sobolev_check(fc, 1.5, 4.0),
+            nash_check(fo, 3.0),
+            nash_check(fc, 2.5),
+            trudinger_check(fc, 0.4, 3.0),
+            gennash_check(fn, 3.0),
+            sup_embedding_check(fo, 3.0, 2.0),
         ]
         failures += sum(not c.passed for c in batch)
         count += len(batch)
 
     f0 = VertexFunction(open_pool[0], rng.standard_normal(open_pool[0].n) * open_pool[0].interior_mask)
-    chk = trudinger_check(f0, 0.0, 3.0, force=True)
+    chk = trudinger_check(f0, 0.0, 3.0)
     exact = chk.lhs == chk.rhs == open_pool[0].total_measure()
 
     _conclude(

@@ -30,6 +30,16 @@ from graphcalc.isoperimetry import enumerate_connected_subsets
 from graphcalc.generators import complete, cycle, hypercube, path, radial_graph, random_graph
 
 
+def test_bounds_take_their_mode_from_the_graph():
+    # with boundary {a, c} lambda is the Dirichlet one at b, 2, and Mohar's
+    # bound meets it; the closed lambda, 1, was paired with it before
+    g = build_graph(list("abc"), [("a", "b"), ("b", "c")], boundary=["a", "c"])
+    rep = bound_report(g)
+    assert rep.mode == "dirichlet" and rep.lam == pytest.approx(2.0, abs=1e-12)
+    assert next(b for b in rep.bounds if b.name == "mohar").value == pytest.approx(2.0)
+    assert rep.sound
+
+
 def test_c4_exact_values():
     rep = bound_report(cycle(4))
     assert rep.lam == pytest.approx(2.0, abs=1e-12)

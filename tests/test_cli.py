@@ -275,6 +275,34 @@ def test_flow_command(tmp_path, capsys):
     assert doc["c"] == pytest.approx(1.0)
 
 
+def test_cycles_past_22_vertices_are_within_the_subset_budget(tmp_path, capsys):
+    # iso and bounds refused both when 22 free vertices were the cap.  A
+    # 25-cycle has 601 connected subsets; its magnification scan is one class
+    # of 25 vertices, 2**25 - 1 subsets, so bounds still refuses it.  A 24-cycle
+    # splits into two classes of 12.
+    for n in (25, 24):
+        target = tmp_path / f"c{n}.json"
+        assert main(["gen", "cycle", str(n), "-o", str(target)]) == 0
+        capsys.readouterr()
+        code, out = _run(capsys, "iso", str(target))
+        assert code == 0 and json.loads(out)["value"] == pytest.approx(2.0 / 12.0)  # 12-arcs
+    code, out = _run(capsys, "bounds", str(tmp_path / "c24.json"))
+    assert code == 0 and json.loads(out)["sound"] is True
+    _assert_usage_error(*_run_err(capsys, "bounds", str(tmp_path / "c25.json")))
+
+
+def test_past_the_subset_budget_every_scanning_command_exits_2(tmp_path, capsys, monkeypatch):
+    from graphcalc import isoperimetry
+
+    target = tmp_path / "k8.json"
+    assert main(["gen", "complete", "8", "-o", str(target)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(isoperimetry, "SUBSET_CAP", 254)  # complete(8) has 255 subsets
+    for argv in (["flow", "--set", "1,2,3,4,5,6,7,8"], ["verify", "--suite", "ff"],
+                 ["iso"], ["iso", "--nu", "2", "--variant", "tilde_prime"], ["bounds"]):
+        _assert_usage_error(*_run_err(capsys, argv[0], str(target), *argv[1:]))
+
+
 def test_flow_with_an_empty_set_exits_2(tmp_path, capsys):
     # an empty --set used to print "A": [], "c": 0, "passed": true with exit 0
     target = tmp_path / "k4.json"
@@ -344,8 +372,7 @@ def test_degenerate_graphs_end_without_a_traceback(tmp_path, capsys, doc):
     target = tmp_path / "degenerate.json"
     target.write_text(json.dumps(doc))
     runs = [["info"], ["spectrum"], ["spectrum", "-k", "1"], ["iso"], ["iso", "--magnification"],
-            ["bounds"], ["bounds", "--mode", "closed"], ["bounds", "--mode", "dirichlet"],
-            ["heat"], ["flow", "--set", "1"]]
+            ["bounds"], ["heat"], ["flow", "--set", "1"]]
     runs += [["verify", "--suite", suite, "--trials", "5"] for suite in SUITES]
     for argv in runs:
         code, _, err = _run_err(capsys, argv[0], str(target), *argv[1:])

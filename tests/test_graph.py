@@ -56,6 +56,17 @@ def test_half_degrees_hand_example():
     assert hd.regularity is None
 
 
+def test_degree_statistics_are_built_once_and_read_only():
+    g = random_graph(9, np.random.default_rng(3), weighted=True)
+    for stats, array in ((half_degrees, "rho"), (L_stats, "values")):
+        first = stats(g)
+        assert stats(g) is first
+        with pytest.raises(ValueError):
+            getattr(first, array)[0] = 0.0
+        with pytest.raises(AttributeError):
+            setattr(first, array, None)
+
+
 def test_self_loop_counts_once():
     g = build_graph(["a"], [Edge("a", "a", a=2.0, length=1.0)])
     hd = half_degrees(g)

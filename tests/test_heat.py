@@ -127,7 +127,7 @@ def test_nash_decay_radial_and_double():
         out = nash_diagonal_bound(g, nu)
         assert out["applicable"] and out["passed"]
         d = doubled_radial(10, nu).graph
-        out2 = nash_diagonal_bound(d, nu, force=True)
+        out2 = nash_diagonal_bound(d, nu)
         assert out2["applicable"] and out2["passed"]
 
 
@@ -149,10 +149,10 @@ def test_heat_bounds_pass_rescaled_weights(scale):
 
     for nu in (2.5, 3.0, 4.0):
         for g in (radial_graph(10, nu), doubled_radial(10, nu).graph):
-            out = nash_diagonal_bound(rescaled(g), nu, force=True)
+            out = nash_diagonal_bound(rescaled(g), nu)
             assert out["applicable"] and out["passed"]
     for g in (cycle(8), hypercube(3), doubled_radial(8, 3.0).graph):
-        assert eigenvalue_lower_bounds(rescaled(g), 3.0, force=True)["sound"]
+        assert eigenvalue_lower_bounds(rescaled(g), 3.0)["sound"]
     g = rescaled(build_graph([1, 2, 3, 4], [Edge(1, 2, a=3.0), Edge(2, 3, a=3.0), Edge(3, 4, a=3.0)],
                              boundary=[4]))
     out = general_decay_bound(g, power_profile(g, 3.0), [(x, t) for x in (1, 2, 3) for t in (0.1, 1.0, 10.0)])

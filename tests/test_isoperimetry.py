@@ -147,7 +147,7 @@ def test_subset_table_on_a_dense_multigraph_and_a_lone_free_vertex():
                                          for k in range(1, 41)], boundary=range(1, 41))
     for g in (dense, star):
         _check_table_against_brute_force(g)
-    rep = iso_constant(dense, 2.0, "open", force=True)
+    rep = iso_constant(dense, 2.0, "open")
     assert rep.value == pytest.approx(min(
         _ordered_area(dense, m) * _ordered_mass(dense, m) ** -0.5
         for m, _, _ in enumerate_connected_subsets(dense, 1023).tolist()), rel=1e-12, abs=0.0)
@@ -188,12 +188,13 @@ def test_components_of_a_disconnected_graph_have_area_exactly_zero():
         assert iso_constant(g, 2.0, "tilde").value == 0.0
 
 
-def test_free_vertex_pool_of_64_is_refused_even_under_force():
+def test_free_vertex_pool_of_64_is_refused():
+    # 64 free vertices of a cycle make few subsets, but no int64 mask holds them
     for g in (cycle(64), with_boundary(cycle(70), list(range(1, 7)))):
         with pytest.raises(GraphError, match="63"):
-            iso_constant(g, 2.0, "tilde" if g.is_closed else "open", force=True)
+            iso_constant(g, 2.0, "tilde" if g.is_closed else "open")
         with pytest.raises(GraphError, match="63"):
-            magnification(g, force=True)
+            magnification(g)
 
 
 def test_subset_table_of_a_63_cycle():
@@ -376,12 +377,56 @@ def test_free_vertices_past_bit_63():
     assert last.witness.vertices == frozenset(g.vertices[65:])
 
 
-def test_enumeration_cap():
+def test_subset_budget_counts_the_subsets_each_scan_visits(monkeypatch):
+    # complete(8) has 255 connected subsets and one class of 8 vertices
+    from graphcalc.heat import hypothesis_audit
+
+    monkeypatch.setattr(isoperimetry, "SUBSET_CAP", 255)
+    assert iso_constant(complete(8), math.inf, "tilde").value == pytest.approx(4.0)
+    assert magnification(complete(8))[0] == pytest.approx(1.0)
+    monkeypatch.setattr(isoperimetry, "SUBSET_CAP", 254)
+    g = complete(8)
+    dirichlet = with_boundary(complete(9), [9])
+    refusals = [lambda: iso_constant(g, math.inf, "tilde"), lambda: magnification(g),
+                lambda: hypothesis_audit(dirichlet, lambda x: x),
+                lambda: certified_magnification(g, g.vertices)]
+    for refuse in refusals * 2:  # a refusal does not depend on what ran before it
+        with pytest.raises(GraphError, match="254 subsets"):
+            refuse()
+
+
+def test_subset_budget_is_per_class_and_counts_connected_sets():
+    # a 25-cycle has 601 connected subsets, past the old cap of 22 free vertices
     g = cycle(25)
-    with pytest.raises(GraphError):
-        iso_constant(g, 2.0, "tilde")
-    # force overrides (cycle subsets are just arcs, so this stays fast)
-    assert iso_constant(g, math.inf, "tilde", force=True).value > 0
+    assert iso_constant(g, 2.0, "tilde").value == pytest.approx(2.0 / math.sqrt(12.0))
+    assert iso_constant(g, math.inf, "tilde").value == pytest.approx(2.0 / 12.0)
+    # one class of 23 vertices: 2**23 - 1 subsets, refused before any scan,
+    # whatever was called before
+    k = complete(23)
+    for _ in range(2):
+        with pytest.raises(GraphError, match="subsets"):
+            magnification(k)
+        with pytest.raises(GraphError, match="subsets"):
+            certified_magnification(k, k.vertices)
+
+
+def test_magnification_of_a_24_cycle_matches_brute_force_within_each_class():
+    # "Gamma(a) meets Gamma(b)" splits an even cycle into its even and odd
+    # vertices: two classes of 12, so the scan visits 2 (2**12 - 1) subsets
+    rng = np.random.default_rng(71)
+    plain = cycle(24)
+    weighted = build_graph(plain.vertices, plain.edges, measures=rng.choice([0.1, 0.3, 0.7], 24))
+    for g in (plain, weighted):
+        c, witness = magnification(g)
+        best = []
+        for parity in (0, 1):
+            pool = list(range(parity, 24, 2))  # vertex indices of one class
+            sub, least = _first_least_ratio(g, pool, True)
+            mask = sum(1 << pool[j] for j in range(12) if sub >> j & 1)
+            best.append((least, mask))
+        least, mask = min(best)  # ties go to the least mask over all 24 vertices
+        assert witness == frozenset(g.vertices[i] for i in range(24) if mask >> i & 1)
+        assert abs(Fraction(c) + 1 - least) <= 8 * g.n * Fraction(2.0**-52) * least
 
 
 def test_path_fast_lane_matches_enumeration():

@@ -102,7 +102,7 @@ def test_trudinger_edge_form_holds_with_the_edge_constant():
         rows = rng.standard_normal((12, g.n)) * g.interior_mask
         f = VertexFunction(g, rows[rows.any(axis=1)].T)
         for gamma in (0.2, 0.5, 0.9):
-            chk = trudinger_check(f, gamma, 3.0, measure="edge", force=True)
+            chk = trudinger_check(f, gamma, 3.0, measure="edge")
             assert chk.passed and chk.inputs["kappa"] >= chk.inputs["rho_sup"]
             draws += f.values.shape[1]
     assert draws == 288
@@ -208,17 +208,17 @@ def test_inequality_check_counts_failing_draws():
 def _check_pairs(g, f):
     """(block check, per-column checks) for every inequality that applies to g."""
     calls = [
-        lambda h: sobolev_check(h, 1.0, 2.0, force=True),
-        lambda h: sobolev_check(h, 1.5, 4.0, force=True),
-        lambda h: general_F_check(h, 2.0, 2.0, 4.0, force=True),
-        lambda h: general_F_check(h, 1.0, 2.0, 3.0, force=True),
-        lambda h: nash_check(h, 3.0, force=True),
-        lambda h: trudinger_check(h, 0.4, 3.0, force=True),
-        lambda h: trudinger_check(h, 0.4, 3.0, measure="edge", force=True),
-        lambda h: sup_embedding_check(h, 3.0, 2.0, force=True),
+        lambda h: sobolev_check(h, 1.0, 2.0),
+        lambda h: sobolev_check(h, 1.5, 4.0),
+        lambda h: general_F_check(h, 2.0, 2.0, 4.0),
+        lambda h: general_F_check(h, 1.0, 2.0, 3.0),
+        lambda h: nash_check(h, 3.0),
+        lambda h: trudinger_check(h, 0.4, 3.0),
+        lambda h: trudinger_check(h, 0.4, 3.0, measure="edge"),
+        lambda h: sup_embedding_check(h, 3.0, 2.0),
     ]
     if g.boundary and iso_constant(g, 3.0, "open").value >= 1.0:
-        calls.append(lambda h: gennash_check(h, 3.0, force=True))
+        calls.append(lambda h: gennash_check(h, 3.0))
     columns = [VertexFunction(g, f.values[:, k]) for k in range(f.values.shape[1])]
     return [(call(f), [call(c) for c in columns]) for call in calls]
 

@@ -120,14 +120,14 @@ def _per_trial(g, suite, trials, seed):
     if suite == "ff":
         nus = (1.5, 2.0, 3.0, math.inf)
         if g.boundary:
-            const = {nu: verify.iso_constant(g, nu, "open", force=True).value for nu in nus}
+            const = {nu: verify.iso_constant(g, nu, "open").value for nu in nus}
             for _ in range(trials):
                 f = draw(g, True)
                 if np.any(f.values):
                     fails += sum(below(sobolev_quotient(f, nu), const[nu]) for nu in nus)
         else:
-            tilde = {nu: verify.iso_constant(g, nu, "tilde", force=True).value for nu in nus}
-            prime = {nu: verify.iso_constant(g, nu, "tilde_prime", force=True).value for nu in nus}
+            tilde = {nu: verify.iso_constant(g, nu, "tilde").value for nu in nus}
+            prime = {nu: verify.iso_constant(g, nu, "tilde_prime").value for nu in nus}
             for _ in range(trials):
                 f = draw(g, False)
                 fs = split_shift(f)
@@ -140,16 +140,16 @@ def _per_trial(g, suite, trials, seed):
     elif suite == "sobolev":
         for _ in range(trials):
             f = draw(g, bool(g.boundary))
-            checks = [sb.sobolev_check(f, p, nu, force=True)
+            checks = [sb.sobolev_check(f, p, nu)
                       for p, nu in ((1.0, 2.0), (2.0, 3.0), (1.5, 4.0))]
-            checks.append(sb.general_F_check(f, r=2.0, p=2.0, nu=4.0, force=True))
-            checks.append(sb.sup_embedding_check(f, p=3.0, nu=2.0, force=True))
+            checks.append(sb.general_F_check(f, r=2.0, p=2.0, nu=4.0))
+            checks.append(sb.sup_embedding_check(f, p=3.0, nu=2.0))
             fails += sum(not c.passed for c in checks)
     elif suite == "nash":
         for _ in range(trials):
             f = draw(g, bool(g.boundary))
             if np.any(f.values):
-                fails += sum(not sb.nash_check(f, nu, force=True).passed for nu in (2.5, 3.0, 4.0))
+                fails += sum(not sb.nash_check(f, nu).passed for nu in (2.5, 3.0, 4.0))
     elif suite == "trudinger":
         out["gamma0_gap"] = None
         for _ in range(trials):
@@ -157,20 +157,20 @@ def _per_trial(g, suite, trials, seed):
             if grad_lp_norm(f, 3.0) == 0:
                 continue
             for gamma in (0.0, 0.3, 0.7):
-                c = sb.trudinger_check(f, gamma, 3.0, force=True)
+                c = sb.trudinger_check(f, gamma, 3.0)
                 fails += not c.passed
                 if gamma == 0.0:
                     out["gamma0_gap"] = abs(c.lhs - c.rhs)
     elif suite == "gennash":
         for nu in (2.5, 3.0):
-            I = verify.iso_constant(g, nu, "open", force=True).value
+            I = verify.iso_constant(g, nu, "open").value
             scaled = WeightedGraph(g.vertices, g.vmeasure,
                                    [Edge(e.u, e.v, e.a / I, e.length) for e in g.edges],
                                    g.boundary)
             for _ in range(trials):
                 f = draw(scaled, True)
                 if np.any(f.values):
-                    fails += not sb.gennash_check(f, nu, force=True).passed
+                    fails += not sb.gennash_check(f, nu).passed
     out["failures"] = int(fails)
     return out
 
