@@ -25,8 +25,8 @@ from .graph import GraphError, WeightedGraph, with_boundary
 from .functions import VertexFunction, lp_norm_vertex, grad_lp_norm
 from .operators import EdgeField, default_mode, eigenvalues, spectral_decomposition
 from .graph import half_degrees
-from .isoperimetry import _integer_measures, _least_ratio, default_variant, magnification
-from .sobolev import _finite_constant
+from .isoperimetry import (_finite_constant, _finite_magnification, _integer_measures,
+                           _least_ratio, default_variant, iso_constant, magnification)
 
 __all__ = [
     "BoundValue",
@@ -70,11 +70,11 @@ class BoundReport:
         )
 
 
-def true_lambda(g: WeightedGraph, mode: str) -> float:
-    """The lowest eigenvalue in Dirichlet mode, the second lowest in closed
-    mode (where the lowest is 0)."""
-    lams = eigenvalues(g, mode, 1 if mode == "dirichlet" else 2)
-    if mode == "dirichlet":
+def true_lambda(g: WeightedGraph) -> float:
+    """The lowest Dirichlet eigenvalue on a graph with boundary, the second
+    lowest on a closed graph (where the lowest is 0)."""
+    lams = eigenvalues(g, 2 if g.is_closed else 1)
+    if not g.is_closed:
         return float(lams[0])
     if len(lams) < 2:
         raise GraphError("closed graph needs at least 2 vertices")
@@ -83,7 +83,7 @@ def true_lambda(g: WeightedGraph, mode: str) -> float:
 
 def dodziuk_bound(g: WeightedGraph) -> BoundValue:
     """lambda >= I_inf^2 / (4 rho_sup)  (I~ on closed graphs)."""
-    I = _finite_constant(g, math.inf, default_variant(g))
+    I = _finite_constant(iso_constant(g, math.inf, default_variant(g)))
     rho = half_degrees(g).rho_sup
     value = I * I / (4.0 * rho) if I else 0.0  # without edges both I and rho are 0
     return BoundValue("dodziuk", value, True, {"I_inf": I, "rho_sup": rho})
@@ -96,7 +96,7 @@ def mohar_bound(g: WeightedGraph) -> BoundValue:
     I^2 / (2r + sqrt(4r^2 - I^2)) >= I^2/(4r).
     """
     unit = bool(np.all(g.elen == 1.0))
-    I = _finite_constant(g, math.inf, default_variant(g))
+    I = _finite_constant(iso_constant(g, math.inf, default_variant(g)))
     rho = half_degrees(g).rho_sup
     inputs = {"I_inf": I, "rho_sup": rho}
     if not unit:
@@ -116,8 +116,7 @@ def alon_bound(g: WeightedGraph, c: float | None = None) -> BoundValue:
         return BoundValue("alon", 0.0, False, {"reason": "non-traditional measures"})
     if c is None:
         c, _ = magnification(g)
-    if math.isinf(c):  # no admissible set
-        raise GraphError("the magnification is infinite: the bound is undefined")
+    c = _finite_magnification(c)
     inputs = {"c": c, "sup_len": float(np.max(g.elen, initial=1.0))}
     if c <= 0:
         return BoundValue("alon", 0.0, True, inputs)
@@ -137,8 +136,7 @@ def bobkov_bound(g: WeightedGraph, c: float | None = None) -> BoundValue:
         )
     if c is None:
         c, _ = magnification(g)
-    if math.isinf(c):  # no admissible set
-        raise GraphError("the magnification is infinite: the bound is undefined")
+    c = _finite_magnification(c)
     if c <= 0:
         return BoundValue("bobkov", 0.0, True, {"c": c})
     val = c * c * (2.0 + c) / (6.0 + 6.0 * c + 2.0 * c * c)
@@ -146,9 +144,8 @@ def bobkov_bound(g: WeightedGraph, c: float | None = None) -> BoundValue:
 
 
 def bound_report(g: WeightedGraph) -> BoundReport:
-    """The four bounds against lambda, both in the graph's own mode."""
-    mode = default_mode(g)
-    return BoundReport(mode, true_lambda(g, mode),
+    """The four bounds against lambda, both under the graph's boundary condition."""
+    return BoundReport(default_mode(g), true_lambda(g),
                        [dodziuk_bound(g), mohar_bound(g), alon_bound(g), bobkov_bound(g)])
 
 
@@ -383,7 +380,7 @@ def nodal_region_reduction(g: WeightedGraph):
     """
     if not g.is_closed:
         raise GraphError("nodal reduction applies to closed graphs")
-    dec = spectral_decomposition(g, "closed")
+    dec = spectral_decomposition(g)
     phi = dec.eigenfunctions[:, 1]
     scale = np.max(np.abs(phi))
     pos = phi > 1e-12 * scale

@@ -21,7 +21,8 @@ import numpy as np
 
 from .graph import GraphError, WeightedGraph, half_degrees, is_connected, L_stats
 from .operators import default_mode, eigenvalues
-from .isoperimetry import default_variant, iso_constant, magnification
+from .isoperimetry import (_finite_constant, _finite_magnification, default_variant,
+                           iso_constant, magnification)
 from .bounds import alon_field, alon_field_checks, bound_report
 from .heat import default_t_grid, heat_grid, heat_kernel
 from .verify import run_suite
@@ -145,20 +146,13 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _resolve_mode(g: WeightedGraph, mode: str | None) -> str:
-    if mode in (None, "auto"):
-        return default_mode(g)
-    return mode
-
-
 def _cmd_spectrum(args) -> int:
     if args.k is not None and args.k < 1:
         raise GraphError(f"-k must be at least 1, got {args.k}")
     g, digest = _load_graph(args.graph)
-    mode = _resolve_mode(g, args.mode)
-    lams = eigenvalues(g, mode, args.k)
+    lams = eigenvalues(g, args.k)
     report = _head("spectrum", digest)
-    report.update({"mode": mode, "k": len(lams), "eigenvalues": list(lams)})
+    report.update({"mode": default_mode(g), "k": len(lams), "eigenvalues": list(lams)})
     rows = [{"index": i, "eigenvalue": float(x)} for i, x in enumerate(lams)]
     _emit(report, rows, args.out)
     return 0
@@ -173,14 +167,14 @@ def _cmd_iso(args) -> int:
         {
             "nu": args.nu,
             "variant": rep.variant,
-            "value": rep.value,
-            "witness": sorted(map(str, rep.witness.vertices)) if rep.witness else None,
+            "value": _finite_constant(rep),
+            "witness": sorted(map(str, rep.witness.vertices)),
         }
     )
     if args.magnification:
         c, wit = magnification(g)
-        report["magnification"] = c
-        report["magnification_witness"] = sorted(map(str, wit)) if wit else None
+        report["magnification"] = _finite_magnification(c)
+        report["magnification_witness"] = sorted(map(str, wit))
     _emit(report, None, args.out)
     return 0
 
@@ -206,10 +200,9 @@ def _cmd_heat(args) -> int:
         if not (0.0 <= t < math.inf):
             raise GraphError(f"--t must be finite and nonnegative, got {t!r}")
     g, digest = _load_graph(args.graph)
-    kern = heat_kernel(g, _resolve_mode(g, args.mode))
-    rows, ok = heat_grid(kern, args.t or default_t_grid())
+    rows, ok = heat_grid(heat_kernel(g), args.t or default_t_grid())
     report = _head("heat", digest)
-    report.update({"mode": kern.decomposition.mode, "passed": ok, "grid": rows})
+    report.update({"mode": default_mode(g), "passed": ok, "grid": rows})
     _emit(report, rows, args.out)
     return 0 if ok else 1
 
@@ -316,7 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="Laplacian eigenvalues")
     common(p)
-    p.add_argument("--mode", choices=["auto", "closed", "dirichlet"], default=None)
     p.add_argument("-k", type=int, default=None, help="number of eigenvalues")
     p.set_defaults(func=_cmd_spectrum)
 
@@ -335,7 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("heat", help="heat kernel diagnostics over a t-grid")
     common(p)
-    p.add_argument("--mode", choices=["auto", "closed", "dirichlet"], default=None)
     p.add_argument("--t", type=float, nargs="*", default=None)
     p.set_defaults(func=_cmd_heat)
 

@@ -1,16 +1,18 @@
 """Heat kernels, decay estimates, and the uniqueness artifacts.
 
 Everything is spectral: K(x,y,t) = sum_i e^{-t lambda_i} phi_i(x) phi_i(y)
-over the (Dirichlet) eigenbasis, which is the minimal kernel on a finite
-graph, so the semigroup identities hold to rounding.  Finite differences are
-used only as an independent check of the heat-equation residual.
+over the graph's eigenbasis, Dirichlet on a graph with boundary and closed on
+one without (the graph decides, as in ``operators``), which is the minimal
+kernel on a finite graph, so the semigroup identities hold to rounding.
+Finite differences are used only as an independent check of the
+heat-equation residual.
 
 Every kernel matrix is the symmetric product B B^T with B = Phi e^{-t Lambda/2}
 (BLAS syrk, exactly symmetric).  ``heat_grid`` forms its products over the
-solved rows only (the interior in Dirichlet mode, where the boundary rows
-and columns are exact zeros), the semigroup product as C^T C with
-C = V^{1/2} K(t/2), and judges positivity and the semigroup law relative to
-max|K(t)|, since K scales like 1/V.
+solved rows only (the interior, where the boundary rows and columns are
+exact zeros), the semigroup product as C^T C with C = V^{1/2} K(t/2), and
+judges positivity and the semigroup law relative to max|K(t)|, since K
+scales like 1/V.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ import numpy as np
 
 from .graph import GraphError, WeightedGraph, component_labels, half_degrees, with_boundary
 from .functions import VertexFunction, grad_lp_norm
-from .operators import (SpectralDecomposition, default_mode, eigenvalues, laplacian_apply,
-                        spectral_decomposition)
-from .isoperimetry import _subset_table, _witness, iso_constant
+from .operators import SpectralDecomposition, eigenvalues, laplacian_apply, spectral_decomposition
+from .isoperimetry import _subset_table, _witness, default_variant, iso_constant
 
 __all__ = [
     "HeatKernel",
@@ -76,10 +77,6 @@ class HeatKernel:
     def graph(self) -> WeightedGraph:
         return self.decomposition.graph
 
-    @property
-    def mode(self) -> str:
-        return self.decomposition.mode
-
     def matrix(self, t: float) -> np.ndarray:
         """K(x, y, t) over all vertex pairs."""
         d = self.decomposition
@@ -98,9 +95,8 @@ class HeatKernel:
         return (d.eigenfunctions**2 @ w)
 
 
-def heat_kernel(g: WeightedGraph, mode: str | None = None) -> HeatKernel:
-    mode = default_mode(g) if mode is None else mode
-    return HeatKernel(spectral_decomposition(g, mode))
+def heat_kernel(g: WeightedGraph) -> HeatKernel:
+    return HeatKernel(spectral_decomposition(g))
 
 
 def heat_grid(kern: HeatKernel, ts) -> tuple[list[dict], bool]:
@@ -109,17 +105,18 @@ def heat_grid(kern: HeatKernel, ts) -> tuple[list[dict], bool]:
     One row per time: ``t``, ``min_entry`` and ``min_diagonal`` of K(t),
     ``max_mass`` = max_x sum_y K(x, y, t) V(y), and ``semigroup_residual`` =
     max |K(t/2) V K(t/2) - K(t)| entrywise, with both products computed.
-    The products run over the solved rows only; in Dirichlet mode the
-    boundary's exact zeros enter the minima and the maximum mass as 0.
+    The products run over the solved rows only; on a graph with boundary
+    the boundary's exact zeros enter the minima and the maximum mass as 0.
     A row passes when min_entry >= -1e-12 s and the residual <= 1e-10 s,
     with s = max|K(t)| (K scales like 1/V; each bound is widened by the
     smallest normal float), and when every mass is within 1e-10 of 1
-    (closed) or at most 1 + 1e-10 (Dirichlet); a NaN fails every check.
+    (closed graph) or at most 1 + 1e-10 (with boundary); a NaN fails every
+    check.
     Returns the rows and whether every row passed.
     """
     d = kern.decomposition
     g = d.graph
-    closed = d.mode == "closed"
+    closed = g.is_closed
     phi, lam, vm = d.eigenfunctions, d.eigenvalues, g.vmeasure
     idx = None
     if not closed:  # the rows laplacian_matrix solved for: the interior
@@ -162,15 +159,12 @@ def heat_grid(kern: HeatKernel, ts) -> tuple[list[dict], bool]:
     return rows, passed
 
 
-def heat_solve(
-    g: WeightedGraph, f0: VertexFunction, t: float, mode: str | None = None
-) -> VertexFunction:
+def heat_solve(g: WeightedGraph, f0: VertexFunction, t: float) -> VertexFunction:
     """u(., t) = e^{-t Lap} f0 (f0 masked to zero on the boundary first)."""
     if t < 0:
         raise GraphError("t must be nonnegative")
-    mode = default_mode(g) if mode is None else mode
-    d = spectral_decomposition(g, mode)
-    vals = f0.values * g.interior_mask if mode == "dirichlet" else f0.values
+    d = spectral_decomposition(g)
+    vals = f0.values * g.interior_mask if g.boundary else f0.values
     coef = d.eigenfunctions.T @ (vals * g.vmeasure)
     u = d.eigenfunctions @ (np.exp(-t * d.eigenvalues) * coef)
     return VertexFunction(g, u)
@@ -210,7 +204,7 @@ def exhaustion_check(
     table = []
     for a in sets:
         sub = with_boundary(g, [v for v in g.vertices if v not in a])
-        ker = heat_kernel(sub, "dirichlet")
+        ker = heat_kernel(sub)
         table.append([ker.evaluate(x, y, t) for (x, y, t) in probes])
     full = heat_kernel(g)
     limit = [full.evaluate(x, y, t) for (x, y, t) in probes]
@@ -223,38 +217,27 @@ def exhaustion_check(
 # -- Nash-method decay -----------------------------------------------------------
 
 
-def nash_diagonal_bound(
-    g: WeightedGraph,
-    nu: float,
-    mode: str | None = None,
-    t_grid: np.ndarray | None = None,
-) -> dict:
-    """G(x,x,t) <= C2 t^{-nu/2} with C2 = (nu/2)^{nu/2} C1^{-nu}.
+def nash_diagonal_bound(g: WeightedGraph, nu: float) -> dict:
+    """G(x,x,t) <= C2 t^{-nu/2} with C2 = (nu/2)^{nu/2} C1^{-nu}, checked on
+    ``default_t_grid()``.
 
-    Open (Dirichlet) case: G = K and C1 = I_nu rho_sup^{-1/2}/2.  Closed
-    case: G = K - 1/V(G) and the shifted constant I~_nu enters with the
+    With boundary (Dirichlet): G = K and C1 = I_nu rho_sup^{-1/2}/2.  Closed
+    graph: G = K - 1/V(G) and the shifted constant I~_nu enters with the
     relaxation factor gamma = 2, i.e. C1 = 2^{-2/nu} I~_nu rho_sup^{-1/2}/2.
     """
     if nu <= 2:
         raise GraphError("nu > 2 required")
-    mode = default_mode(g) if mode is None else mode
     rho = half_degrees(g).rho_sup
-    if mode == "dirichlet":
-        I = iso_constant(g, nu, "open").value
-        gamma = 1.0
-    else:
-        I = iso_constant(g, nu, "tilde").value
-        gamma = 2.0
+    I = iso_constant(g, nu, default_variant(g)).value
+    gamma = 2.0 if g.is_closed else 1.0
     if I <= 0:
         return {"applicable": False, "reason": "iso constant vanishes"}
     C1 = gamma ** (-2.0 / nu) * I / (2.0 * math.sqrt(rho))
     C2 = (nu / 2.0) ** (nu / 2.0) * C1 ** (-nu)
-    ker = heat_kernel(g, mode)
-    if t_grid is None:
-        t_grid = default_t_grid()
+    ker = heat_kernel(g)
     worst = -math.inf
-    shift = 1.0 / g.total_measure() if mode == "closed" else 0.0
-    for t in t_grid:
+    shift = 1.0 / g.total_measure() if g.is_closed else 0.0
+    for t in default_t_grid():
         diag = ker.diagonal(t) - shift
         worst = max(worst, float(np.max(diag[g.interior_mask]) * t ** (nu / 2.0)))
     return {
@@ -277,7 +260,7 @@ def eigenvalue_lower_bounds(g: WeightedGraph, nu: float) -> dict:
     base = 2.0 ** (-4.0 / nu) * (I / (2.0 * math.sqrt(rho))) ** 2 / math.e
     ks = np.arange(1, g.n)
     bounds = (ks / vol) ** (2.0 / nu) * base
-    lams = eigenvalues(g, "closed")[1:]
+    lams = eigenvalues(g)[1:]
     # a dense eigensolve errs by about eps * lambda_max in every eigenvalue
     slack = 1e-9 * np.max(lams, initial=0.0)
     return {
@@ -370,7 +353,7 @@ def general_decay_bound(
     audit = hypothesis_audit(g, profile.phi)
     if not audit["ok"]:
         return {"hypothesis": audit, "passed": False}
-    ker = heat_kernel(g, "dirichlet")
+    ker = heat_kernel(g)
     rows = []
     ok = True
     for x, t in probes:

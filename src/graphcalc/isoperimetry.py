@@ -295,6 +295,15 @@ def iso_constant(g: WeightedGraph, nu: float, variant: str = "open") -> IsoRepor
     return g.memo(("iso", nu, variant), lambda: _iso_constant(g, nu, variant))
 
 
+def _finite_constant(rep: IsoReport) -> float:
+    """The value of an ``iso_constant`` report, refused when infinite: no set
+    is admissible."""
+    if math.isinf(rep.value):
+        raise GraphError(f"the {rep.variant} isoperimetric constant is infinite: "
+                         "no set is admissible")
+    return rep.value
+
+
 def _iso_constant(g: WeightedGraph, nu: float, variant: str) -> IsoReport:
     if variant != "open" and not g.is_closed:
         raise GraphError("tilde variants require a closed graph")
@@ -498,6 +507,13 @@ def magnification(g: WeightedGraph):
     is the first exact minimiser (``_least_ratio``); c is its float ratio - 1.0.
     """
     return g.memo(("magnification",), lambda: _magnification(g))
+
+
+def _finite_magnification(c: float) -> float:
+    """A magnification, refused when infinite: no set is admissible."""
+    if math.isinf(c):
+        raise GraphError("the magnification is infinite: no set is admissible")
+    return c
 
 
 def _magnification(g: WeightedGraph):

@@ -10,10 +10,14 @@ up to rounding, of which every dense solve reads the lower triangle only:
 ``eigenvalues`` solves for eigenvalues only, ``spectral_decomposition`` also
 for eigenfunctions, with a deterministic sign convention so reports are
 reproducible.  Both keep their read-only results in the graph's memo
-(``WeightedGraph.memo``), so each graph and mode is solved at most once per
-routine.
+(``WeightedGraph.memo``), so each graph is solved at most once per routine.
 
-Above SPARSE_ROWS solved rows, ``eigenvalues(g, mode, k)`` finds the k lowest
+The graph decides the boundary condition.  The solves run over the solved
+rows, the interior vertices, which are all of a closed graph; on a graph with
+boundary f vanishes on the boundary (Dirichlet), and on a closed graph, where
+0 is an eigenvalue, rounding below 0 is clamped to 0.
+
+Above SPARSE_ROWS solved rows, ``eigenvalues(g, k)`` finds the k lowest
 eigenvalues of a sparse S by shift-invert Lanczos and certifies them with an
 LDL^T inertia count, and the full decomposition overwrites S in place.  Both
 need scipy, which is imported only then: below the threshold the dense numpy
@@ -100,17 +104,12 @@ def divergence(g: WeightedGraph, X: EdgeField) -> VertexFunction:
     return VertexFunction(g, -nf.values)
 
 
-def _solved_rows(g: WeightedGraph, mode: str) -> np.ndarray:
-    """The vertex indices a mode solves for: all in closed mode, the interior
-    in Dirichlet mode (the boundary condition)."""
-    if mode == "closed":
-        return np.arange(g.n)
-    if mode == "dirichlet":
-        idx = g.interior_indices()
-        if len(idx) == 0:
-            raise GraphError("dirichlet mode needs a nonempty interior")
-        return idx
-    raise GraphError(f"unknown mode {mode!r}")
+def _solved_rows(g: WeightedGraph) -> np.ndarray:
+    """The interior vertex indices, every vertex of a closed graph."""
+    idx = g.interior_indices()
+    if len(idx) == 0:
+        raise GraphError("dirichlet mode needs a nonempty interior")
+    return idx
 
 
 def _edge_rows(g: WeightedGraph, idx: np.ndarray):
@@ -122,14 +121,10 @@ def _edge_rows(g: WeightedGraph, idx: np.ndarray):
     return pos[g.eu[keep]], pos[g.ev[keep]], g.ea[keep] / g.elen[keep]
 
 
-def laplacian_matrix(g: WeightedGraph, mode: str = "closed") -> tuple[np.ndarray, np.ndarray]:
-    """(M, idx): the Laplacian matrix over the selected vertices.
-
-    mode "closed" keeps every vertex; "dirichlet" restricts rows and columns
-    to the interior (the boundary condition).  idx maps matrix rows back to
-    vertex indices.
-    """
-    idx = _solved_rows(g, mode)
+def laplacian_matrix(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(M, idx): the Laplacian matrix over the solved rows, the interior (the
+    boundary condition).  idx maps matrix rows back to vertex indices."""
+    idx = _solved_rows(g)
     i, j, w = _edge_rows(g, idx)
     nr = len(idx)
     W = np.zeros(nr * nr)  # row-major, so entry (r, c) sits at r * nr + c
@@ -160,10 +155,9 @@ def laplacian_apply(g: WeightedGraph, f: VertexFunction) -> VertexFunction:
 @dataclass
 class SpectralDecomposition:
     graph: WeightedGraph
-    mode: str  # "closed" | "dirichlet"
     eigenvalues: np.ndarray  # ascending
     # eigenfunctions as columns of an n-by-k array over ALL vertices
-    # (zero on the boundary in dirichlet mode), V-orthonormal
+    # (zero on the boundary), V-orthonormal
     eigenfunctions: np.ndarray
 
     def eigenfunction(self, i: int) -> VertexFunction:
@@ -174,7 +168,7 @@ class SpectralDecomposition:
         return len(self.eigenvalues)
 
 
-def _symmetrized(g: WeightedGraph, mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _symmetrized(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(S, idx, s): S = V^{1/2} M V^{-1/2}, scaled in place, s = V^{1/2} on idx.
 
     S is symmetric up to rounding, and every solve reads its lower triangle
@@ -185,7 +179,7 @@ def _symmetrized(g: WeightedGraph, mode: str) -> tuple[np.ndarray, np.ndarray, n
     if g.n > MAX_DENSE:
         raise GraphError(f"dense eigensolve capped at {MAX_DENSE} vertices")
     with np.errstate(over="ignore", invalid="ignore"):
-        S, idx = laplacian_matrix(g, mode)
+        S, idx = laplacian_matrix(g)
         s = np.sqrt(g.vmeasure[idx])
         S *= s[:, None]
         S /= s
@@ -204,12 +198,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _eigenvalue_array(evals: np.ndarray, mode: str) -> np.ndarray:
-    """Read-only eigenvalues; in closed mode rounding below 0 is clamped to 0."""
-    return _frozen(np.maximum(evals, 0.0) if mode == "closed" else evals)
+def _eigenvalue_array(g: WeightedGraph, evals: np.ndarray) -> np.ndarray:
+    """Read-only eigenvalues; on a closed graph rounding below 0 is clamped to 0."""
+    return _frozen(np.maximum(evals, 0.0) if g.is_closed else evals)
 
 
-def eigenvalues(g: WeightedGraph, mode: str = "closed", k: int | None = None) -> np.ndarray:
+def eigenvalues(g: WeightedGraph, k: int | None = None) -> np.ndarray:
     """Ascending Laplacian eigenvalues, without eigenvectors (read-only array):
     all of them, or the k lowest (fewer when there are fewer rows).
 
@@ -223,34 +217,33 @@ def eigenvalues(g: WeightedGraph, mode: str = "closed", k: int | None = None) ->
     rounding, not bit for bit.  If its certificate fails, the dense solve
     answers, and refuses a graph above MAX_DENSE vertices.
     """
-    full = ("eigenvalues", mode)
+    full = ("eigenvalues",)
     if k is not None and g.memoized(full) is None:
-        rows = len(_solved_rows(g, mode))
+        rows = len(_solved_rows(g))
         if SPARSE_ROWS < rows and 0 < k < rows - 1:
-            return g.memo(full + (k,), lambda: _lowest(g, mode, k))
-    lams = g.memo(full, lambda: _eigenvalue_array(
-        np.linalg.eigvalsh(_symmetrized(g, mode)[0]), mode))
+            return g.memo(full + (k,), lambda: _lowest(g, k))
+    lams = g.memo(full, lambda: _eigenvalue_array(g, np.linalg.eigvalsh(_symmetrized(g)[0])))
     return lams if k is None else lams[:k]
 
 
-def _lowest(g: WeightedGraph, mode: str, k: int) -> np.ndarray:
-    lams = _sparse_lowest(g, mode, k)
+def _lowest(g: WeightedGraph, k: int) -> np.ndarray:
+    lams = _sparse_lowest(g, k)
     if lams is not None:
-        return _eigenvalue_array(lams, mode)
+        return _eigenvalue_array(g, lams)
     if g.n > MAX_DENSE:
         raise GraphError(f"the sparse eigensolve failed its inertia check, and the dense "
                          f"one is capped at {MAX_DENSE} vertices")
-    return eigenvalues(g, mode)[:k]
+    return eigenvalues(g)[:k]
 
 
-def _sparse_symmetrized(g: WeightedGraph, mode: str):
+def _sparse_symmetrized(g: WeightedGraph):
     """(S, L): S as a scipy CSC matrix, built from the edge arrays, with
     L(v) on the diagonal and -(a_e/l_e)/(s_u s_v) off it (parallel edges
     summed), s = V^{1/2}.  It is symmetric by construction and never
     densified."""
     from scipy.sparse import csc_matrix
 
-    idx = _solved_rows(g, mode)
+    idx = _solved_rows(g)
     i, j, w = _edge_rows(g, idx)
     nr = len(idx)
     vm = g.vmeasure[idx]
@@ -268,7 +261,7 @@ def _sparse_symmetrized(g: WeightedGraph, mode: str):
     return S, diag
 
 
-def _sparse_lowest(g: WeightedGraph, mode: str, k: int) -> np.ndarray | None:
+def _sparse_lowest(g: WeightedGraph, k: int) -> np.ndarray | None:
     """The k lowest eigenvalues, certified, or None when the certificate fails.
 
     Shift-invert Lanczos (ARPACK's eigsh, Ericsson & Ruhe 1980) finds the
@@ -288,7 +281,7 @@ def _sparse_lowest(g: WeightedGraph, mode: str, k: int) -> np.ndarray | None:
     from scipy.sparse import identity
     from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-    S, diag = _sparse_symmetrized(g, mode)
+    S, diag = _sparse_symmetrized(g)
     n = S.shape[0]
     scale = 2.0 * float(diag.max())  # every eigenvalue lies in [0, 2 max L]
 
@@ -297,7 +290,7 @@ def _sparse_lowest(g: WeightedGraph, mode: str, k: int) -> np.ndarray | None:
                     diag_pivot_thresh=0, options={"SymmetricMode": True})
 
     # below 0, so that S - sigma0 I is definite although 0 is an eigenvalue
-    # in closed mode, and close to 0 on the scale of L
+    # of a closed graph, and close to 0 on the scale of L
     sigma0 = -1e-3 * float(diag.mean())
     # a fixed start, so that repeated solves agree bit for bit, and a
     # positive one, so that it is not orthogonal to a positive eigenvector
@@ -318,13 +311,13 @@ def _sparse_lowest(g: WeightedGraph, mode: str, k: int) -> np.ndarray | None:
     return lams[:k]
 
 
-def _decompose(g: WeightedGraph, mode: str) -> SpectralDecomposition:
+def _decompose(g: WeightedGraph) -> SpectralDecomposition:
     """Eigenvalues and V-orthonormal eigenfunctions from the lower triangle of
     S, as numpy's solves read it.  Above SPARSE_ROWS solved rows scipy's eigh
     runs LAPACK's syevd, as numpy's eigh does, but overwrites S with the
     eigenvectors instead of working on a copy: S.T is the same matrix in
     Fortran order, and its upper triangle is the lower triangle of S."""
-    S, idx, s = _symmetrized(g, mode)
+    S, idx, s = _symmetrized(g)
     if len(idx) > SPARSE_ROWS:
         from scipy.linalg import eigh
 
@@ -339,19 +332,19 @@ def _decompose(g: WeightedGraph, mode: str) -> SpectralDecomposition:
     first = np.argmax(a > 1e-12 * a.max(axis=0), axis=0)
     del a
     phi *= np.where(phi[first, np.arange(phi.shape[1])] < 0, -1.0, 1.0)
-    if mode == "closed":
+    if g.is_closed:
         full = phi
     else:
         full = np.zeros((g.n, phi.shape[1]))
         full[idx, :] = phi
-    evals = _eigenvalue_array(evals, mode)
-    g.memo(("eigenvalues", mode), lambda: evals)  # unless eigenvalues solved first
-    return SpectralDecomposition(g, mode, evals, _frozen(full))
+    evals = _eigenvalue_array(g, evals)
+    g.memo(("eigenvalues",), lambda: evals)  # unless eigenvalues solved first
+    return SpectralDecomposition(g, evals, _frozen(full))
 
 
-def spectral_decomposition(g: WeightedGraph, mode: str = "closed") -> SpectralDecomposition:
-    """Full eigendecomposition, kept in the graph's memo per mode; arrays are read-only."""
-    return g.memo(("spectral", mode), lambda: _decompose(g, mode))
+def spectral_decomposition(g: WeightedGraph) -> SpectralDecomposition:
+    """Full eigendecomposition, kept in the graph's memo; arrays are read-only."""
+    return g.memo(("spectral",), lambda: _decompose(g))
 
 
 @dataclass
@@ -367,7 +360,8 @@ class OperatorNormReport:
 
 
 def default_mode(g: WeightedGraph) -> str:
-    """Dirichlet mode on a graph with boundary, closed mode otherwise."""
+    """The label of the graph's boundary condition: "dirichlet" on a graph with
+    boundary, "closed" otherwise."""
     return "dirichlet" if g.boundary else "closed"
 
 
@@ -376,4 +370,4 @@ def operator_norm_report(g: WeightedGraph) -> OperatorNormReport:
     from .graph import L_stats
 
     stats = L_stats(g)
-    return OperatorNormReport(stats.sup, float(eigenvalues(g, default_mode(g))[-1]))
+    return OperatorNormReport(stats.sup, float(eigenvalues(g)[-1]))

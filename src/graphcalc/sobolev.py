@@ -26,7 +26,7 @@ from .functions import (
     split_shift,
     vertex_integral,
 )
-from .isoperimetry import default_variant, iso_constant, sobolev_quotient
+from .isoperimetry import _finite_constant, default_variant, iso_constant
 
 __all__ = [
     "InequalityCheck",
@@ -63,21 +63,13 @@ class InequalityCheck:
         return self.failures == 0
 
 
-def _finite_constant(g: WeightedGraph, nu: float, variant: str) -> float:
-    """I_nu of the variant, refused when infinite: no set is admissible."""
-    I = iso_constant(g, nu, variant).value
-    if math.isinf(I):
-        raise GraphError(f"the {variant} isoperimetric constant is infinite: no set is admissible")
-    return I
-
-
 def _iso_for(g: WeightedGraph, nu: float) -> tuple[float, bool, float]:
     """(constant, closed flag, rho_sup): I_nu with Dirichlet data, or I~_nu when
     closed.  Most checks raise rho_sup to negative powers, so 0 is refused."""
     rho = half_degrees(g).rho_sup
     if rho == 0:
         raise GraphError("rho_sup is 0 (the graph has no edge): the constants are undefined")
-    return _finite_constant(g, nu, default_variant(g)), g.is_closed, rho
+    return _finite_constant(iso_constant(g, nu, default_variant(g))), g.is_closed, rho
 
 
 def general_F_check(

@@ -31,7 +31,7 @@ from .functions import (
     vertex_integral,
 )
 from .operators import EdgeField, divergence, laplacian_apply
-from .isoperimetry import iso_constant, sobolev_quotient
+from .isoperimetry import _finite_constant, iso_constant, sobolev_quotient
 from . import sobolev as sb
 
 __all__ = ["run_suite", "SUITES"]
@@ -105,13 +105,13 @@ def _suite_ff(g, trials, rng):
     failures = 0
     nus = [1.5, 2.0, 3.0, math.inf]
     if g.boundary:
-        consts = {nu: sb._finite_constant(g, nu, "open") for nu in nus}
+        consts = {nu: _finite_constant(iso_constant(g, nu, "open")) for nu in nus}
         f = _block(g, _nonzero(_draws(g, trials, rng, dirichlet=True)))
         for nu in nus:
             failures += _below(sobolev_quotient(f, nu), consts[nu])
     else:
-        tilde = {nu: sb._finite_constant(g, nu, "tilde") for nu in nus}
-        prime = {nu: sb._finite_constant(g, nu, "tilde_prime") for nu in nus}
+        tilde = {nu: _finite_constant(iso_constant(g, nu, "tilde")) for nu in nus}
+        prime = {nu: _finite_constant(iso_constant(g, nu, "tilde_prime")) for nu in nus}
         f = _block(g, _draws(g, trials, rng))
         fs = split_shift(f)
         grad_f, grad_fs = grad_lp_norm(f, 1), grad_lp_norm(fs, 1)

@@ -119,7 +119,7 @@ def test_bobkov_applicability():
     b = bobkov_bound(g)
     assert b.applicable
     assert b.value == pytest.approx(1.0 * 3.0 / 14.0)
-    assert b.value <= true_lambda(g, "closed") + 1e-9
+    assert b.value <= true_lambda(g) + 1e-9
     assert not bobkov_bound(cycle(4)).applicable  # a = 1 != 2
 
 
@@ -387,7 +387,7 @@ def test_q1_q2_inequality():
 
 def test_rayleigh_quotient_bounds_lambda():
     g = cycle(6)
-    lam = true_lambda(g, "closed")
+    lam = true_lambda(g)
     rng = np.random.default_rng(15)
     for _ in range(20):
         vals = rng.standard_normal(6)

@@ -466,6 +466,28 @@ def test_fuzzed_documents_keep_the_exit_contract(tmp_path_factory, doc, ids, c):
             assert main(argv) in (0, 1, 2), argv
 
 
+def test_iso_refuses_an_infinite_constant(tmp_path, capsys):
+    # a lone closed vertex has no admissible set: I~ and the magnification are inf
+    target = tmp_path / "lone.json"
+    target.write_text(json.dumps({"vertices": [1], "edges": []}))
+    for extra in ([], ["--magnification"], ["--variant", "open", "--magnification"]):
+        _assert_usage_error(*_run_err(capsys, "iso", str(target), *extra))
+
+
+def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
+    import shlex
+
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    lines = [argv for argv in lines if argv and argv[0] == "graphcalc"]
+    assert len(lines) >= 9
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _ = _run(capsys, "iso", "does-not-exist.json")
     assert code == 2

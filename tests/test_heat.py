@@ -340,7 +340,7 @@ def _perturbed(kern):
     d = kern.decomposition
     phi = np.array(d.eigenfunctions)
     phi[:, 3] *= 1.0 + 1e-6
-    return HeatKernel(SpectralDecomposition(d.graph, d.mode, d.eigenvalues, phi))
+    return HeatKernel(SpectralDecomposition(d.graph, d.eigenvalues, phi))
 
 
 @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
@@ -365,6 +365,6 @@ def test_heat_grid_nan_fails():
     d = heat_kernel(g).decomposition
     lam = np.array(d.eigenvalues)
     lam[2] = np.nan
-    rows, passed = heat_grid(HeatKernel(SpectralDecomposition(g, d.mode, lam, d.eigenfunctions)),
+    rows, passed = heat_grid(HeatKernel(SpectralDecomposition(g, lam, d.eigenfunctions)),
                              [1.0])
     assert math.isnan(rows[0]["min_entry"]) and not passed

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -93,7 +94,7 @@ def test_green_identity_all_vertices():
 def test_laplacian_matrix_matches_apply():
     rng = np.random.default_rng(9)
     g = random_graph(10, rng, weighted=True)
-    M, idx = laplacian_matrix(g, "closed")
+    M, idx = laplacian_matrix(g)
     f = VertexFunction(g, rng.standard_normal(g.n))
     assert np.allclose(M @ f.values, laplacian_apply(g, f).values, atol=1e-12)
     # row sums vanish: constants are harmonic on a closed graph
@@ -105,7 +106,7 @@ def test_laplacian_matrix_dirichlet_and_loops():
     for trial in range(40):
         mode = "dirichlet" if trial % 2 else "closed"
         g = _multigraph(int(rng.integers(2, 25)), rng, dirichlet=mode == "dirichlet")
-        M, idx = laplacian_matrix(g, mode)
+        M, idx = laplacian_matrix(g)
         ref, ref_idx = _laplacian_by_edge_loop(g, mode)
         assert np.array_equal(idx, ref_idx)
         assert np.array_equal(M, ref)
@@ -127,21 +128,21 @@ def test_laplacian_is_v_symmetric_and_nonnegative():
 
 
 def test_spectrum_c4():
-    dec = spectral_decomposition(cycle(4), "closed")
+    dec = spectral_decomposition(cycle(4))
     assert np.allclose(dec.eigenvalues, [0.0, 2.0, 2.0, 4.0], atol=1e-10)
 
 
 def test_spectrum_k2():
     from graphcalc.generators import complete
 
-    dec = spectral_decomposition(complete(2), "closed")
+    dec = spectral_decomposition(complete(2))
     assert np.allclose(dec.eigenvalues, [0.0, 2.0], atol=1e-12)
 
 
 def test_dirichlet_path_eigenvalues():
     # path of 5 with both ends absorbed: 2 - 2 cos(k pi / 4), k = 1..3
     g = path(5, boundary=[1, 5])
-    dec = spectral_decomposition(g, "dirichlet")
+    dec = spectral_decomposition(g)
     exact = [2.0 - 2.0 * math.cos(k * math.pi / 4) for k in (1, 2, 3)]
     assert np.allclose(dec.eigenvalues, exact, atol=1e-12)
     # eigenfunctions are padded with zeros on the boundary
@@ -151,16 +152,16 @@ def test_dirichlet_path_eigenvalues():
 def test_eigenfunctions_v_orthonormal():
     rng = np.random.default_rng(21)
     g = random_graph(11, rng, weighted=True)
-    dec = spectral_decomposition(g, "closed")
+    dec = spectral_decomposition(g)
     gram = dec.eigenfunctions.T @ (dec.eigenfunctions * g.vmeasure[:, None])
     assert np.allclose(gram, np.eye(dec.k), atol=1e-9)
 
 
 def test_sign_convention_deterministic():
     g = cycle(5)
-    a = spectral_decomposition(g, "closed")
+    a = spectral_decomposition(g)
     g2 = cycle(5)
-    b = spectral_decomposition(g2, "closed")
+    b = spectral_decomposition(g2)
     assert np.array_equal(a.eigenfunctions, b.eigenfunctions)
     for j in range(a.k):
         col = a.eigenfunctions[:, j]
@@ -173,8 +174,8 @@ def test_eigenvalues_match_decomposition():
     for n in range(2, 41):
         for mode in ("closed", "dirichlet"):
             g = _multigraph(n, rng, dirichlet=mode == "dirichlet")
-            lams = eigenvalues(g, mode)  # solved first, so not read from the decomposition
-            full = spectral_decomposition(g, mode).eigenvalues
+            lams = eigenvalues(g)  # solved first, so not read from the decomposition
+            full = spectral_decomposition(g).eigenvalues
             assert lams.shape == full.shape
             scale = max(1.0, float(full[-1]))
             assert np.max(np.abs(lams - full)) <= 1e-12 * scale
@@ -186,8 +187,8 @@ def test_eigenvalues_reuse_cached_decomposition():
     rng = np.random.default_rng(32)
     for mode in ("closed", "dirichlet"):
         g = _multigraph(15, rng, dirichlet=mode == "dirichlet")
-        dec = spectral_decomposition(g, mode)
-        assert np.array_equal(eigenvalues(g, mode), dec.eigenvalues)
+        dec = spectral_decomposition(g)
+        assert np.array_equal(eigenvalues(g), dec.eigenvalues)
 
 
 def test_spectral_arrays_are_read_only():
@@ -209,17 +210,38 @@ def test_operator_norm_sandwich():
 
 
 def test_mode_validation():
-    g = cycle(3)
     with pytest.raises(GraphError):
-        laplacian_matrix(g, "bogus")
+        spectral_decomposition(path(2, boundary=[1, 2]))  # no interior
     with pytest.raises(GraphError):
-        spectral_decomposition(path(2, boundary=[1, 2]), "dirichlet")  # no interior
-    with pytest.raises(GraphError):
-        eigenvalues(path(2, boundary=[1, 2]), "dirichlet")
-    with pytest.raises(GraphError):
-        eigenvalues(g, "bogus")
+        eigenvalues(path(2, boundary=[1, 2]))
     with pytest.raises(GraphError):
         eigenvalues(path(MAX_DENSE + 1))
+
+
+def test_the_graph_sets_the_boundary_condition(tmp_path, capsys):
+    from graphcalc.cli import main
+
+    # Dirichlet at vertex 5, a free end at vertex 1: 2 - 2 cos((2k - 1) pi / 9)
+    g = path(5, boundary=[5])
+    exact = [2.0 - 2.0 * math.cos((2 * k - 1) * math.pi / 9) for k in range(1, 5)]
+    assert np.allclose(eigenvalues(g), exact, atol=1e-12)
+    # without its boundary the graph is closed: 2 - 2 cos(k pi / 5), clamped at 0
+    closed = eigenvalues(with_boundary(g, ()))
+    assert np.array_equal(closed, eigenvalues(path(5)))
+    assert np.allclose(closed, [2.0 - 2.0 * math.cos(k * math.pi / 5) for k in range(5)],
+                       atol=1e-12)
+    assert closed[0] >= 0.0
+    # no option picks another condition than the graph's
+    target = str(tmp_path / "c4.json")
+    assert main(["gen", "cycle", "4", "-o", target]) == 0
+    for command in ("spectrum", "heat"):
+        capsys.readouterr()
+        assert main([command, target, "--mode", "dirichlet"]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == "" and "unrecognized arguments: --mode dirichlet" in cap.err
+    assert main(["spectrum", target]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["mode"] == "closed" and min(doc["eigenvalues"]) >= 0.0
 
 
 @pytest.mark.filterwarnings("error")  # the solve must refuse, not warn
@@ -236,9 +258,9 @@ def test_overflowing_laplacian_is_refused():
         for mode in ("closed", "dirichlet"):
             h = with_boundary(g, [vs[-1]]) if mode == "dirichlet" else g
             with pytest.raises(GraphError, match="overflow"):
-                eigenvalues(h, mode)
+                eigenvalues(h)
             with pytest.raises(GraphError, match="overflow"):
-                spectral_decomposition(h, mode)
+                spectral_decomposition(h)
     # within the bound the spectrum is finite: lambda_max = 2 L = 2e307
     lams = eigenvalues(WeightedGraph([1, 2], [1, 1], [Edge(1, 2, a=1e307)]))
     assert lams[-1] == pytest.approx(2e307, rel=1e-12)
@@ -248,7 +270,7 @@ def test_overflowing_laplacian_is_refused():
     for mode in ("closed", "dirichlet"):
         h = with_boundary(g, [400]) if mode == "dirichlet" else g
         with pytest.raises(GraphError, match="overflow"):
-            eigenvalues(h, mode, 2)
+            eigenvalues(h, 2)
 
 
 def _large(rng, mode):
@@ -263,35 +285,35 @@ def _large(rng, mode):
 @pytest.mark.parametrize("mode", ["closed", "dirichlet"])
 def test_sparse_lowest_eigenvalues_match_dense(mode):
     g = _large(np.random.default_rng(41), mode)
-    dense = np.linalg.eigvalsh(_symmetrized(g, mode)[0])
+    dense = np.linalg.eigvalsh(_symmetrized(g)[0])
     assert len(dense) > SPARSE_ROWS
     for k in (1, 2, 5):
-        lams = _sparse_lowest(g, mode, k)
+        lams = _sparse_lowest(g, k)
         assert lams is not None  # certified: no fallback
-        got = eigenvalues(g, mode, k)
+        got = eigenvalues(g, k)
         assert got.shape == (k,)
         assert np.max(np.abs(got - dense[:k])) <= 1e-12 * dense[-1]
         assert np.array_equal(got, np.maximum(lams, 0.0) if mode == "closed" else lams)
         with pytest.raises(ValueError):
             got[0] = 1.0
-    assert g.memoized(("eigenvalues", mode)) is None  # no dense solve ran
+    assert g.memoized(("eigenvalues",)) is None  # no dense solve ran
 
 
 def test_sparse_lowest_falls_back_on_a_repeated_eigenvalue():
     # on a cycle lambda_1 = lambda_2, so no shift separates lambda_1 from lambda_2
     g = cycle(400)
-    assert _sparse_lowest(g, "closed", 2) is None
-    assert np.array_equal(eigenvalues(g, "closed", 2), eigenvalues(cycle(400))[:2])
-    assert g.memoized(("eigenvalues", "closed")) is not None  # the dense fallback ran
+    assert _sparse_lowest(g, 2) is None
+    assert np.array_equal(eigenvalues(g, 2), eigenvalues(cycle(400))[:2])
+    assert g.memoized(("eigenvalues",)) is not None  # the dense fallback ran
     # two disjoint cycles: 0 is a double eigenvalue, their lambda_1's are not
     edges = ([Edge(i, (i + 1) % 200) for i in range(200)]
              + [Edge(200 + i, 200 + (i + 1) % 230) for i in range(230)])
     two = WeightedGraph(list(range(430)), [1.0] * 430, edges)
-    dense = np.linalg.eigvalsh(_symmetrized(two, "closed")[0])
-    assert _sparse_lowest(two, "closed", 1) is None
-    assert _sparse_lowest(two, "closed", 2) is not None
+    dense = np.linalg.eigvalsh(_symmetrized(two)[0])
+    assert _sparse_lowest(two, 1) is None
+    assert _sparse_lowest(two, 2) is not None
     for k in (1, 2):
-        got = eigenvalues(two, "closed", k)
+        got = eigenvalues(two, k)
         assert np.max(np.abs(got - dense[:k])) <= 1e-12 * dense[-1]
 
 
@@ -303,14 +325,14 @@ def test_eigenvalues_k_reads_the_dense_solve_where_it_applies(monkeypatch):
     # k + 1 reaches the row count
     g = path(302)
     for k in (301, 302, 500):
-        assert np.array_equal(eigenvalues(g, "closed", k), eigenvalues(path(302))[:k])
+        assert np.array_equal(eigenvalues(g, k), eigenvalues(path(302))[:k])
     # at most SPARSE_ROWS rows
     g = path(SPARSE_ROWS)
-    assert np.array_equal(eigenvalues(g, "closed", 2), eigenvalues(path(SPARSE_ROWS))[:2])
+    assert np.array_equal(eigenvalues(g, 2), eigenvalues(path(SPARSE_ROWS))[:2])
     # the full spectrum is kept already
     g = path(400)
     full = eigenvalues(g)
-    assert np.array_equal(eigenvalues(g, "closed", 2), full[:2])
+    assert np.array_equal(eigenvalues(g, 2), full[:2])
 
 
 def test_a_wrong_sparse_eigenvalue_fails_the_certificate(monkeypatch):
@@ -324,10 +346,10 @@ def test_a_wrong_sparse_eigenvalue_fails_the_certificate(monkeypatch):
     monkeypatch.setattr(spla, "eigsh", skip_lambda_1)
     for mode in ("closed", "dirichlet"):
         g = _large(np.random.default_rng(43), mode)
-        assert _sparse_lowest(g, mode, 2) is None
-        dense = np.linalg.eigvalsh(_symmetrized(g, mode)[0])
-        assert np.array_equal(eigenvalues(g, mode, 2), eigenvalues(g, mode)[:2])
-        assert np.max(np.abs(eigenvalues(g, mode, 2) - dense[:2])) <= 1e-12 * dense[-1]
+        assert _sparse_lowest(g, 2) is None
+        dense = np.linalg.eigvalsh(_symmetrized(g)[0])
+        assert np.array_equal(eigenvalues(g, 2), eigenvalues(g)[:2])
+        assert np.max(np.abs(eigenvalues(g, 2) - dense[:2])) <= 1e-12 * dense[-1]
 
 
 @pytest.mark.parametrize("mode", ["closed", "dirichlet"])
@@ -344,11 +366,11 @@ def test_dense_solves_read_the_lower_triangle_only(monkeypatch, mode):
                 lambda: _large(np.random.default_rng(59), mode))
     for large, build in enumerate(builders):
         graphs = [build() for _ in range(4)]  # one per solve, so that none reads a memo
-        assert (len(laplacian_matrix(graphs[0], mode)[1]) > SPARSE_ROWS) == bool(large)
-        want = eigenvalues(graphs[0], mode), spectral_decomposition(graphs[1], mode)
+        assert (len(laplacian_matrix(graphs[0])[1]) > SPARSE_ROWS) == bool(large)
+        want = eigenvalues(graphs[0]), spectral_decomposition(graphs[1])
         with monkeypatch.context() as m:
             m.setattr(operators, "_symmetrized", lower)
-            got = eigenvalues(graphs[2], mode), spectral_decomposition(graphs[3], mode)
+            got = eigenvalues(graphs[2]), spectral_decomposition(graphs[3])
         scale = want[0][-1]
         assert np.max(np.abs(got[0] - want[0])) <= 1e-12 * scale
         assert np.max(np.abs(got[1].eigenvalues - want[1].eigenvalues)) <= 1e-12 * scale
@@ -371,8 +393,8 @@ def test_dense_stages_keep_few_n_squared_arrays():
         finally:
             tracemalloc.stop()
 
-    assert peak(lambda: _symmetrized(g, "dirichlet")) <= 1.2
-    assert peak(lambda: _decompose(g, "dirichlet")) <= 3.2
-    kern = heat_kernel(g, "dirichlet")
+    assert peak(lambda: _symmetrized(g)) <= 1.2
+    assert peak(lambda: _decompose(g)) <= 3.2
+    kern = heat_kernel(g)
     # beyond the eigenfunctions, which the decomposition holds already
     assert peak(lambda: heat_grid(kern, [0.25, 1.0, 4.0, 16.0])) <= 3.2
