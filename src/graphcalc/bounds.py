@@ -300,7 +300,7 @@ def alon_field(
     demand = Fraction(sum(cap for _, _, cap in arcs[: len(ids)]), scale)
     if value != demand:
         raise GraphError(f"flow saturates only {value} of {demand}: A is not (1+c)-magnified")
-    net = [0] * len(g.edges)
+    net = [0] * g.m
     for k, a, sign in carried:
         net[k] += sign * flow[a]
     # int / int is correctly rounded: the same floats as float(Fraction(x, scale))

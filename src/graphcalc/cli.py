@@ -130,7 +130,7 @@ def _cmd_info(args) -> int:
     report.update(
         {
             "vertices": g.n,
-            "edges": len(g.edges),
+            "edges": g.m,
             "boundary_vertices": len(g.boundary),
             "closed": g.is_closed,
             "connected": is_connected(g),
@@ -241,7 +241,7 @@ def _cmd_gen(args) -> int:
         with open(args.output, "w") as fh:
             fh.write(doc)
         report = _head("gen")
-        report.update({"kind": kind, "vertices": g.n, "edges": len(g.edges),
+        report.update({"kind": kind, "vertices": g.n, "edges": g.m,
                        "written": args.output})
         _emit(report, None, args.out)
     else:
@@ -274,8 +274,8 @@ def _cmd_flow(args) -> int:
         }
     )
     rows = [
-        {"edge": k, "u": str(e.u), "v": str(e.v), "X": float(af.field.values[k])}
-        for k, e in enumerate(g.edges)
+        {"edge": k, "u": str(u), "v": str(v), "X": x}
+        for k, (u, v, x) in enumerate(zip(*g.endpoint_ids(), af.field.values.tolist()))
     ]
     _emit(report, rows, args.out)
     return 0 if ok else 1
@@ -292,10 +292,16 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one ``error:`` line, like every other refusal;
+    the subcommand parsers are of this class too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="graphcalc", description="calculus on weighted graphs"
-    )
+    ap = _Parser(prog="graphcalc", description="calculus on weighted graphs")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, graph=True):

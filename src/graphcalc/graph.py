@@ -7,18 +7,22 @@ A graph here is a finite multigraph (self-loops allowed) together with
   length ``l_e > 0`` per edge, ``E(e) = a_e * l_e``,
 * a distinguished (possibly empty) set of boundary vertices.
 
-Edges are stored with an orientation (tail ``u`` -> head ``v``) purely as a
-bookkeeping convention for vector fields; nothing downstream depends on the
-choice.  ``WeightedGraph.adjacency`` is the one neighbour structure: per
-vertex index, the frozenset of the indices it shares an edge with (itself
-too when it carries a loop); every module reads it through ``neighbors``.
+A ``WeightedGraph`` is its columns: the read-only arrays ``vmeasure`` (one
+entry per vertex) and ``eu``, ``ev`` (tail and head vertex indices), ``ea``
+and ``elen`` (one entry per edge); ``n`` and ``m`` count the vertices and
+the edges.  Edges are stored with an orientation (tail ``u`` -> head ``v``)
+purely as a bookkeeping convention for vector fields; nothing downstream
+depends on the choice.  Two views are built on their first read and kept in
+the graph's memo: ``edges``, a tuple of ``Edge`` objects, and
+``adjacency``, the one neighbour structure: per vertex index, the frozenset
+of the indices it shares an edge with (itself too when it carries a loop);
+every module reads it through ``neighbors``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Sequence
+from collections.abc import Hashable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,10 +69,11 @@ class Edge:
 
 
 class WeightedGraph:
-    """Immutable: ids, edges and adjacency are tuples, every array is
-    read-only (the measures passed in are copied), and attributes cannot be
-    rebound.  Data derived from the graph is computed once and kept in one
-    memo."""
+    """Immutable: the graph is its columns, every array read-only (the
+    columns passed in are copied), and attributes cannot be rebound.  The
+    views ``edges`` and ``adjacency`` are tuples, built on first read.  Data
+    derived from the graph is computed once and kept in one memo, with the
+    views."""
 
     def __init__(
         self,
@@ -77,12 +82,28 @@ class WeightedGraph:
         edges: Sequence[Edge],
         boundary: Iterable[VertexId] = (),
     ):
+        edges = tuple(edges)
+        self._build(vertices, measures, [e.u for e in edges], [e.v for e in edges],
+                    [e.a for e in edges], [e.length for e in edges], boundary)
+
+    @classmethod
+    def from_columns(cls, vertices, measures, tails, heads, a, length,
+                     boundary: Iterable[VertexId] = ()) -> "WeightedGraph":
+        """The graph whose edge k runs from tails[k] to heads[k] (vertex ids)
+        with conductance a[k] and length length[k]."""
+        g = cls.__new__(cls)
+        g._build(vertices, measures, tails, heads, a, length, boundary)
+        return g
+
+    def _build(self, vertices, measures, tails, heads, a, length, boundary) -> None:
+        """Validate the columns and set every attribute; the one constructor."""
         self.vertices = tuple(vertices)
         try:
             self._index = {vid: i for i, vid in enumerate(self.vertices)}
         except TypeError as exc:
             raise GraphError(f"vertex ids must be hashable: {exc}") from None
-        if len(set(map(str, self._index))) != len(self.vertices):
+        index = self._index
+        if len(set(map(str, index))) != len(self.vertices):
             raise GraphError("vertex ids must be distinct, also as strings")
         self.vmeasure = np.array(measures, dtype=float)
         if self.vmeasure.shape != (len(self.vertices),):
@@ -90,34 +111,31 @@ class WeightedGraph:
         if not np.all((self.vmeasure > 0) & np.isfinite(self.vmeasure)):
             raise GraphError("vertex measures must be positive and finite")
         self.boundary = frozenset(boundary)
-        unknown = self.boundary - set(self.vertices)
+        unknown = self.boundary.difference(index)
         if unknown:
             raise GraphError(f"boundary vertices not in graph: {sorted(map(str, unknown))}")
-        self.edges = tuple(edges)
-        for e in self.edges:
-            try:
-                known = e.u in self._index and e.v in self._index
-            except TypeError:
-                known = False
-            if not known:
-                raise GraphError(f"edge endpoint not in graph: {e.u!r}-{e.v!r}")
-            if not (e.a > 0 and e.length > 0 and math.isfinite(e.a * e.length)):
-                raise GraphError("edge weights and lengths must be positive, their product finite")
-        m = len(self.edges)
-        self.eu = np.fromiter((self._index[e.u] for e in self.edges), dtype=int, count=m)
-        self.ev = np.fromiter((self._index[e.v] for e in self.edges), dtype=int, count=m)
-        self.ea = np.fromiter((e.a for e in self.edges), dtype=float, count=m)
-        self.elen = np.fromiter((e.length for e in self.edges), dtype=float, count=m)
-        self.emeasure = self.ea * self.elen
+        try:
+            self.eu = np.array([index[x] for x in tails], dtype=int)
+            self.ev = np.array([index[x] for x in heads], dtype=int)
+        except (KeyError, TypeError):  # name the first edge with an unknown or unhashable end
+            for u, v in zip(tails, heads):
+                try:
+                    known = u in index and v in index
+                except TypeError:
+                    known = False
+                if not known:
+                    raise GraphError(f"edge endpoint not in graph: {u!r}-{v!r}") from None
+        self.ea = np.array(a, dtype=float)
+        self.elen = np.array(length, dtype=float)
+        if not self.eu.shape == self.ev.shape == self.ea.shape == self.elen.shape:
+            raise GraphError("edge column length mismatch")
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            self.emeasure = self.ea * self.elen
+        if not np.all((self.ea > 0) & (self.elen > 0) & np.isfinite(self.emeasure)):
+            raise GraphError("edge weights and lengths must be positive, their product finite")
         self.loop_mask = self.eu == self.ev
-        adjacency = [set() for _ in self.vertices]
-        for iu, iv in zip(self.eu.tolist(), self.ev.tolist()):
-            adjacency[iu].add(iv)
-            adjacency[iv].add(iu)
-        self.adjacency = tuple(map(frozenset, adjacency))
         self.interior_mask = np.ones(len(self.vertices), dtype=bool)
-        for b in self.boundary:
-            self.interior_mask[self._index[b]] = False
+        self.interior_mask[[index[b] for b in self.boundary]] = False
         for arr in (self.vmeasure, self.eu, self.ev, self.ea, self.elen, self.emeasure,
                     self.loop_mask, self.interior_mask):
             arr.setflags(write=False)
@@ -144,6 +162,33 @@ class WeightedGraph:
     @property
     def n(self) -> int:
         return len(self.vertices)
+
+    @property
+    def m(self) -> int:
+        return len(self.eu)
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as ``Edge`` objects, in edge order, with the vertices' own ids."""
+        return self.memo(("edges",), lambda: tuple(map(
+            Edge, *self.endpoint_ids(), self.ea.tolist(), self.elen.tolist())))
+
+    @property
+    def adjacency(self) -> tuple[frozenset[int], ...]:
+        """Per vertex index, the frozenset of the indices it shares an edge
+        with (itself too when it carries a loop)."""
+        def build():
+            near = [set() for _ in self.vertices]
+            for iu, iv in zip(self.eu.tolist(), self.ev.tolist()):
+                near[iu].add(iv)
+                near[iv].add(iu)
+            return tuple(map(frozenset, near))
+        return self.memo(("adjacency",), build)
+
+    def endpoint_ids(self) -> tuple[list, list]:
+        """The tail ids and the head ids of the edges, in edge order."""
+        ids = self.vertices
+        return [ids[i] for i in self.eu.tolist()], [ids[i] for i in self.ev.tolist()]
 
     @property
     def is_closed(self) -> bool:
@@ -178,7 +223,9 @@ class WeightedGraph:
                 for i, vid in enumerate(self.vertices)
             ],
             "edges": [
-                {"u": e.u, "v": e.v, "a": e.a, "length": e.length} for e in self.edges
+                {"u": u, "v": v, "a": a, "length": length}
+                for u, v, a, length in zip(*self.endpoint_ids(), self.ea.tolist(),
+                                           self.elen.tolist())
             ],
         }
 
@@ -189,29 +236,22 @@ class WeightedGraph:
             especs = data.get("edges", [])
         except (KeyError, TypeError) as exc:
             raise GraphError(f"malformed graph document: {exc}") from exc
-        vertices, measures, boundary, edges = [], [], [], []
         try:
-            for spec in vspecs:
-                if isinstance(spec, Mapping):
-                    vid = spec["id"]
-                    vertices.append(vid)
-                    measures.append(float(spec.get("measure", 1.0)))
-                    if spec.get("boundary", False):
-                        boundary.append(vid)
-                else:
-                    vertices.append(spec)
-                    measures.append(1.0)
-            for s in especs:
-                edges.append(
-                    Edge(s["u"], s["v"], float(s.get("a", 1.0)), float(s.get("length", 1.0)))
-                )
+            vspecs = [s if isinstance(s, Mapping) else {"id": s} for s in vspecs]
+            vertices = [s["id"] for s in vspecs]
+            measures = [float(s.get("measure", 1.0)) for s in vspecs]
+            boundary = [s["id"] for s in vspecs if s.get("boundary", False)]
+            tails = [s["u"] for s in especs]
+            heads = [s["v"] for s in especs]
+            a = [float(s.get("a", 1.0)) for s in especs]
+            length = [float(s.get("length", 1.0)) for s in especs]
         except KeyError as exc:
             raise GraphError(f"malformed graph document: missing key {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
             raise GraphError(f"malformed graph document: {exc}") from exc
         if not vertices:
             raise GraphError("malformed graph document: no vertices")
-        return cls(vertices, measures, edges, boundary)
+        return cls.from_columns(vertices, measures, tails, heads, a, length, boundary)
 
 
 def build_graph(
@@ -292,7 +332,8 @@ def natural_measure(g: WeightedGraph) -> WeightedGraph:
     nat = stats.rho * g.vmeasure
     if not np.all(nat > 0):
         raise GraphError("isolated vertex: natural measure would vanish")
-    return WeightedGraph(g.vertices, nat, g.edges, g.boundary)
+    return WeightedGraph.from_columns(g.vertices, nat, *g.endpoint_ids(), g.ea, g.elen,
+                                      g.boundary)
 
 
 # -- reversible Markov chains ----------------------------------------------
@@ -441,7 +482,8 @@ def subdivide_edge(
 
 
 def with_boundary(g: WeightedGraph, boundary: Iterable[VertexId]) -> WeightedGraph:
-    return WeightedGraph(g.vertices, g.vmeasure, g.edges, boundary)
+    return WeightedGraph.from_columns(g.vertices, g.vmeasure, *g.endpoint_ids(), g.ea, g.elen,
+                                      boundary)
 
 
 def component_labels(g: WeightedGraph, mask=None) -> np.ndarray:

@@ -142,7 +142,9 @@ def enumerate_connected_subsets(g: WeightedGraph, allowed_mask: int) -> np.ndarr
     ``area`` adds a_e over the edges with exactly one endpoint in S in edge
     order, and ``mass`` adds V(v) over S in ascending vertex order, both from
     0.0 (``_ordered_sums``), so a whole component has area exactly 0.
-    Rows past SUBSET_CAP raise before the round that would form them.
+    Rows past SUBSET_CAP raise before the round that would form them, and
+    before the first round when a vertex with d pool neighbours already
+    makes 2**d of them.
     """
     pool = [i for i in range(g.n) if (allowed_mask >> i) & 1]
     _check_pool(len(pool))
@@ -160,6 +162,8 @@ def enumerate_connected_subsets(g: WeightedGraph, allowed_mask: int) -> np.ndarr
     # a free vertex is in S when its row differs from row -1 (off the pool)
     members = np.arange(len(pool)), np.full(len(pool), -1), g.vmeasure[pool]
     bit = np.left_shift(1, np.arange(len(pool), dtype=np.int64))
+    # a vertex with d pool neighbours and any subset of them are 2**d connected sets
+    _check_subsets(2 ** max(int(x).bit_count() for x in (near & ~bit).tolist()))
     below = (bit << 1) - 1
     near_of = np.zeros(67, np.int64)  # by w % 67: 2 is a primitive root mod 67
     near_of[bit % 67] = near
@@ -228,7 +232,7 @@ def _subset_table(g: WeightedGraph, allowed_mask: int) -> np.ndarray:
 
 def _is_simple_path(g: WeightedGraph) -> list[int] | None:
     """Vertex order along the path if g is a simple path graph, else None."""
-    if g.n < 2 or len(g.edges) != g.n - 1 or bool(g.loop_mask.any()):
+    if g.n < 2 or g.m != g.n - 1 or bool(g.loop_mask.any()):
         return None
     ends = [i for i, near in enumerate(g.adjacency) if len(near) == 1]
     if len(ends) != 2 or max(map(len, g.adjacency)) > 2:
@@ -254,7 +258,7 @@ def _iso_open_path(g: WeightedGraph, nu: float) -> IsoReport:
     # edge weight between consecutive positions
     w = np.empty(g.n - 1)
     edge_at = {}
-    for k in range(len(g.edges)):
+    for k in range(g.m):
         edge_at[frozenset((int(g.eu[k]), int(g.ev[k])))] = g.ea[k]
     for p in range(g.n - 1):
         w[p] = edge_at[frozenset((order[p], order[p + 1]))]

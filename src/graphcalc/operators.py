@@ -70,7 +70,7 @@ class EdgeField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim not in (1, 2) or self.values.shape[0] != len(self.graph.edges):
+        if self.values.ndim not in (1, 2) or self.values.shape[0] != self.graph.m:
             raise GraphError("field length does not match edge count")
 
 

@@ -79,7 +79,7 @@ def _suite_coarea(g, trials, rng):
 
 
 def _suite_green(g, trials, rng):
-    n, m = g.n, len(g.edges)
+    n, m = g.n, g.m
     draws = rng.standard_normal((trials, 2 * n + m))  # row k: trial k's f, then X, then h
     F, X, H = draws[:, :n] * g.interior_mask, draws[:, n:n + m], draws[:, n + m:] * g.interior_mask
     f, h = _block(g, F), _block(g, H)
@@ -162,12 +162,8 @@ def _suite_gennash(g, trials, rng):
         I = iso_constant(g, nu, "open").value
         if I <= 0:
             continue
-        scaled = WeightedGraph(
-            g.vertices,
-            g.vmeasure,
-            [type(e)(e.u, e.v, e.a / I, e.length) for e in g.edges],
-            g.boundary,
-        )
+        scaled = WeightedGraph.from_columns(g.vertices, g.vmeasure, *g.endpoint_ids(),
+                                            g.ea / I, g.elen, g.boundary)
         f = _block(scaled, _nonzero(_draws(scaled, trials, rng, dirichlet=True)))
         failures += sb.gennash_check(f, nu).failures
     return {"failures": failures}

@@ -234,6 +234,8 @@ def test_heat_rejects_negative_or_nonfinite_t(tmp_path, capsys):
         # integer literals too large for a float
         {"vertices": [{"id": 1, "measure": 10**400}], "edges": []},
         {"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "a": 10**400}]},
+        # a bad weight on edge 1 and an unknown endpoint on edge 2
+        {"vertices": [1, 2, 3], "edges": [{"u": 1, "v": 2, "a": -1}, {"u": 1, "v": 9}]},
     ],
 )
 def test_malformed_document_is_usage_error(tmp_path, capsys, doc):
@@ -497,11 +499,21 @@ def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
 
 
+def test_argparse_errors_are_one_line(tmp_path, capsys):
+    # argparse printed a usage line before its "graphcalc: error:" line
+    g = _write_c4(tmp_path)
+    capsys.readouterr()
+    for argv in (["spectrum", g, "--mode", "dirichlet"], ["spectrum", g, "--bogus"],
+                 ["iso", g, "--variant", "bogus"], [], ["frobnicate"], ["gen", "cycle"]):
+        _assert_usage_error(*_run_err(capsys, *argv))
+    code, out, err = _run_err(capsys, "spectrum", "--help")
+    assert code == 0 and out.startswith("usage: graphcalc spectrum") and err == ""
+
+
 def test_repeated_calls_share_one_parser(tmp_path, capsys):
     g = _write_c4(tmp_path)
     capsys.readouterr()
-    assert main(["iso", g, "--variant", "bogus"]) == 2
-    assert "usage: graphcalc iso" in capsys.readouterr().err
+    _assert_usage_error(*_run_err(capsys, "iso", g, "--variant", "bogus"))
     assert main(["iso", "--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: graphcalc iso")
     runs = [_run(capsys, "iso", g, "--nu", "2") for _ in range(2)]

@@ -213,3 +213,106 @@ def test_adjacency_matches_the_edge_arrays():
             int(u) for u, v in zip(g.eu, g.ev) if v == i}
         assert g.neighbors(i) is g.adjacency[i] == frozenset(near)
     assert g.adjacency[9] == frozenset() and 3 in g.adjacency[3]
+
+
+def _random_document(rng):
+    """A graph document with int and str ids, bare and full vertex entries,
+    a boundary, loops, parallel edges and omitted a / length."""
+    n = int(rng.integers(1, 12))
+    ids = [i if rng.random() < 0.5 else f"v{i}" for i in range(n)]
+    vertices = []
+    for vid in ids:
+        if rng.random() < 0.3:
+            vertices.append(vid)
+        else:
+            spec = {"id": vid, "measure": float(rng.uniform(0.2, 3.0))}
+            if rng.random() < 0.3:
+                spec["boundary"] = True
+            vertices.append(spec)
+    edges = []
+    for _ in range(int(rng.integers(0, 3 * n))):
+        u, v = (ids[int(rng.integers(n))] for _ in range(2))
+        spec = {"u": u, "v": v}
+        if rng.random() < 0.6:
+            spec["a"] = float(rng.uniform(0.2, 3.0))
+        if rng.random() < 0.6:
+            spec["length"] = float(rng.uniform(0.2, 3.0))
+        edges.append(spec)
+        if rng.random() < 0.2:
+            edges.append(dict(spec))  # a parallel edge
+    return {"vertices": vertices, "edges": edges}
+
+
+def test_from_dict_matches_the_graph_built_from_edge_objects():
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        doc = _random_document(rng)
+        full = [s if isinstance(s, dict) else {"id": s} for s in doc["vertices"]]
+        ref = WeightedGraph(
+            [s["id"] for s in full],
+            [s.get("measure", 1.0) for s in full],
+            [Edge(s["u"], s["v"], s.get("a", 1.0), s.get("length", 1.0)) for s in doc["edges"]],
+            [s["id"] for s in full if s.get("boundary")],
+        )
+        g = WeightedGraph.from_dict(doc)
+        assert (g.n, g.m, g.vertices, g.boundary) == (ref.n, ref.m, ref.vertices, ref.boundary)
+        assert g.m == len(doc["edges"])
+        for name in ("vmeasure", "eu", "ev", "ea", "elen", "emeasure", "loop_mask",
+                     "interior_mask"):
+            assert np.array_equal(getattr(g, name), getattr(ref, name)), name
+            assert getattr(g, name).dtype == getattr(ref, name).dtype, name
+        assert g.edges == ref.edges
+        assert g.adjacency == ref.adjacency
+        assert g.edges == tuple(
+            Edge(s["u"], s["v"], s.get("a", 1.0), s.get("length", 1.0)) for s in doc["edges"])
+
+
+def test_the_sparse_solve_builds_neither_edges_nor_adjacency():
+    # the views are built on first read; a solve reads only the columns
+    g = WeightedGraph.from_dict(random_graph(400, np.random.default_rng(5)).to_dict())
+    assert g.is_closed and g.n > 300  # past SPARSE_ROWS
+    eigenvalues(g, 2)
+    assert g.memoized(("edges",)) is None and g.memoized(("adjacency",)) is None
+    views = g.edges, g.adjacency
+    assert (g.memoized(("edges",)), g.memoized(("adjacency",))) == views
+
+
+@pytest.mark.filterwarnings("error")
+def test_every_bad_weight_is_refused_without_a_warning():
+    # NaN, a zero length times an infinite conductance, and an overflowing product
+    for a, length in ((math.nan, 1.0), (math.inf, 0.0), (1e200, 1e200), (1.0, -0.5)):
+        with pytest.raises(GraphError, match="edge weights and lengths must be positive"):
+            WeightedGraph([1, 2], [1.0, 1.0], [Edge(1, 2, a, length)])
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"vertices": [{"measure": 1}], "edges": []}, "malformed graph document: missing key 'id'"),
+        ({"vertices": [1, 2], "edges": [{"u": 1}]}, "malformed graph document: missing key 'v'"),
+        ({"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "a": "x"}]},
+         "malformed graph document: could not convert string to float: 'x'"),
+        ({"vertices": [[1], 2], "edges": []}, "vertex ids must be hashable: unhashable type: 'list'"),
+        ({"vertices": [1, 2], "edges": [{"u": [1], "v": 2}]}, "edge endpoint not in graph: [1]-2"),
+        ({"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "a": "inf"}]},
+         "edge weights and lengths must be positive, their product finite"),
+        ({"vertices": [{"id": 1, "measure": "nan"}, 2], "edges": []},
+         "vertex measures must be positive and finite"),
+        ({"vertices": [{"id": 1, "measure": "Infinity"}, 2], "edges": []},
+         "vertex measures must be positive and finite"),
+        ({"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "a": 1e308, "length": 1e308}]},
+         "edge weights and lengths must be positive, their product finite"),
+        ({"vertices": [{"id": 1, "measure": 10**400}], "edges": []},
+         "malformed graph document: int too large to convert to float"),
+        ({"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "a": 10**400}]},
+         "malformed graph document: int too large to convert to float"),
+        # every endpoint is checked before any weight
+        ({"vertices": [1, 2, 3], "edges": [{"u": 1, "v": 2, "a": -1}, {"u": 1, "v": 9}]},
+         "edge endpoint not in graph: 1-9"),
+    ],
+)
+def test_malformed_documents_keep_their_messages(doc, message):
+    # the documents of test_cli's test_malformed_document_is_usage_error
+    with pytest.raises(GraphError) as info:
+        WeightedGraph.from_dict(doc)
+    assert str(info.value) == message

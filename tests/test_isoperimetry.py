@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -408,6 +409,20 @@ def test_subset_budget_is_per_class_and_counts_connected_sets():
             magnification(k)
         with pytest.raises(GraphError, match="subsets"):
             certified_magnification(k, k.vertices)
+
+
+def test_a_vertex_with_22_pool_neighbours_is_refused_before_the_table_build():
+    # it and any subset of its neighbours are 2**22 connected sets, past the
+    # cap; the ESU rounds used to form about 4M rows (393 MB) before refusing
+    k = complete(23)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match=f"more than {isoperimetry.SUBSET_CAP} subsets"):
+            iso_constant(k, math.inf, "tilde")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_magnification_of_a_24_cycle_matches_brute_force_within_each_class():
