@@ -188,7 +188,9 @@ def exhaustion_check(
     """K_{A_i}(x,y,t) for nested interior sets A_1 c ... c A_k.
 
     Each A_i induces the graph with boundary = everything outside A_i; the
-    table must be non-decreasing in i and bounded by the kernel of g itself.
+    table must be non-decreasing in i and bounded by the kernel of g itself,
+    each up to 1e-12 max|K| over the table and the limit (K scales like 1/V)
+    plus the smallest normal float; a NaN fails both.
     """
     sets = [set(a) for a in chain]
     for a, b in zip(sets, sets[1:]):
@@ -208,9 +210,10 @@ def exhaustion_check(
         table.append([ker.evaluate(x, y, t) for (x, y, t) in probes])
     full = heat_kernel(g)
     limit = [full.evaluate(x, y, t) for (x, y, t) in probes]
-    rows = np.array(table)
-    monotone = bool(np.all(np.diff(rows, axis=0) >= -1e-12))
-    bounded = bool(np.all(rows <= np.array(limit)[None, :] + 1e-12))
+    rows, top = np.array(table), np.array(limit)
+    slack = 1e-12 * np.max(np.abs(np.r_[rows.ravel(), top]), initial=0.0) + _TINY
+    monotone = bool(np.all(np.diff(rows, axis=0) >= -slack))
+    bounded = bool(np.all(rows <= top[None, :] + slack))
     return {"table": rows, "limit": limit, "monotone": monotone, "bounded": bounded}
 
 

@@ -5,25 +5,25 @@ disjoint from the boundary without changing any of the constants (Yau's
 observation: the quotient of a disjoint union is at least the smaller of the
 quotients, and partial edge segments only add area).
 
-One numpy kernel does every subset scan.  A subset is an int64 mask over the
-pool of free vertices (bit j = j-th free vertex), so a pool holds at most 63
-vertices; ORs over a mask, and the sums of the magnification scans, add
-per-byte table entries.  A scan that would visit more than SUBSET_CAP
-subsets raises ``GraphError``: the table build counts its rows as it forms
-them, the magnification scan sums 2**k - 1 over its classes of k vertices.
+One enumeration serves every subset scan: ``_connected_masks`` forms the
+connected sets of a graph on at most 63 bits by ESU (Wernicke 2006), all
+depths at once, so each set is formed once and nothing is deduplicated.  A
+subset is an int64 mask over a pool of vertices (bit j = j-th pool vertex);
+ORs over a mask, and the sums of the magnification scan, add per-byte table
+entries.  A scan that would visit more than SUBSET_CAP subsets raises
+``GraphError``: ESU counts its rows as it forms them.
 
 - ``enumerate_connected_subsets`` builds the (mask, area, mass) table of the
-  connected subsets by ESU (Wernicke 2006), all depths at once, so each set
-  is formed once and nothing is deduplicated; the rows run by (size, mask).
+  connected subsets of the free vertices; the rows run by (size, mask).
   Area and mass are each summed once, in one order: edge by edge and vertex
   by vertex.  The table is kept in the graph's memo, one per pool, with the
   reports.  Every (nu, variant) is one vectorized quotient over it: the whole
   vertex set gets inf in the tilde variants, and the sorted-id tie rule sees
   only the masks within 1e-12 of the minimum.  The winning row is the
   witness, with the row's sums.
-- ``_least_ratio`` scans the nonempty subsets of each class of the relation
-  "Gamma(a) meets Gamma(b)" on a vertex set, in chunks of CHUNK, with byte
-  tables for V(B), Gamma(B) and V(Gamma(B)).  For ``magnification`` and
+- ``_least_ratio`` scans the sets of a vertex set that are connected under
+  "Gamma(a) meets Gamma(b)", in chunks of CHUNK, with byte tables for V(B),
+  Gamma(B) and V(Gamma(B)).  For ``magnification`` and
   ``bounds.certified_magnification`` its float ratios pick the sets near the
   least, and integer measures decide those exactly, once per group of sets
   with the same count of each distinct measure.
@@ -131,20 +131,47 @@ def _ordered_sums(bits: np.ndarray, ju: np.ndarray, jv: np.ndarray, w: np.ndarra
     return total
 
 
+def _connected_masks(near: np.ndarray) -> np.ndarray:
+    """The mask of every nonempty connected set of the graph on bits
+    0..len(near)-1 in which bit k of near[j] joins j and k, each set once.
+
+    ESU (Wernicke 2006), all depths at once: each round moves the lowest
+    vertex w of every nonempty extension X of a set S into a child S + w,
+    whose extension is the rest of X plus the neighbours of w outside T = S,
+    N(S) and the vertices below min S.  Rows past SUBSET_CAP raise before the
+    round that would form them, and before the first round when a vertex with
+    d neighbours already makes 2**d of them.
+    """
+    bit = np.left_shift(1, np.arange(len(near), dtype=np.int64))
+    # a vertex with d neighbours and any subset of them are 2**d connected sets
+    _check_subsets(2 ** max(int(x).bit_count() for x in (near & ~bit).tolist()))
+    below = (bit << 1) - 1
+    near_of = np.zeros(67, np.int64)  # by w % 67: 2 is a primitive root mod 67
+    near_of[bit % 67] = near
+    s, x, t = bit, near & ~below, near | below
+    masks, rows = [bit], len(near)
+    while len(s):
+        keep = x != 0
+        s, x, t = s[keep], x[keep], t[keep]
+        rows += len(s)  # one child per set with a nonempty extension
+        _check_subsets(rows)
+        w = x & -x
+        x ^= w  # the parent keeps the rest of its extension
+        nw = near_of[w % 67]
+        masks.append(s | w)
+        s, x, t = (np.concatenate(p) for p in ((s, masks[-1]), (x, x | (nw & ~t)), (t, t | nw)))
+    return np.concatenate(masks)
+
+
 def enumerate_connected_subsets(g: WeightedGraph, allowed_mask: int) -> np.ndarray:
     """The (mask, area, mass) table of every nonempty connected subset S of
     ``allowed_mask``, each once: ``area`` = A(boundary S), ``mass`` = V(S).
 
-    ESU on pool-local bits (bit j = j-th allowed vertex): each round moves
-    the lowest vertex w of every nonempty extension X of a set S into a child
-    S + w, whose extension is the rest of X plus the neighbours of w outside
-    T = S, N(S) and the vertices below min S.  Rows run by (size, mask).
-    ``area`` adds a_e over the edges with exactly one endpoint in S in edge
-    order, and ``mass`` adds V(v) over S in ascending vertex order, both from
-    0.0 (``_ordered_sums``), so a whole component has area exactly 0.
-    Rows past SUBSET_CAP raise before the round that would form them, and
-    before the first round when a vertex with d pool neighbours already
-    makes 2**d of them.
+    The sets are ``_connected_masks`` of the pool-local adjacency (bit j =
+    j-th allowed vertex); rows run by (size, mask).  ``area`` adds a_e over
+    the edges with exactly one endpoint in S in edge order, and ``mass`` adds
+    V(v) over S in ascending vertex order, both from 0.0 (``_ordered_sums``),
+    so a whole component has area exactly 0.
     """
     pool = [i for i in range(g.n) if (allowed_mask >> i) & 1]
     _check_pool(len(pool))
@@ -161,26 +188,9 @@ def enumerate_connected_subsets(g: WeightedGraph, allowed_mask: int) -> np.ndarr
     edges = ju[cut], jv[cut], g.ea[cut]
     # a free vertex is in S when its row differs from row -1 (off the pool)
     members = np.arange(len(pool)), np.full(len(pool), -1), g.vmeasure[pool]
-    bit = np.left_shift(1, np.arange(len(pool), dtype=np.int64))
-    # a vertex with d pool neighbours and any subset of them are 2**d connected sets
-    _check_subsets(2 ** max(int(x).bit_count() for x in (near & ~bit).tolist()))
-    below = (bit << 1) - 1
-    near_of = np.zeros(67, np.int64)  # by w % 67: 2 is a primitive root mod 67
-    near_of[bit % 67] = near
-    state = np.array([bit, np.ones_like(bit), near & ~below, near | below])  # S, |S|, X, T
-    masks, sizes, rows = [bit], [state[1]], len(pool)
-    while state.shape[1]:
-        state = state[:, state[2] != 0]
-        rows += state.shape[1]  # one child per set with a nonempty extension
-        _check_subsets(rows)
-        s, size, x, t = state
-        w = x & -x
-        x ^= w  # the parent keeps the rest of its extension
-        nw = near_of[w % 67]
-        masks.append(s | w)
-        sizes.append(size + 1)
-        state = np.concatenate([state, [masks[-1], sizes[-1], x | (nw & ~t), t | nw]], axis=1)
-    masks, sizes = np.concatenate(masks), np.concatenate(sizes).astype(np.uint8)
+    masks = _connected_masks(near)
+    sizes = _lookup(_byte_tables(np.ones(len(pool), np.uint8), np.add).astype(np.uint8),
+                    masks, np.add)  # popcounts
     masks = masks[np.argsort(sizes, kind="stable")]  # the smallest sets first
     ends = np.cumsum(np.bincount(sizes)).tolist()
     for lo, hi in zip([0] + ends, ends):
@@ -365,50 +375,25 @@ def _scan_measures(g: WeightedGraph) -> np.ndarray:
 
 
 def _neighborhood_tables(g: WeightedGraph, idx: list[int], measures: np.ndarray):
-    """(order, sizes, gamma_t, used, mass_t, vol_t) for masks over the
-    vertices ``idx`` (bit j selects idx[j]): ``order`` lists the bits class
-    by class of "Gamma(a) meets Gamma(b)" closed transitively, ``sizes`` the
-    classes' sizes.  Gamma(B) ORs byte tables of the members' neighbours
-    within the vertex bytes ``used``; ``mass_t``, ``vol_t`` sum ``measures``."""
+    """(meet, gamma_t, used, mass_t, vol_t) for masks over the vertices
+    ``idx`` (bit j selects idx[j]): bit k of meet[j] is set when
+    Gamma(idx[j]) meets Gamma(idx[k]).  Gamma(B) ORs byte tables of the
+    members' neighbours within the vertex bytes ``used``; ``mass_t``,
+    ``vol_t`` sum ``measures``."""
     _check_pool(len(idx))
     near = np.zeros((len(idx), g.n), dtype=bool)
     near[[j for j, i in enumerate(idx) for _ in g.neighbors(i)],
          [w for i in idx for w in g.neighbors(i)]] = True
-    reach = near @ near.T  # [a, b]: Gamma(a) meets Gamma(b)
-    reach.flat[::len(idx) + 1] = True  # also when Gamma(a) is empty
-    while np.count_nonzero(step := reach @ reach) > np.count_nonzero(reach):
-        reach = step
-    least = reach.argmax(axis=1)  # the least member of each row's class
-    sizes = np.bincount(least)
+    meet = (near @ near.T) @ np.left_shift(1, np.arange(len(idx), dtype=np.int64))
     near = np.packbits(near, axis=1, bitorder="little")
     used = np.logical_or.reduce(near, axis=0).nonzero()[0]
     words = np.zeros((len(idx), 8 * -(-len(used) // 8)), np.uint8)
     words[:, :len(used)] = near[:, used]
     padded = np.zeros(8 * near.shape[1])
     padded[:g.n] = measures
-    return (np.argsort(least, kind="stable"), sizes[sizes > 0].tolist(),
-            _byte_tables(words.view(np.uint64), np.bitwise_or), used,
+    return (meet, _byte_tables(words.view(np.uint64), np.bitwise_or), used,
             _byte_tables(measures[idx], np.add),
             _byte_tables(padded.reshape(-1, 8)[used].ravel(), np.add))
-
-
-def _class_subsets(order: np.ndarray, sizes: list[int]):
-    """The nonempty subsets of each class (the next sizes[c] bits of ``order``)
-    in batches of at most CHUNK masks; one class is np.arange(1, 2**w) in turn."""
-    def batch():  # the masks in ``runs`` are over the bits as ``order`` lists them
-        sub = np.concatenate(runs)
-        return sub if len(sizes) == 1 else _unpack(sub, len(order))[:, :len(order)] @ (1 << order)
-    runs, count, off = [], 0, 0
-    for k in sizes:
-        for lo in range(1, 1 << k, CHUNK):
-            hi = min(lo + CHUNK, 1 << k)
-            if count + hi - lo > CHUNK:
-                yield batch()
-                runs, count = [], 0
-            runs.append(np.arange(lo << off, hi << off, 1 << off, dtype=np.int64))
-            count += hi - lo
-        off += k
-    yield batch()
 
 
 def _neighborhood_sums(sub: np.ndarray, gamma_t, mass_t, vol_t):
@@ -436,9 +421,11 @@ def _least_ratio(g: WeightedGraph, ids, half: bool):
     with 2 V(B) <= V(G) if ``half``: the Fraction and the float quotient of
     the scanned sums.  None if no B is admissible.
 
-    Only subsets of one class of "Gamma(a) meets Gamma(b)" are scanned: a B
-    across classes has the mediant of its parts' ratios, each admissible too.
-    More than SUBSET_CAP such subsets raise ``GraphError`` before the scan.
+    Only the B connected under "Gamma(a) meets Gamma(b)" are scanned
+    (``_connected_masks``): if B splits into parts with disjoint Gammas, its
+    ratio is the mediant of theirs and each part is admissible too, so a
+    least B has least parts with smaller masks, and the first least B is
+    connected.
 
     The scan adds ``_scan_measures`` over CHUNK masks at a time.  A float sum
     of k positive terms errs by at most (k-1)u relatively, in any order (u =
@@ -457,8 +444,8 @@ def _least_ratio(g: WeightedGraph, ids, half: bool):
     m = _integer_measures(g)[1]
     idx = [g.index(v) for v in ids]
     measures = _scan_measures(g)
-    order, sizes, gamma_t, used, *tables = _neighborhood_tables(g, idx, measures)
-    _check_subsets(sum((1 << k) - 1 for k in sizes))
+    meet, gamma_t, used, *tables = _neighborhood_tables(g, idx, measures)
+    masks = _connected_masks(meet)
     band = 2 * (g.n + len(idx)) * 2.0**-52  # 2(n + |ids|) eps
     mid, whole = float(measures.sum()) / 2.0 if half else math.inf, sum(m)
     distinct = dict(zip(g.vmeasure.tolist(), m))  # each distinct measure with its m
@@ -474,7 +461,7 @@ def _least_ratio(g: WeightedGraph, ids, half: bool):
 
     for strict in (False, True):
         limit, subs, ratios = math.inf, [np.zeros(0, np.int64)], [np.zeros(0)]
-        for sub in _class_subsets(order, sizes):
+        for sub in (masks[lo:lo + CHUNK] for lo in range(0, len(masks), CHUNK)):
             mass, gmass = _neighborhood_sums(sub, gamma_t, *tables)
             with np.errstate(over="ignore"):  # inf lies outside any band
                 ratio = gmass / mass

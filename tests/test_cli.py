@@ -279,18 +279,17 @@ def test_flow_command(tmp_path, capsys):
 
 def test_cycles_past_22_vertices_are_within_the_subset_budget(tmp_path, capsys):
     # iso and bounds refused both when 22 free vertices were the cap.  A
-    # 25-cycle has 601 connected subsets; its magnification scan is one class
-    # of 25 vertices, 2**25 - 1 subsets, so bounds still refuses it.  A 24-cycle
-    # splits into two classes of 12.
+    # 25-cycle has 601 connected subsets, and its magnification scan visits
+    # the 601 connected sets of "Gamma(a) meets Gamma(b)", another 25-cycle.
     for n in (25, 24):
         target = tmp_path / f"c{n}.json"
         assert main(["gen", "cycle", str(n), "-o", str(target)]) == 0
         capsys.readouterr()
         code, out = _run(capsys, "iso", str(target))
         assert code == 0 and json.loads(out)["value"] == pytest.approx(2.0 / 12.0)  # 12-arcs
-    code, out = _run(capsys, "bounds", str(tmp_path / "c24.json"))
-    assert code == 0 and json.loads(out)["sound"] is True
-    _assert_usage_error(*_run_err(capsys, "bounds", str(tmp_path / "c25.json")))
+    for n in (24, 25):
+        code, out = _run(capsys, "bounds", str(tmp_path / f"c{n}.json"))
+        assert code == 0 and json.loads(out)["sound"] is True
 
 
 def test_past_the_subset_budget_every_scanning_command_exits_2(tmp_path, capsys, monkeypatch):

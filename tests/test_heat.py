@@ -368,3 +368,18 @@ def test_heat_grid_nan_fails():
     rows, passed = heat_grid(HeatKernel(SpectralDecomposition(g, lam, d.eigenfunctions)),
                              [1.0])
     assert math.isnan(rows[0]["min_entry"]) and not passed
+
+
+def test_exhaustion_check_is_relative_to_the_kernel_scale():
+    # with V and t scaled by 1e-9, K is about 1e8 and its rounding about 1e-8,
+    # which an absolute 1e-12 slack failed on 3 of these 20 graphs
+    for seed in range(20):
+        base = random_graph(10, np.random.default_rng(seed), boundary_fraction=0.2)
+        for scale in (1.0, 1e-9):
+            g = WeightedGraph.from_columns(base.vertices, base.vmeasure * scale,
+                                           *base.endpoint_ids(), base.ea, base.elen, base.boundary)
+            interior = [g.vertices[i] for i in g.interior_indices().tolist()]
+            x, y = interior[:2]
+            probes = [(x, x, scale), (x, y, 0.5 * scale), (x, x, 3.0 * scale)]
+            out = exhaustion_check(g, [interior[:4], interior[:6], interior], probes)
+            assert out["monotone"] and out["bounded"], (seed, scale)

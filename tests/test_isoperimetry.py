@@ -243,7 +243,7 @@ def test_magnification_matches_brute_force_across_chunks():
     base = random_graph(12, rng)
     graphs.append(build_graph(list(range(13)), list(base.edges) + [Edge(12, 0)],
                               measures=np.r_[0.05, base.vmeasure[1:], 3.0]))
-    # the relation "Gamma(a) meets Gamma(b)" splits into classes on these
+    # the graph "Gamma(a) meets Gamma(b)" is disconnected on these
     ladder = build_graph(range(14), [Edge(i, i + 1) for i in range(13) if i != 6]
                          + [Edge(i, i + 7) for i in range(7)], measures=rng.uniform(0.5, 2.0, 14))
     chords = build_graph(range(14), [Edge(i, (i + 1) % 14) for i in range(14)]
@@ -251,8 +251,8 @@ def test_magnification_matches_brute_force_across_chunks():
     loops = build_graph(range(12), [Edge(i, i + 1) for i in range(11) if i != 5]
                         + [Edge(6, 11), Edge(0, 0), Edge(9, 9, 2.0)],
                         measures=rng.choice([0.1, 0.3], 12))  # a path and a cycle
-    # two equal copies on shuffled ids: exact ties across the classes, where
-    # the class scanned later may hold the lesser mask
+    # two equal copies on shuffled ids: exact ties across the components of
+    # that graph, where the set the scan forms later may hold the lesser mask
     part, ids = random_graph(7, rng, weighted=False), rng.permutation(14).tolist()
     twins = build_graph(range(14), [Edge(ids[e.u + k], ids[e.v + k]) for k in (0, 7)
                                     for e in part.edges],
@@ -379,7 +379,8 @@ def test_free_vertices_past_bit_63():
 
 
 def test_subset_budget_counts_the_subsets_each_scan_visits(monkeypatch):
-    # complete(8) has 255 connected subsets and one class of 8 vertices
+    # complete(8) has 255 connected subsets, and so has its "Gamma(a) meets
+    # Gamma(b)" graph, which is complete(8) too
     from graphcalc.heat import hypothesis_audit
 
     monkeypatch.setattr(isoperimetry, "SUBSET_CAP", 255)
@@ -401,8 +402,8 @@ def test_subset_budget_is_per_class_and_counts_connected_sets():
     g = cycle(25)
     assert iso_constant(g, 2.0, "tilde").value == pytest.approx(2.0 / math.sqrt(12.0))
     assert iso_constant(g, math.inf, "tilde").value == pytest.approx(2.0 / 12.0)
-    # one class of 23 vertices: 2**23 - 1 subsets, refused before any scan,
-    # whatever was called before
+    # every vertex of complete(23) meets the other 22: refused before any
+    # scan, whatever was called before
     k = complete(23)
     for _ in range(2):
         with pytest.raises(GraphError, match="subsets"):
@@ -425,9 +426,37 @@ def test_a_vertex_with_22_pool_neighbours_is_refused_before_the_table_build():
     assert peak < 5 * 2**20
 
 
+def test_a_vertex_meeting_22_others_is_refused_before_the_magnification_scan():
+    # under "Gamma(a) meets Gamma(b)" a vertex of complete(23) and any subset
+    # of the other 22 are 2**22 connected sets, so the star bound refuses
+    # before the ESU rounds form any of them
+    k = complete(23)
+    refusals = [lambda: magnification(k), lambda: certified_magnification(k, k.vertices)]
+    tracemalloc.start()
+    try:
+        for refuse in refusals:
+            with pytest.raises(GraphError, match=f"more than {isoperimetry.SUBSET_CAP} subsets"):
+                refuse()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
+def test_magnification_of_a_25_cycle_is_within_the_subset_budget():
+    # "Gamma(a) meets Gamma(b)" joins the vertices two steps apart, another
+    # 25-cycle: 601 connected sets, where all 25 vertices have 2**25 - 1
+    # subsets.  Every other vertex of an arc of 23 is a least set.
+    g = cycle(25)
+    c, witness = magnification(g)
+    assert c == 13.0 / 12.0 - 1.0
+    assert len(witness) == 12 and len(neighborhood(g, witness)) == 13
+
+
 def test_magnification_of_a_24_cycle_matches_brute_force_within_each_class():
-    # "Gamma(a) meets Gamma(b)" splits an even cycle into its even and odd
-    # vertices: two classes of 12, so the scan visits 2 (2**12 - 1) subsets
+    # "Gamma(a) meets Gamma(b)" splits an even cycle into two 12-cycles, of
+    # its even and of its odd vertices, so the scan visits 2 (12 * 11 + 1)
+    # connected sets
     rng = np.random.default_rng(71)
     plain = cycle(24)
     weighted = build_graph(plain.vertices, plain.edges, measures=rng.choice([0.1, 0.3, 0.7], 24))
@@ -435,7 +464,7 @@ def test_magnification_of_a_24_cycle_matches_brute_force_within_each_class():
         c, witness = magnification(g)
         best = []
         for parity in (0, 1):
-            pool = list(range(parity, 24, 2))  # vertex indices of one class
+            pool = list(range(parity, 24, 2))  # vertex indices of one component
             sub, least = _first_least_ratio(g, pool, True)
             mask = sum(1 << pool[j] for j in range(12) if sub >> j & 1)
             best.append((least, mask))
