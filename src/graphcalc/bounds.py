@@ -4,12 +4,12 @@ Each bound routine reports a value together with an applicability flag; an
 applicable bound must sit below the true eigenvalue (first Dirichlet
 eigenvalue, or the second eigenvalue of a closed graph).  The magnifier bound
 comes with an explicit transport field certificate read off an exact max
-flow: one Edmonds-Karp on integer capacities over the common denominator of
-the measures and c, whose breadth-first search takes neighbours in ascending
-order, so the fields are those of earlier releases.  Its checks run on
-integers over one common denominator of the field, c and the measures, and
-give the same flags and values as exact Fraction arithmetic, so the ``flow``
-stdout is unchanged.
+flow: one Edmonds-Karp on integer capacities (the measures' exact column,
+``graph.integer_column``, times the denominator of c), whose breadth-first
+search takes neighbours in ascending order, so the fields are those of
+earlier releases.  Its checks run on integers too, the field, c and the
+measures over one common denominator and the lengths over their column's,
+and give the flags and values of exact Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -21,12 +21,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import GraphError, WeightedGraph, with_boundary
+from .graph import GraphError, WeightedGraph, half_degrees, integer_column, with_boundary
 from .functions import VertexFunction, lp_norm_vertex, grad_lp_norm
 from .operators import EdgeField, default_mode, eigenvalues, spectral_decomposition
-from .graph import half_degrees
-from .isoperimetry import (_finite_constant, _finite_magnification, _integer_measures,
-                           _least_ratio, default_variant, iso_constant, magnification)
+from .isoperimetry import (_finite_constant, _finite_magnification, _least_ratio,
+                           default_variant, iso_constant, magnification)
 
 __all__ = [
     "BoundValue",
@@ -273,7 +272,7 @@ def alon_field(
     if c < 0:
         raise GraphError("A has a neighborhood smaller than itself; no field")
     # over den * c.denominator every capacity is an integer: V(w) -> q m[w]
-    den, m = _integer_measures(g)
+    den, m = integer_column(g, "vmeasure")
     q = c.denominator
     scale = den * q
     # nodes: 0 = source, 1 = sink, 2+i = A-copy i, 2+|A|+j = vertex copy j
@@ -313,19 +312,18 @@ def alon_field_checks(g: WeightedGraph, af: AlonField) -> dict:
 
     Everything is recomputed from ``af.exact``, ``af.c`` and the graph, so any
     AlonField can be checked.  The field, c and the measures are integer
-    numerators over one common denominator D (the edge lengths over their own
-    L), every condition is an integer comparison, and only rho_sq and its cap
-    are built as Fractions.
+    numerators over one common denominator D, the edge lengths are those of
+    ``integer_column`` over its L, every condition is an integer comparison,
+    and only rho_sq and its cap are built as Fractions.
     """
     c = af.c
-    mden, m = _integer_measures(g)
+    mden, m = integer_column(g, "vmeasure")
+    L, lens = integer_column(g, "elen")
     D = math.lcm(mden, c.denominator, *(x.denominator for x in af.exact))
     m = [v * (D // mden) for v in m]
     x = [v.numerator * (D // v.denominator) for v in af.exact]
     eu, ev = g.eu.tolist(), g.ev.tolist()
     edges = [k for k in range(len(x)) if eu[k] != ev[k]]
-    lens = [le.as_integer_ratio() for le in g.elen.tolist()]
-    L = math.lcm(*(lens[k][1] for k in edges))
     inflow = [0] * g.n  # net n~.X, scaled by V(v), over D
     arriving = [0] * g.n  # positive part of the network-sense arrival, over D
     sq = [0] * g.n  # sum of l_e X_e^2 at v, over L D^2
@@ -339,10 +337,9 @@ def alon_field_checks(g: WeightedGraph, af: AlonField) -> dict:
             arriving[iu] += xk
         else:
             arriving[iv] -= xk
-        le = lens[k][0] * (L // lens[k][1])
-        sup_len = max(sup_len, le)
-        sq[iu] += le * xk * xk
-        sq[iv] += le * xk * xk
+        sup_len = max(sup_len, lens[k])
+        sq[iu] += lens[k] * xk * xk
+        sq[iv] += lens[k] * xk * xk
     in_A = [v in af.A for v in g.vertices]
     cn, cd = c.numerator, c.denominator
     ok_div_A = all(cd * inflow[i] >= cn * m[i] for i in range(g.n) if in_A[i])

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -124,7 +123,6 @@ class ClassicalRadial:
     classical: WeightedGraph  # all measures 1, ell-regular, closed
     quotient: WeightedGraph  # doubled weighted path carrying the same norms
     populations: list  # V(i) per level, i = 1..n
-    k: int
     ell: int
 
     def lift(self, f: VertexFunction) -> VertexFunction:
@@ -149,14 +147,14 @@ def classical_radial(
 
     Level populations V(i) = floor(m i^(nu-1)) for i < n and V(n) =
     2 [V(n-1) - V(n-2) + ...]; levels i and i+1 are joined by E(i) copies of
-    the complete bipartite graph, E(i) = ell D(i) / (k V(i) V(i+1)) with
-    D(i) the alternating sum, which makes every vertex degree exactly ell
-    after doubling.  The smallest k, then the smallest ell <= max_multiplier
-    with all populations and multiplicities integral are chosen.
+    the complete bipartite graph, E(i) = ell D(i) / (V(i) V(i+1)) with D(i)
+    the alternating sum, which makes every vertex degree exactly ell after
+    doubling.  The smallest ell <= max_multiplier with all multiplicities
+    integral is chosen.
     """
     if n < 3:
         raise GraphError("need n >= 3")
-    V = [Fraction(math.floor(m * i ** (nu - 1.0))) for i in range(1, n)]
+    V = [math.floor(m * i ** (nu - 1.0)) for i in range(1, n)]
     if any(v <= 0 for v in V):
         raise GraphError("population multiplier m too small")
     D = [V[0]]
@@ -167,25 +165,23 @@ def classical_radial(
     V.append(2 * D[-1])  # V(n), which makes the glued level ell-regular
     if any(V[i] > V[i + 1] for i in range(n - 1)):
         raise GraphError("populations not nondecreasing; adjust m")
-    k = 1  # V already integral by construction
-    # E(i) = ell * D(i) / (k V(i) V(i+1)) for i = 1..n-1 must be integers,
+    # E(i) = ell * D(i) / (V(i) V(i+1)) for i = 1..n-1 must be integers,
     # i.e. ell must be a multiple of V(i)V(i+1)/gcd(D(i), V(i)V(i+1))
     ell = 1
     for i in range(n - 1):
-        prod = int(V[i] * V[i + 1]) * k
-        ell = math.lcm(ell, prod // math.gcd(int(D[i]), prod))
+        prod = V[i] * V[i + 1]
+        ell = math.lcm(ell, prod // math.gcd(D[i], prod))
     if ell > max_multiplier:
         raise GraphError(f"no valid multiplier ell <= {max_multiplier}")
-    maxpop = max(int(v) for v in V)
-    if n * k * maxpop > 10**5:
+    if n * max(V) > 10**5:
         raise GraphError("classical graph larger than the size budget")
 
     # quotient: doubled weighted path, V(i) mass per level (2 V(n) at the glue)
     qids = [str(i) for i in range(1, n + 1)] + [f"{i}'" for i in range(1, n)]
-    w = [int(ell * D[i]) for i in range(n - 1)]  # k = 1
+    w = [ell * D[i] for i in range(n - 1)]
     # V(n) = 2 D(n-1) already accounts for the gluing, so the glued level
-    # carries k V(n) vertices once (no extra doubling)
-    qmeas = [float(k * V[i]) for i in range(n)] + [float(k * V[i]) for i in range(n - 1)]
+    # carries V(n) vertices once (no extra doubling)
+    qmeas = [float(V[i]) for i in range(n)] + [float(V[i]) for i in range(n - 1)]
     qedges = [Edge(str(i + 1), str(i + 2), a=float(w[i])) for i in range(n - 1)]
     qedges += [
         Edge(f"{i + 1}'", f"{i + 2}'" if i + 2 < n else str(n), a=float(w[i]))
@@ -197,11 +193,11 @@ def classical_radial(
     cids, levels = [], {}
     for lvl in [str(i) for i in range(1, n + 1)] + [f"{i}'" for i in range(1, n)]:
         base = int(lvl.rstrip("'"))
-        levels[lvl] = [f"{lvl}:{j}" for j in range(int(k * V[base - 1]))]
+        levels[lvl] = [f"{lvl}:{j}" for j in range(V[base - 1])]
         cids += levels[lvl]
     cedges = []
     for i in range(n - 1):
-        mult = int(ell * D[i] / (k * V[i] * V[i + 1]))
+        mult = ell * D[i] // (V[i] * V[i + 1])
         for sheet in ("", "'"):
             lo = levels[f"{i + 1}{sheet}"]
             hi = levels[f"{i + 2}{sheet}" if i + 2 < n else str(n)]
@@ -210,7 +206,7 @@ def classical_radial(
                     for _ in range(mult):
                         cedges.append(Edge(x, y))
     classical = WeightedGraph(cids, np.ones(len(cids)), cedges)
-    return ClassicalRadial(classical, quotient, [int(v) for v in V], k, int(ell))
+    return ClassicalRadial(classical, quotient, V, ell)
 
 
 # -- randomized test graphs ---------------------------------------------------

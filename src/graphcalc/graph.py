@@ -39,6 +39,7 @@ __all__ = [
     "double",
     "DoubledGraph",
     "L_stats",
+    "integer_column",
     "subdivide_edge",
     "with_boundary",
     "is_connected",
@@ -251,6 +252,12 @@ class WeightedGraph:
             raise GraphError(f"malformed graph document: {exc}") from exc
         if not vertices:
             raise GraphError("malformed graph document: no vertices")
+        for where, specs, known in (("document", [data], {"vertices", "edges"}),
+                                    ("vertex", vspecs, {"id", "measure", "boundary"}),
+                                    ("edge", especs, {"u", "v", "a", "length"})):
+            if unknown := set().union(*specs).difference(known):
+                raise GraphError(f"malformed graph document: unknown {where} keys "
+                                 f"{sorted(map(str, unknown))}")
         return cls.from_columns(vertices, measures, tails, heads, a, length, boundary)
 
 
@@ -449,6 +456,18 @@ def L_stats(g: WeightedGraph) -> LStats:
 
 
 # -- small structural helpers -------------------------------------------------
+
+
+def integer_column(g: WeightedGraph, name: str) -> tuple[int, tuple[int, ...]]:
+    """(den, nums) with column[k] = nums[k] / den exactly, for the column
+    ``vmeasure`` or ``elen``, kept in the graph's memo.  Every float is a
+    dyadic rational, so den is the largest denominator of the column."""
+    def build():
+        column = {"vmeasure": g.vmeasure, "elen": g.elen}[name].tolist()
+        ratios = [x.as_integer_ratio() for x in column]
+        den = max((d for _, d in ratios), default=1)
+        return den, tuple(p * (den // d) for p, d in ratios)
+    return g.memo(("integer_column", name), build)
 
 
 def subdivide_edge(

@@ -39,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import GraphError, WeightedGraph
+from .graph import GraphError, WeightedGraph, integer_column
 from .functions import VertexFunction, conjugate, grad_lp_norm, lp_norm_vertex
 
 __all__ = [
@@ -265,13 +265,11 @@ def _iso_open_path(g: WeightedGraph, nu: float) -> IsoReport:
     lo, hi = pos_interior[0], pos_interior[-1]
     if hi - lo + 1 != len(pos_interior):
         raise GraphError("interior not contiguous on the path")
-    # edge weight between consecutive positions
+    # w[p]: the weight of the edge between positions p and p + 1
+    pos = np.empty(g.n, dtype=int)
+    pos[order] = np.arange(g.n)
     w = np.empty(g.n - 1)
-    edge_at = {}
-    for k in range(g.m):
-        edge_at[frozenset((int(g.eu[k]), int(g.ev[k])))] = g.ea[k]
-    for p in range(g.n - 1):
-        w[p] = edge_at[frozenset((order[p], order[p + 1]))]
+    w[np.minimum(pos[g.eu], pos[g.ev])] = g.ea
     meas = g.vmeasure[np.array(order)]
     cmass = np.concatenate([[0.0], np.cumsum(meas)])
     i = np.arange(lo, hi + 1)
@@ -351,16 +349,6 @@ def neighborhood(g: WeightedGraph, vertex_ids) -> frozenset:
     return frozenset(g.vertices[w] for v in vertex_ids for w in g.neighbors(g.index(v)))
 
 
-def _integer_measures(g: WeightedGraph) -> tuple[int, tuple[int, ...]]:
-    """(den, m) with V(v) = m[v] / den exactly (every float is a dyadic
-    rational), kept in the graph's memo."""
-    def build():
-        ratios = [x.as_integer_ratio() for x in g.vmeasure.tolist()]
-        den = math.lcm(*(d for _, d in ratios))
-        return den, tuple(p * (den // d) for p, d in ratios)
-    return g.memo(("integer_measures",), build)
-
-
 def _scan_measures(g: WeightedGraph) -> np.ndarray:
     """``g.vmeasure`` times the power of two that keeps n max V(v) below
     2**1000, so that no sum overflows.  The scaling is exact unless max V /
@@ -406,13 +394,19 @@ def _neighborhood_sums(sub: np.ndarray, gamma_t, mass_t, vol_t):
     return _lookup(mass_t, sub, np.add), gmass
 
 
-def _first_rows(keys: np.ndarray, sub: np.ndarray) -> np.ndarray:
-    """The index of the least ``sub`` of each set of equal rows of ``keys``."""
-    order = np.lexsort((sub, *keys.T))
-    keys = keys[order]
+def _least_exact(counts: np.ndarray, masks: np.ndarray, value: np.ndarray, cap):
+    """The least (Fraction(g, m), mask, row) over the rows with 2 m <= cap,
+    ties to the least mask, or None.  Row j counts the vertices of B (first
+    half) and of Gamma(B) (second half) of each distinct measure, and m and g
+    add those counts times its integer numerator (``value``, Python ints).
+    Rows with equal counts have equal sums, so each group is decided once."""
+    order = np.lexsort((masks, *counts.T))  # equal rows together, each group by mask
     fresh = np.ones(len(order), dtype=bool)
-    fresh[1:] = np.logical_or.reduce(keys[1:] != keys[:-1], axis=1)
-    return order[fresh]
+    fresh[1:] = np.logical_or.reduce(counts[order[1:]] != counts[order[:-1]], axis=1)
+    rows = order[fresh]  # the least mask of each group
+    sums = counts[rows].astype(np.int64).astype(object).reshape(len(rows), 2, len(value)) @ value
+    return min(((Fraction(gb, mb), int(masks[j]), j) for j, (mb, gb) in zip(rows.tolist(), sums)
+                if 2 * mb <= cap), default=None)
 
 
 def _least_ratio(g: WeightedGraph, ids, half: bool):
@@ -433,32 +427,25 @@ def _least_ratio(g: WeightedGraph, ids, half: bool):
     band = 2(n + |ids|) eps covers every error twice: a set with 2 V(B) >
     V(G)(1 + band) is over half under any rounding and drops out, and if r is
     an admissible set's float ratio, every set whose exact ratio is at most
-    that set's lies within r(1 + band) + TINY.  The sets within the band of
-    the least float ratio are decided on the integer measures m: 2 m(B) <=
-    m(G) and the least Fraction.  Sets with the same count of each distinct
-    measure in B and in Gamma(B) have the same sums, so each such group is
-    decided once.  If the set with the least float ratio is over half, the
-    scan runs again, and then only the sets with 2 V(B) <= V(G)(1 - band),
-    at most half under any rounding, set the band.
+    that set's lies within r(1 + band) + TINY.  ``_least_exact`` decides the
+    sets within the band of the least float ratio on the integer column m of
+    the measures: 2 m(B) <= m(G) and the least Fraction.  If it finds the
+    set with the least float ratio over half, the scan runs again, and then
+    only the sets with 2 V(B) <= V(G)(1 - band), at most half under any
+    rounding, set the band.
     """
-    m = _integer_measures(g)[1]
+    m = integer_column(g, "vmeasure")[1]
     idx = [g.index(v) for v in ids]
     measures = _scan_measures(g)
     meet, gamma_t, used, *tables = _neighborhood_tables(g, idx, measures)
     masks = _connected_masks(meet)
     band = 2 * (g.n + len(idx)) * 2.0**-52  # 2(n + |ids|) eps
-    mid, whole = float(measures.sum()) / 2.0 if half else math.inf, sum(m)
+    mid, cap = (float(measures.sum()) / 2.0, sum(m)) if half else (math.inf, math.inf)
     distinct = dict(zip(g.vmeasure.tolist(), m))  # each distinct measure with its m
     kinds = np.zeros((8 * -(-g.n // 8), len(distinct)))  # [v, c]: V(v) is the c-th of them
     kinds[:g.n] = g.vmeasure[:, None] == list(distinct)
     near_kinds = kinds.reshape(-1, 8, len(distinct))[used].reshape(-1, len(distinct))
-    value = list(distinct.values())
-
-    def exact(row: list) -> Fraction | None:  # from the counts of a set; None: over half
-        mb, gb = (sum(int(k) * x for k, x in zip(part, value))
-                  for part in (row[:len(value)], row[len(value):]))
-        return None if half and 2 * mb > whole else Fraction(gb, mb)
-
+    value = np.array(list(distinct.values()), dtype=object)
     for strict in (False, True):
         limit, subs, ratios = math.inf, [np.zeros(0, np.int64)], [np.zeros(0)]
         for sub in (masks[lo:lo + CHUNK] for lo in range(0, len(masks), CHUNK)):
@@ -478,15 +465,12 @@ def _least_ratio(g: WeightedGraph, ids, half: bool):
                               axis=1, bitorder="little")
         counts = np.concatenate([_unpack(sub, len(idx))[:, :len(idx)] @ kinds[idx],
                                  gamma @ near_kinds], axis=1)
-        if (strict or not half or not len(sub)
-                or exact(counts[np.argmin(ratio)].tolist()) is not None):  # least is admissible
+        first = [np.argmin(ratio)] if len(sub) else []  # the least float ratio
+        if strict or not half or not first or _least_exact(
+                counts[first], sub[first], value, cap) is not None:  # it is at most half
             break
-    decided = [(q, int(sub[j]), j) for j in _first_rows(counts, sub).tolist()
-               if (q := exact(counts[j].tolist())) is not None]  # ties go to the least mask
-    if not decided:
-        return None
-    least, mask, j = min(decided)
-    return mask, least, float(ratio[j])
+    found = _least_exact(counts, sub, value, cap)
+    return None if found is None else (found[1], found[0], float(ratio[found[2]]))
 
 
 def magnification(g: WeightedGraph):

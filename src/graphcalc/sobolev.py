@@ -2,10 +2,11 @@
 
 Every routine evaluates both sides of one inequality from graph data and
 returns an InequalityCheck; an in-hypothesis instance must pass (lhs >=
-rhs - 1e-9).  Closed-graph variants run on split inputs (pre-shifted by the
-midpoint of the L^1 balance interval) with the shifted constant I~_nu.  A
-block of functions (values of shape (n, B)) is checked in one call: the
-sides are then (B,) arrays and the check counts the failing draws.
+rhs - 1e-9 |rhs|, relative as each check is homogeneous in f).  Closed-graph
+variants run on split inputs (pre-shifted by the midpoint of the L^1 balance
+interval) with the shifted constant I~_nu.  A block of functions (values of
+shape (n, B)) is checked in one call: the sides are then (B,) arrays and the
+check counts the failing draws.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ class InequalityCheck:
 
     @property
     def failures(self) -> int:
-        """The number of draws with lhs < rhs - TOL (1 + |rhs|); 0 or 1 for one function."""
-        ok = self.lhs >= self.rhs - TOL * (1.0 + np.abs(self.rhs))
+        """The number of draws with lhs < rhs - TOL |rhs|; 0 or 1 for one function."""
+        ok = self.lhs >= self.rhs - TOL * np.abs(self.rhs)
         return int(np.count_nonzero(np.logical_not(ok)))
 
     @property

@@ -25,6 +25,7 @@ from graphcalc import (
     rayleigh_quotient,
     true_lambda,
 )
+from graphcalc.graph import integer_column
 from graphcalc.bounds import AlonField, BoundReport, BoundValue, _max_flow, _traditional
 from graphcalc.isoperimetry import enumerate_connected_subsets
 from graphcalc.generators import complete, cycle, hypercube, path, radial_graph, random_graph
@@ -371,6 +372,26 @@ def test_integer_checks_equal_the_fraction_reference():
                         seen.setdefault(name, set()).add(flag)
                 cases += 1
     assert len(seen) == 5 and all(flags == {True, False} for flags in seen.values()), seen
+
+
+def test_checks_with_a_loop_finer_than_every_edge_length():
+    # the loop's length 2**-40 sets the denominator of the length column,
+    # though the checks skip loops; every value and flag must stay exact
+    g = build_graph([("a", 0.5), ("b", 0.25), ("c", 3.0), ("d", 1.0)],
+                    [Edge("a", "b", 1.0, 0.5), Edge("b", "b", 2.0, 3 * 2.0**-40),
+                     Edge("b", "c", 1.0, 0.25), Edge("c", "d", 0.5, 1.5), Edge("d", "a")])
+    assert integer_column(g, "elen")[0] == 2**40
+    seen = set()
+    for A in (["a"], ["b"], ["a", "b"], ["b", "d"]):
+        af = alon_field(g, A, generalized=True)
+        deltas = (Fraction(0), Fraction(1, 7), Fraction(-5, 2))
+        for k, delta in itertools.product(range(g.m), deltas):
+            exact = af.exact[:k] + [af.exact[k] + delta] + af.exact[k + 1:]
+            case = AlonField(af.field, af.A, af.c, exact)
+            got = alon_field_checks(g, case)
+            assert got == _reference_checks(g, case), (A, k, delta)
+            seen.add(got["rho_sq_bound"])
+    assert seen == {True, False}
 
 
 def test_q1_q2_inequality():

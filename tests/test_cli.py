@@ -236,6 +236,9 @@ def test_heat_rejects_negative_or_nonfinite_t(tmp_path, capsys):
         {"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "a": 10**400}]},
         # a bad weight on edge 1 and an unknown endpoint on edge 2
         {"vertices": [1, 2, 3], "edges": [{"u": 1, "v": 2, "a": -1}, {"u": 1, "v": 9}]},
+        # misspelt keys and a top-level boundary list: read as a closed unit graph
+        {"vertices": [{"id": 1, "mesure": 5}, {"id": 2}], "edges": [{"u": 1, "v": 2, "weight": 3}],
+         "boundary": [2]},
     ],
 )
 def test_malformed_document_is_usage_error(tmp_path, capsys, doc):

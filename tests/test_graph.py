@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from graphcalc import (
     with_boundary,
 )
 from graphcalc.generators import cycle, path, random_graph
+from graphcalc.graph import integer_column
 from graphcalc.isoperimetry import iso_constant, magnification
 from graphcalc.operators import eigenvalues
 
@@ -159,6 +161,30 @@ def test_dict_roundtrip():
     assert [(e.u, e.v, e.a, e.length) for e in h.edges] == [
         (e.u, e.v, e.a, e.length) for e in g.edges
     ]
+
+
+def test_unknown_keys_are_refused_in_every_list():
+    doc = {"vertices": [{"id": "x", "measure": 2.0, "boundary": False}, "y"],
+           "edges": [{"u": "x", "v": "y", "a": 1.0, "length": 1.0}]}
+    WeightedGraph.from_dict(doc)  # every known key
+    for where, bad in (("document", {**doc, "name": "g"}),
+                       ("vertex", {**doc, "vertices": [{"id": "x", "mesure": 2.0}, "y"]}),
+                       ("edge", {**doc, "edges": [{"u": "x", "v": "y", "weight": 3.0}]})):
+        with pytest.raises(GraphError, match=rf"^malformed graph document: unknown {where} keys"):
+            WeightedGraph.from_dict(bad)
+
+
+def test_integer_column_is_exact_and_kept():
+    values = [5e-324, 2.0**-1074 * 3, 2.0**-1000, 2.0**1000, 3.0, 1.0, 0.1, 7.0 * 2.0**-30]
+    g = build_graph([(k, x) for k, x in enumerate(values)],
+                    [Edge(k, k, 1.0, x) for k, x in enumerate(values)])
+    for name, column in (("vmeasure", g.vmeasure), ("elen", g.elen)):
+        den, nums = integer_column(g, name)
+        assert den == 2**1074 and len(nums) == len(values)
+        assert all(Fraction(p, den) == Fraction(x) for p, x in zip(nums, column.tolist()))
+        assert integer_column(g, name) is integer_column(g, name)
+    assert integer_column(build_graph([1, 2], [(1, 2)]), "elen") == (1, (1,))
+    assert integer_column(build_graph([1], []), "elen") == (1, ())
 
 
 def test_from_dict_defaults():
@@ -309,6 +335,9 @@ def test_every_bad_weight_is_refused_without_a_warning():
         # every endpoint is checked before any weight
         ({"vertices": [1, 2, 3], "edges": [{"u": 1, "v": 2, "a": -1}, {"u": 1, "v": 9}]},
          "edge endpoint not in graph: 1-9"),
+        ({"vertices": [{"id": 1, "mesure": 5}, {"id": 2}],
+          "edges": [{"u": 1, "v": 2, "weight": 3}], "boundary": [2]},
+         "malformed graph document: unknown document keys ['boundary']"),
     ],
 )
 def test_malformed_documents_keep_their_messages(doc, message):

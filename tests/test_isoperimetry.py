@@ -489,6 +489,32 @@ def test_path_fast_lane_matches_enumeration():
             assert fast.value == pytest.approx(slow.value, rel=1e-12)
 
 
+def test_long_path_lane_on_a_shuffled_weighted_path():
+    # 70 vertices take the path lane; vertex and edge order are shuffled and
+    # about half the edges flipped.  Weights are distinct powers of two and
+    # measures small integers, so every sum is exact and no two intervals
+    # share an area
+    rng = np.random.default_rng(70)
+    n = 70
+    w = 2.0 ** rng.permutation(n - 1)  # w[p] joins path positions p and p + 1
+    meas = rng.integers(1, 17, size=n).astype(float)
+    ends = [(f"v{p}", f"v{p + 1}")[::1 - 2 * int(rng.integers(2))] for p in range(n - 1)]
+    edges = [Edge(*ends[p], w[p]) for p in rng.permutation(n - 1)]
+    g = build_graph([(f"v{p}", meas[p]) for p in rng.permutation(n)], edges,
+                    boundary=["v0", f"v{n - 1}"])
+    spans = [(i, j) for i in range(1, n - 1) for j in range(i, n - 1)]
+    area = np.array([w[i - 1] + w[j] for i, j in spans])
+    mass = np.array([meas[i:j + 1].sum() for i, j in spans])
+    for nu, vals in ((1.0, area), (2.0, area / mass ** 0.5), (math.inf, area / mass)):
+        best = int(np.argmin(vals))
+        assert np.count_nonzero(vals == vals[best]) == 1
+        rep = iso_constant(g, nu, "open")
+        i, j = spans[best]
+        assert rep.value == vals[best], nu
+        assert rep.witness == isoperimetry.AdmissibleSet(
+            frozenset(f"v{p}" for p in range(i, j + 1)), area[best], mass[best]), nu
+
+
 def test_magnification_complete_graph():
     c, witness = magnification(complete(4))
     assert c == pytest.approx(1.0)

@@ -250,3 +250,23 @@ def test_block_checks_equal_columns(monkeypatch, inflate):
             assert block.passed == all(c.passed for c in cols)
             failures += block.failures
     assert inflate == 1.0 or failures > 0
+
+
+def test_checks_fail_an_inflated_bound_at_every_scale():
+    # each check is homogeneous in f; at f -> 1e-9 f an absolute slack of
+    # 1e-9 (1 + |rhs|) was as large as rhs, so a bound inflated by 1e-6 passed
+    from graphcalc.sobolev import InequalityCheck
+
+    rng = np.random.default_rng(11)
+    p7 = path(7, boundary=[7])
+    strong = WeightedGraph(p7.vertices, p7.vmeasure, [Edge(e.u, e.v, 4.0) for e in p7.edges],
+                           p7.boundary)  # I_3 >= 1, so gennash applies
+    for g in (cycle(7), p7, strong):
+        rows = rng.standard_normal((6, g.n)) * g.interior_mask
+        for scale in (1.0, 1e-9):
+            checks = [block for block, _ in _check_pairs(g, VertexFunction(g, scale * rows.T))]
+            assert len(checks) == 8 + (g is strong)
+            for chk in checks:
+                assert chk.passed, (chk.name, scale)  # the true bound holds at every scale
+                tight = InequalityCheck(chk.name, chk.rhs, chk.rhs * (1 + 1e-6))
+                assert tight.failures == len(rows), (chk.name, scale)
