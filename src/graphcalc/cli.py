@@ -4,7 +4,8 @@ Subcommands: info, spectrum, iso, bounds, heat, verify, gen, flow.  Exit
 codes: 0 success, 1 a verification or soundness check failed (diagnostics
 still go to stdout as JSON), 2 input/usage error.  Output is byte-stable:
 dict keys are emitted in construction order and floats with 17 significant
-digits, so identical inputs and seeds reproduce identical bytes.
+digits, so identical inputs and seeds reproduce identical bytes.  It is strict
+JSON: a non-finite float is the string "inf", "-inf" or "nan" (bare in CSV).
 """
 
 from __future__ import annotations
@@ -34,16 +35,9 @@ SCHEMA = "graphcalc/1"
 # -- deterministic serialization --------------------------------------------
 
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return "%.17g" % x
-
-
 def _render(obj) -> str:
-    """JSON text with %.17g floats and dict insertion order preserved."""
+    """Strict JSON text with %.17g floats and dict insertion order preserved;
+    a non-finite float is the string "inf", "-inf" or "nan", as --nu spells it."""
     if isinstance(obj, dict):
         items = ", ".join(f"{json.dumps(str(k))}: {_render(v)}" for k, v in obj.items())
         return "{" + items + "}"
@@ -54,7 +48,8 @@ def _render(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
+        text = "%.17g" % obj
+        return text if math.isfinite(obj) else json.dumps(text)
     if isinstance(obj, np.ndarray):
         return _render(obj.tolist())
     if isinstance(obj, frozenset):
@@ -64,7 +59,7 @@ def _render(obj) -> str:
 
 def _csv_cell(v) -> str:
     if isinstance(v, (float, np.floating)):
-        return _fmt_float(float(v))
+        return "%.17g" % v
     s = str(v)
     if any(ch in s for ch in ',"\n'):
         s = '"' + s.replace('"', '""') + '"'

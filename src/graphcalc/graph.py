@@ -508,22 +508,26 @@ def with_boundary(g: WeightedGraph, boundary: Iterable[VertexId]) -> WeightedGra
 def component_labels(g: WeightedGraph, mask=None) -> np.ndarray:
     """Label 0, 1, ... of the connected component of each vertex, in order of
     their least vertex; with a boolean ``mask`` the components of the induced
-    subgraph, and -1 off the mask."""
-    keep = [True] * g.n if mask is None else np.asarray(mask, dtype=bool).tolist()
-    label = [-1] * g.n
-    count = 0
-    for start in range(g.n):
-        if not keep[start] or label[start] >= 0:
-            continue
-        label[start] = count
-        stack = [start]
-        while stack:
-            for j in g.neighbors(stack.pop()):
-                if keep[j] and label[j] < 0:
-                    label[j] = count
-                    stack.append(j)
-        count += 1
-    return np.array(label, dtype=int)
+    subgraph, and -1 off the mask.
+
+    Every vertex points at a vertex no larger than itself.  Each round hooks
+    the larger root of every edge that joins two trees under the smaller, then
+    jumps pointers until each vertex points at its root, the least vertex of
+    its tree; it stops when no edge joins two trees."""
+    keep = np.ones(g.n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    on = keep[g.eu] & keep[g.ev]
+    u, v = g.eu[on], g.ev[on]
+    root = np.arange(g.n)
+    while True:
+        ru, rv = root[u], root[v]
+        apart = ru != rv
+        if not apart.any():
+            break
+        np.minimum.at(root, np.maximum(ru, rv)[apart], np.minimum(ru, rv)[apart])
+        while not np.array_equal(jump := root[root], root):
+            root = jump
+    least = keep & (root == np.arange(g.n))  # the least vertex of each component
+    return np.where(keep, (np.cumsum(least) - 1)[root], -1)
 
 
 def is_connected(g: WeightedGraph) -> bool:

@@ -19,10 +19,11 @@ boundary f vanishes on the boundary (Dirichlet), and on a closed graph, where
 
 Above SPARSE_ROWS solved rows, ``eigenvalues(g, k)`` finds the k lowest
 eigenvalues of a sparse S by shift-invert Lanczos and certifies them with an
-LDL^T inertia count, and the full decomposition overwrites S in place.  Both
-need scipy, which is imported only then: below the threshold the dense numpy
-solves are faster, and the import (about 26 MB and a quarter second) would
-dominate.
+LDL^T inertia count (two numeric factorizations of shifted S in one
+fill-reducing ordering, computed once), and the full decomposition overwrites
+S in place.  Both need scipy, which is imported only then: below the
+threshold the dense numpy solves are faster, and the import (about 26 MB and
+a quarter second) would dominate.
 """
 
 from __future__ import annotations
@@ -267,16 +268,19 @@ def _sparse_lowest(g: WeightedGraph, k: int) -> np.ndarray | None:
     Shift-invert Lanczos (ARPACK's eigsh, Ericsson & Ruhe 1980) finds the
     k + 1 lowest eigenvalues of the sparse S around a shift sigma0 < 0, from
     one sparse LU of S - sigma0 I that keeps the diagonal pivots of a
-    symmetric ordering.  The certificate is Sylvester's law of inertia: with
-    sigma halfway between the computed lambda_{k-1} and lambda_k, the same
-    factorization of S - sigma I is P (S - sigma I) P^T = L D L^T when the row
-    and column permutations agree, and then exactly as many eigenvalues lie
-    below sigma as D has negative entries.  The answer stands when that
-    count is k and lambda_k exceeds lambda_{k-1} by more than 1e-12 of the
-    spectral bound 2 max L, so that rounding cannot move sigma across an
-    eigenvalue: a repeated eigenvalue at lambda_k fails.  A factorization
-    that hits a zero pivot, or a Lanczos run that does not converge, fails
-    too.
+    symmetric minimum-degree ordering.  The certificate is Sylvester's law of
+    inertia: with sigma halfway between the computed lambda_{k-1} and
+    lambda_k, S - sigma I has the same sparsity pattern, so it is permuted
+    symmetrically by the first factor's column order and factored in that
+    order (George & Liu's analyse/factorise split: one ordering, two numeric
+    factorizations).  A symmetric permutation keeps the inertia, and when the
+    row and column permutations of this factor agree it is P (S - sigma I)
+    P^T = L D L^T, and exactly as many eigenvalues lie below sigma as D has
+    negative entries.  The answer stands when that count is k and lambda_k
+    exceeds lambda_{k-1} by more than 1e-12 of the spectral bound 2 max L,
+    so that rounding cannot move sigma across an eigenvalue: a repeated
+    eigenvalue at lambda_k fails.  A factorization that hits a zero pivot,
+    or a Lanczos run that does not converge, fails too.
     """
     from scipy.sparse import identity
     from scipy.sparse.linalg import LinearOperator, eigsh, splu
@@ -285,9 +289,11 @@ def _sparse_lowest(g: WeightedGraph, k: int) -> np.ndarray | None:
     n = S.shape[0]
     scale = 2.0 * float(diag.max())  # every eigenvalue lies in [0, 2 max L]
 
-    def factor(sigma):
-        return splu(S - sigma * identity(n, format="csc"), permc_spec="MMD_AT_PLUS_A",
-                    diag_pivot_thresh=0, options={"SymmetricMode": True})
+    def shifted(sigma):
+        return S - sigma * identity(n, format="csc")
+
+    def factor(A, order):
+        return splu(A, permc_spec=order, diag_pivot_thresh=0, options={"SymmetricMode": True})
 
     # below 0, so that S - sigma0 I is definite although 0 is an eigenvalue
     # of a closed graph, and close to 0 on the scale of L
@@ -296,13 +302,14 @@ def _sparse_lowest(g: WeightedGraph, k: int) -> np.ndarray | None:
     # positive one, so that it is not orthogonal to a positive eigenvector
     v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
     try:
-        lu = factor(sigma0)
+        lu = factor(shifted(sigma0), "MMD_AT_PLUS_A")
         op = LinearOperator((n, n), matvec=lu.solve, dtype=float)
         lams = np.sort(eigsh(S, k + 1, sigma=sigma0, OPinv=op, tol=0, v0=v0,
                              return_eigenvectors=False))
         if not lams[k] - lams[k - 1] > 1e-12 * scale:
             return None
-        lu = factor((lams[k - 1] + lams[k]) / 2.0)
+        q = np.argsort(lu.perm_c)  # the order in which lu factored S - sigma0 I
+        lu = factor(shifted((lams[k - 1] + lams[k]) / 2.0)[q][:, q], "NATURAL")
     except RuntimeError:  # a zero pivot, or ARPACK did not converge
         return None
     if not (np.array_equal(lu.perm_r, lu.perm_c)

@@ -522,6 +522,38 @@ def test_repeated_calls_share_one_parser(tmp_path, capsys):
     assert runs[0] == runs[1] and runs[0][0] == 0
 
 
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("dirichlet", [False, True])
+def test_every_subcommand_prints_strict_json(tmp_path, capsys, dirichlet):
+    # iso with the default nu = inf printed the bare token Infinity, which a
+    # strict JSON parser refuses; non-finite floats print as --nu spells them
+    from graphcalc.verify import SUITES
+
+    target = str(tmp_path / "g.json")
+    gen = ["gen", "path", "5", "--dirichlet"] if dirichlet else ["gen", "cycle", "5"]
+    assert main(gen + ["-o", target]) == 0
+    runs = [gen, ["info", target], ["spectrum", target], ["spectrum", target, "-k", "2"],
+            ["iso", target], ["iso", target, "--nu", "2", "--magnification"],
+            ["bounds", target], ["heat", target], ["flow", target, "--set", "1,2"]]
+    runs += [["verify", target, "--suite", suite, "--trials", "3"] for suite in SUITES
+             if dirichlet or suite != "gennash"]  # gennash needs a boundary
+    capsys.readouterr()
+    for argv in runs:
+        code, out = _run(capsys, *argv)
+        assert code in (0, 1), argv
+        doc = _strict_json(out)
+        if argv[0] == "iso":
+            assert doc["nu"] == ("inf" if len(argv) == 2 else 2.0)
+    code, out = _run(capsys, "iso", target, "--out", "csv")
+    assert code == 0 and "\nnu,inf\n" in out
+
+
 def test_gen_stdout_roundtrip(capsys):
     code = main(["gen", "path", "5", "--dirichlet"])
     out = capsys.readouterr().out

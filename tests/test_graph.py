@@ -19,7 +19,7 @@ from graphcalc import (
     with_boundary,
 )
 from graphcalc.generators import cycle, path, random_graph
-from graphcalc.graph import integer_column
+from graphcalc.graph import component_labels, integer_column
 from graphcalc.isoperimetry import iso_constant, magnification
 from graphcalc.operators import eigenvalues
 
@@ -203,6 +203,49 @@ def test_with_boundary_and_connectivity():
     assert is_connected(g)
     two = build_graph(["a", "b"], [])
     assert not is_connected(two)
+
+
+def _dfs_labels(g, keep):
+    """Component labels by depth-first search over the adjacency sets, in
+    order of the least vertex, -1 off keep."""
+    label = [-1] * g.n
+    count = 0
+    for start in range(g.n):
+        if not keep[start] or label[start] >= 0:
+            continue
+        label[start] = count
+        stack = [start]
+        while stack:
+            for j in g.adjacency[stack.pop()]:
+                if keep[j] and label[j] < 0:
+                    label[j] = count
+                    stack.append(j)
+        count += 1
+    return label
+
+
+def test_component_labels_match_a_depth_first_search():
+    rng = np.random.default_rng(71)
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        m = int(rng.integers(0, 2 * n))
+        # few edges leave isolated vertices; repeated pairs are parallel edges
+        # and equal endpoints loops
+        tails, heads = rng.integers(0, n, m), rng.integers(0, n, m)
+        g = WeightedGraph.from_columns(range(n), np.ones(n), tails, heads,
+                                       np.ones(m), np.ones(m))
+        assert is_connected(g) == (max(_dfs_labels(g, [True] * n)) == 0)
+        for mask in (None, rng.random(n) < rng.uniform(0.2, 0.9), np.zeros(n, dtype=bool)):
+            keep = [True] * n if mask is None else mask.tolist()
+            assert component_labels(g, mask).tolist() == _dfs_labels(g, keep)
+    # a path numbered against its order needs several rounds of hooking
+    order = rng.permutation(200)
+    g = WeightedGraph.from_columns(range(200), np.ones(200), order[:-1], order[1:],
+                                   np.ones(199), np.ones(199))
+    assert component_labels(g).tolist() == [0] * 200
+    cut = np.ones(200, dtype=bool)
+    cut[order[100]] = False
+    assert component_labels(g, cut).tolist() == _dfs_labels(g, cut.tolist())
 
 
 def test_graph_is_immutable():

@@ -299,6 +299,57 @@ def test_sparse_lowest_eigenvalues_match_dense(mode):
     assert g.memoized(("eigenvalues",)) is None  # no dense solve ran
 
 
+def _two_orderings(g, k):
+    """The certificate with a minimum-degree ordering of its own for each
+    factor: (the k lowest eigenvalues or None, the certificate factor)."""
+    from scipy.sparse import identity
+    from scipy.sparse.linalg import LinearOperator, eigsh, splu
+
+    S, diag = operators._sparse_symmetrized(g)
+    n = S.shape[0]
+
+    def factor(sigma):
+        return splu(S - sigma * identity(n, format="csc"), permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0, options={"SymmetricMode": True})
+
+    sigma0 = -1e-3 * float(diag.mean())
+    lu = factor(sigma0)
+    op = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    lams = np.sort(eigsh(S, k + 1, sigma=sigma0, OPinv=op, tol=0,
+                         v0=np.random.default_rng(0).uniform(0.5, 1.5, n),
+                         return_eigenvectors=False))
+    lu = factor((lams[k - 1] + lams[k]) / 2.0)
+    ok = (lams[k] - lams[k - 1] > 2e-12 * diag.max() and np.array_equal(lu.perm_r, lu.perm_c)
+          and np.count_nonzero(lu.U.diagonal() < 0) == k)
+    return (lams[:k] if ok else None), lu
+
+
+@pytest.mark.parametrize("mode", ["closed", "dirichlet"])
+def test_sparse_lowest_orders_once_and_keeps_the_fill(monkeypatch, mode):
+    import scipy.sparse.linalg as spla
+
+    true_splu = spla.splu
+    g = _large(np.random.default_rng(41), mode)
+    for k in (1, 2, 5):
+        want, reference = _two_orderings(g, k)
+        calls = []
+
+        def recording_splu(A, permc_spec, **kw):
+            calls.append((permc_spec, true_splu(A, permc_spec=permc_spec, **kw)))
+            return calls[-1][1]
+
+        with monkeypatch.context() as m:
+            m.setattr(spla, "splu", recording_splu)
+            got = _sparse_lowest(g, k)
+        # one minimum-degree ordering; the certificate factors in its order
+        assert [spec for spec, _ in calls] == ["MMD_AT_PLUS_A", "NATURAL"]
+        lu = calls[1][1]
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        assert (lu.L.nnz, lu.U.nnz) == (reference.L.nnz, reference.U.nnz)
+        assert np.count_nonzero(lu.U.diagonal() < 0) == k
+        assert want is not None and np.array_equal(got, want)  # bit for bit
+
+
 def test_sparse_lowest_falls_back_on_a_repeated_eigenvalue():
     # on a cycle lambda_1 = lambda_2, so no shift separates lambda_1 from lambda_2
     g = cycle(400)
