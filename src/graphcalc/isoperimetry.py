@@ -16,11 +16,15 @@ entries.  A scan that would visit more than SUBSET_CAP subsets raises
 - ``enumerate_connected_subsets`` builds the (mask, area, mass) table of the
   connected subsets of the free vertices; the rows run by (size, mask).
   Area and mass are each summed once, in one order: edge by edge and vertex
-  by vertex.  The table is kept in the graph's memo, one per pool, with the
-  reports.  Every (nu, variant) is one vectorized quotient over it: the whole
-  vertex set gets inf in the tilde variants, and the sorted-id tie rule sees
-  only the masks within 1e-12 of the minimum.  The winning row is the
-  witness, with the row's sums.
+  by vertex, from 0.0.  A set's cut edges are the XOR of its members' code
+  words (one bit per edge with an end in the pool); a fold table holds the
+  left fold of every subset of the first (at most 14) terms, so one lookup
+  adds them, and each later term adds 0.0 or its value in order.  The
+  table is kept in the graph's memo, one per pool, with the reports.  Every
+  (nu, variant) is one vectorized quotient over it: the whole vertex set
+  gets inf in the tilde variants, and the sorted-id tie rule sees only the
+  masks within 1e-12 of the minimum.  The winning row is the witness, with
+  the row's sums.
 - ``_least_ratio`` scans the sets of a vertex set that are connected under
   "Gamma(a) meets Gamma(b)", in chunks of CHUNK, with byte tables for V(B),
   Gamma(B) and V(Gamma(B)).  For ``magnification`` and
@@ -34,6 +38,7 @@ A vectorized interval sweep handles long paths instead.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,9 +62,9 @@ __all__ = [
 SUBSET_CAP = 2**22 - 1  # subsets one scan may visit: the nonempty subsets of 22 vertices
 POOL_LIMIT = 63  # pool-local subset masks are int64
 CHUNK = 1 << 12  # subsets or table rows per numpy step; 2**16 raised peak RSS by a tenth
-SUM_BLOCK = 8  # terms per ordered reduction; 16 and 64 raised iso-enum peak RSS by 2% and 4%
 TINY = 2.0**-1073  # twice the absolute error of a quotient below the normal range
 _BITS = (np.arange(256) >> np.arange(8)[:, None]) & 1 == 1  # [j, b]: bit j of byte b
+_POPCOUNT = _BITS.sum(axis=0, dtype=np.uint8)  # [b]: the set bits of byte b
 
 
 @dataclass(frozen=True)
@@ -92,9 +97,11 @@ def _byte_tables(values: np.ndarray, combine) -> np.ndarray:
 def _lookup(tables: np.ndarray, subs: np.ndarray, combine) -> np.ndarray:
     """Per int64 mask in ``subs``: ``combine`` of tables[k, byte k], ascending k."""
     byts = subs.astype("<i8", copy=False).view(np.uint8).reshape(len(subs), 8)
-    acc = tables[0][byts[:, 0]]
+    # numpy converts uint8 indices before each gather; intp ones it reads as they are
+    byts = np.ascontiguousarray(byts[:, :len(tables)].T, dtype=np.intp)
+    acc = tables[0][byts[0]]
     for k in range(1, len(tables)):
-        combine(acc, tables[k][byts[:, k]], out=acc)
+        combine(acc, tables[k][byts[k]], out=acc)
     return acc
 
 
@@ -115,19 +122,43 @@ def _check_subsets(count: int) -> None:
         raise GraphError(f"the enumeration would visit more than {SUBSET_CAP} subsets")
 
 
-def _ordered_sums(bits: np.ndarray, ju: np.ndarray, jv: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Per column of ``bits``: w[k] over the k with bits[ju[k]] != bits[jv[k]],
-    added in ascending k from 0.0.  Each reduction adds the rows of a
-    (terms, columns) array along the slow axis, which runs in order: SUM_BLOCK
-    terms at a time, the running sum carried in as row 0.  ``bits`` needs at
-    least two columns; over one, numpy would add pairwise."""
-    total = np.zeros(bits.shape[1])
-    for k in range(0, len(w), SUM_BLOCK):
-        block = slice(k, k + SUM_BLOCK)
-        rows = np.empty((len(w[block]) + 1, len(total)))
-        rows[0] = total
-        np.multiply(bits[ju[block]] != bits[jv[block]], w[block, None], out=rows[1:])
-        total = np.add.reduce(rows, axis=0)
+def _fold_tables(terms: list, rows: int) -> tuple:
+    """(fold, later): the tables with which ``_fold_sums`` adds the terms of
+    each vector terms[s] over ``rows`` rows.  The vectors are padded with
+    0.0, which leaves every sum as it is.
+
+    fold[s, c] adds terms[s][k] over the set bits k < b of c in ascending k,
+    from 0.0.  One ordered reduction along the slow axis (as in
+    ``_byte_tables``) folds the first 8 terms, and each doubling adds the
+    next term, last, to every fold of the earlier ones.  later[k - b, s, byte]
+    is terms[s][k] if the byte holds bit k % 8, else 0.0.  The fold takes
+    each term k with 2**k <= 4 rows (its 2**k new entries cost about what
+    adding the term later would), at least 8 and at most 14 of them: 15 and
+    16 built no faster on q4 and wclosed-18, and 16 took 0.7 MB more."""
+    w = np.zeros((8 * -(-max(map(len, terms)) // 8), len(terms)))  # [k, s], whole bytes
+    for s, t in enumerate(terms):
+        w[:len(t), s] = t
+    per = (_BITS[:, None] * w.reshape(-1, 8, len(terms), 1)).reshape(len(w), len(terms), 256)
+    b = min(len(w), 14, max(8, (4 * rows).bit_length()))
+    fold = np.empty((len(terms), 1 << b))
+    fold[:, :256] = np.add.reduce(per[:8], axis=0)
+    for k in range(8, b):
+        np.add(fold[:, :1 << k], w[k, :, None], out=fold[:, 1 << k:2 << k])
+    return fold, per[b:]
+
+
+def _fold_sums(words: np.ndarray, count: int, fold: np.ndarray, later: np.ndarray):
+    """Per row of int64 ``words`` (bit k of a row marks term k < count): the
+    marked terms of one vector of ``_fold_tables``, added in ascending k from
+    0.0.  The first b terms are one lookup in ``fold``; then each later term
+    adds 0.0 or its value, in order, which is exact: x + 0.0 is x."""
+    b = len(fold).bit_length() - 1
+    total = fold[words[:, 0] & (len(fold) - 1)]
+    if count > b:  # the bytes of bits b..count-1, as intp indices into ``later``
+        byts = words.astype("<i8", copy=False).view(np.uint8)[:, b // 8:-(-count // 8)]
+        byts = np.ascontiguousarray(byts.T, dtype=np.intp)
+        for k, term in zip(range(b, count), later):
+            total += term[byts[k // 8 - b // 8]]
     return total
 
 
@@ -170,8 +201,9 @@ def enumerate_connected_subsets(g: WeightedGraph, allowed_mask: int) -> np.ndarr
     The sets are ``_connected_masks`` of the pool-local adjacency (bit j =
     j-th allowed vertex); rows run by (size, mask).  ``area`` adds a_e over
     the edges with exactly one endpoint in S in edge order, and ``mass`` adds
-    V(v) over S in ascending vertex order, both from 0.0 (``_ordered_sums``),
-    so a whole component has area exactly 0.
+    V(v) over S in ascending vertex order, both from 0.0, so a whole
+    component has area exactly 0.  Both are ``_fold_sums``: of the cut edges
+    marked by the XOR of the members' code words, and of the mask's vertices.
     """
     pool = [i for i in range(g.n) if (allowed_mask >> i) & 1]
     _check_pool(len(pool))
@@ -181,28 +213,27 @@ def enumerate_connected_subsets(g: WeightedGraph, allowed_mask: int) -> np.ndarr
     local = np.full(g.n, -1)
     local[pool] = np.arange(len(pool))
     ju, jv = local[g.eu], local[g.ev]
-    inner = np.array([ju, jv])[:, (ju >= 0) & (jv >= 0)]  # the edges within the pool
-    near = np.zeros(len(pool), np.int64)  # bit k of near[j]: pool vertices j and k are adjacent
-    np.bitwise_or.at(near, inner.ravel(), np.left_shift(1, inner[::-1].ravel()))
     cut = np.flatnonzero((ju != jv) & (np.maximum(ju, jv) >= 0))  # local -1: off the pool
-    edges = ju[cut], jv[cut], g.ea[cut]
-    # a free vertex is in S when its row differs from row -1 (off the pool)
-    members = np.arange(len(pool)), np.full(len(pool), -1), g.vmeasure[pool]
-    masks = _connected_masks(near)
-    sizes = _lookup(_byte_tables(np.ones(len(pool), np.uint8), np.add).astype(np.uint8),
-                    masks, np.add)  # popcounts
-    masks = masks[np.argsort(sizes, kind="stable")]  # the smallest sets first
-    ends = np.cumsum(np.bincount(sizes)).tolist()
-    for lo, hi in zip([0] + ends, ends):
-        masks[lo:hi].sort()
+    # inc[j, k]: cut edge k has an end at pool vertex j (row -1: off the pool)
+    inc = np.zeros((len(pool) + 1, 64 * (len(cut) // 64 + 1)), bool)
+    inc[ju[cut], np.arange(len(cut))] = inc[jv[cut], np.arange(len(cut))] = True
+    inc = inc[:-1]
+    # bit k of near[j]: a cut edge joins pool vertices j and k (ESU ignores bit j)
+    near = (inc @ inc.T) @ np.left_shift(1, np.arange(len(pool), dtype=np.int64))
+    # per pool vertex, a code word of its cut edges: their XOR over S marks
+    # the edges with exactly one end in S
+    code_t = _byte_tables(np.packbits(inc, axis=1, bitorder="little").view("<i8"),
+                          np.bitwise_xor)
+    masks = np.sort(_connected_masks(near))
+    sizes = _lookup(np.broadcast_to(_POPCOUNT, (-(-len(pool) // 8), 256)), masks, np.add)
+    masks = masks[np.argsort(sizes, kind="stable")]  # by (size, mask)
+    fold, later = _fold_tables([g.ea[cut], g.vmeasure[pool]], len(masks))
     table = np.empty(len(masks), dtype)
     for lo in range(0, len(masks), CHUNK):
         part = masks[lo:lo + CHUNK]
-        # one row per free vertex, then row -1 (off the pool), which stays 0
-        bits = np.zeros((len(pool) + 1, max(len(part), 2)), np.uint8)
-        bits[:-1, :len(part)] = _unpack(part, len(pool))[:, :len(pool)].T
-        table["area"][lo:lo + CHUNK] = _ordered_sums(bits, *edges)[:len(part)]
-        table["mass"][lo:lo + CHUNK] = _ordered_sums(bits, *members)[:len(part)]
+        table["area"][lo:lo + CHUNK] = _fold_sums(_lookup(code_t, part, np.bitwise_xor),
+                                                  len(cut), fold[0], later[:, 0])
+        table["mass"][lo:lo + CHUNK] = _fold_sums(part[:, None], len(pool), fold[1], later[:, 1])
     if pool == list(range(len(pool))):
         table["mask"] = masks
     else:
@@ -211,18 +242,23 @@ def enumerate_connected_subsets(g: WeightedGraph, allowed_mask: int) -> np.ndarr
     return table
 
 
-def _mask_set(g: WeightedGraph, mask: int) -> frozenset:
-    return frozenset(g.vertices[i] for i in range(g.n) if (mask >> i) & 1)
+def _set_bits(mask: int):
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _witness(g: WeightedGraph, row) -> AdmissibleSet:
     """The admissible set of a subset-table row, with the row's sums."""
     mask, area, mass = row.item()
-    return AdmissibleSet(_mask_set(g, mask), area, mass)
+    return AdmissibleSet(frozenset(g.vertices[i] for i in _set_bits(mask)), area, mass)
 
 
-def _sort_key(g: WeightedGraph, mask: int) -> tuple:
-    return tuple(sorted(map(str, _mask_set(g, mask))))
+def _sort_key(names: list, mask: int) -> tuple:
+    """The sorted ids (``names``: str per vertex index) of a mask's vertices."""
+    return tuple(sorted(names[i] for i in _set_bits(mask)))
 
 
 def _quotient(area, mass, comass, nu: float, variant: str):
@@ -335,8 +371,9 @@ def _iso_constant(g: WeightedGraph, nu: float, variant: str) -> IsoReport:
         return IsoReport(nu, variant, math.inf, None)  # a lone vertex: no proper subset
     # the band absorbs rounding in the sums, so exact ties (e.g. complement
     # pairs, whose sums add different terms) go to the least sorted-id key
-    near = np.flatnonzero(vals <= best + 1e-12 * abs(best)).tolist()
-    wit = _witness(g, table[min(near, key=lambda k: _sort_key(g, int(table["mask"][k])))])
+    near = np.flatnonzero(vals <= best + 1e-12 * abs(best))
+    names, masks = list(map(str, g.vertices)), table["mask"][near].tolist()
+    wit = _witness(g, table[near[min(range(len(near)), key=lambda j: _sort_key(names, masks[j]))]])
     value = float(_quotient(wit.area, wit.vmass, total - wit.vmass, nu, variant))
     return IsoReport(nu, variant, value, wit)
 
@@ -394,19 +431,22 @@ def _neighborhood_sums(sub: np.ndarray, gamma_t, mass_t, vol_t):
     return _lookup(mass_t, sub, np.add), gmass
 
 
-def _least_exact(counts: np.ndarray, masks: np.ndarray, value: np.ndarray, cap):
+def _least_exact(counts: np.ndarray, masks: np.ndarray, value: list, cap):
     """The least (Fraction(g, m), mask, row) over the rows with 2 m <= cap,
     ties to the least mask, or None.  Row j counts the vertices of B (first
     half) and of Gamma(B) (second half) of each distinct measure, and m and g
     add those counts times its integer numerator (``value``, Python ints).
-    Rows with equal counts have equal sums, so each group is decided once."""
+    Rows with equal counts have equal sums, so each group is decided once,
+    by its least mask."""
     order = np.lexsort((masks, *counts.T))  # equal rows together, each group by mask
-    fresh = np.ones(len(order), dtype=bool)
-    fresh[1:] = np.logical_or.reduce(counts[order[1:]] != counts[order[:-1]], axis=1)
-    rows = order[fresh]  # the least mask of each group
-    sums = counts[rows].astype(np.int64).astype(object).reshape(len(rows), 2, len(value)) @ value
-    return min(((Fraction(gb, mb), int(masks[j]), j) for j, (mb, gb) in zip(rows.tolist(), sums)
-                if 2 * mb <= cap), default=None)
+    best, last, d = None, None, len(value)
+    for j, row in zip(order.tolist(), counts[order].astype(np.int64).tolist()):
+        if row != last:
+            last, mb = row, sum(map(operator.mul, row[:d], value))
+            if 2 * mb <= cap:
+                found = Fraction(sum(map(operator.mul, row[d:], value)), mb), int(masks[j]), j
+                best = found if best is None or found < best else best
+    return best
 
 
 def _least_ratio(g: WeightedGraph, ids, half: bool):
@@ -445,7 +485,7 @@ def _least_ratio(g: WeightedGraph, ids, half: bool):
     kinds = np.zeros((8 * -(-g.n // 8), len(distinct)))  # [v, c]: V(v) is the c-th of them
     kinds[:g.n] = g.vmeasure[:, None] == list(distinct)
     near_kinds = kinds.reshape(-1, 8, len(distinct))[used].reshape(-1, len(distinct))
-    value = np.array(list(distinct.values()), dtype=object)
+    value = list(distinct.values())
     for strict in (False, True):
         limit, subs, ratios = math.inf, [np.zeros(0, np.int64)], [np.zeros(0)]
         for sub in (masks[lo:lo + CHUNK] for lo in range(0, len(masks), CHUNK)):

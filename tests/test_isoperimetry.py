@@ -155,6 +155,103 @@ def test_subset_table_on_a_dense_multigraph_and_a_lone_free_vertex():
     assert iso_constant(star, 1.0).witness.area == _ordered_area(star, 1) == 1.0
 
 
+def _wide_weights(rng, size):
+    """Weights over 16 orders of magnitude, so that the order of the adds shows."""
+    return (10.0 ** rng.uniform(-8, 8, size)).tolist()
+
+
+def test_sums_past_the_fold_width_on_a_pool_of_17_to_20_free_vertices():
+    # more free vertices and cut edges than the fold takes: the later terms
+    # of both sums add in order after the fold lookup
+    rng = np.random.default_rng(71)
+    for free in (17, 18, 20):
+        ids = list(range(free + 3))
+        ring = [(i, (i + 1) % free) for i in range(free)]
+        spokes = [(free + b, int(j)) for b in range(3) for j in rng.choice(free, 4, replace=False)]
+        ends = ring + spokes + [(0, 1), (5, 5)]  # a parallel edge and a loop
+        g = build_graph(ids, [Edge(u, v, a) for (u, v), a in
+                              zip(ends, _wide_weights(rng, len(ends)))],
+                        measures=_wide_weights(rng, len(ids)), boundary=ids[free:])
+        table = enumerate_connected_subsets(g, (1 << free) - 1)
+        fold, later = isoperimetry._fold_tables([g.ea, g.vmeasure[:free]], len(table))
+        assert len(fold[0]) < 1 << free and len(later) > 0
+        # the free vertices span a ring: its connected sets are the arcs
+        arcs = {sum(1 << (start + k) % free for k in range(size))
+                for start in range(free) for size in range(1, free)}
+        _check_table(g, table, arcs | {(1 << free) - 1})
+
+
+def test_more_than_64_cut_edges_take_a_second_code_word():
+    rng = np.random.default_rng(73)
+    ends = rng.integers(0, 9, size=(150, 2)).tolist() + [[8, 9], [0, 9]]
+    g = build_graph(list(range(10)), [Edge(u, v, a) for (u, v), a in
+                                      zip(ends, _wide_weights(rng, len(ends)))],
+                    measures=_wide_weights(rng, 10), boundary=[9])
+    cut = sum(u != v for u, v in ends)
+    assert 128 < cut < 192  # three code words per vertex
+    _check_table_against_brute_force(g)
+
+
+def test_subset_table_spanning_several_chunks():
+    rng = np.random.default_rng(79)
+    g = random_graph(13, rng, extra_edges=40, allow_loops=True)
+    g = build_graph(list(range(13)), [Edge(e.u, e.v, a) for e, a in
+                                      zip(g.edges, _wide_weights(rng, g.m))],
+                    measures=_wide_weights(rng, 13))
+    table = enumerate_connected_subsets(g, _all_mask(g))
+    assert len(table) > isoperimetry.CHUNK
+    _check_table_against_brute_force(g)
+
+
+def test_fold_tables_add_in_order():
+    # 1 + 1e-16 rounds to 1, so a left fold after the 1 keeps 1.0 where
+    # pairwise sums of the small terms would not
+    rng = np.random.default_rng(83)
+    for terms in ([1.0] + [1e-16] * 19, _wide_weights(rng, 21), [3.0, 1e-16, 1e-16]):
+        w = np.array(terms)
+        for rows in (1, 300, 40_000):
+            fold, later = isoperimetry._fold_tables([w, w[::-1]], rows)
+            b = len(fold[0]).bit_length() - 1
+            assert 8 <= b <= 14 and len(later) == 8 * -(-len(w) // 8) - b
+            for c in rng.integers(0, len(fold[0]), 200).tolist() + [len(fold[0]) - 1]:
+                for s, x in enumerate((terms, terms[::-1])):
+                    bits = [k for k in range(min(b, len(x))) if c >> k & 1]
+                    assert fold[s, c] == _ordered_sum(x[k] for k in bits)
+            codes = rng.integers(0, 1 << len(w), 50)
+            sums = isoperimetry._fold_sums(codes[:, None], len(w), fold[0], later[:, 0])
+            for code, total in zip(codes.tolist(), sums.tolist()):
+                assert total == _ordered_sum(x for k, x in enumerate(terms) if code >> k & 1)
+    assert _ordered_sum([1.0] + [1e-16] * 19) == 1.0 != math.fsum([1.0] + [1e-16] * 19)
+
+
+def test_tie_key_reads_the_ids_of_the_set_bits():
+    for g in (build_graph([3, "b", 10, "a", 2], [(3, "b"), ("b", 10), (10, "a"), ("a", 2)]),
+              path(70)):
+        names = list(map(str, g.vertices))
+        for mask in (1, 0b10110, (1 << g.n) - 1, 1 << (g.n - 1) | 5):
+            old = tuple(sorted(map(str, (v for i, v in enumerate(g.vertices) if mask >> i & 1))))
+            assert isoperimetry._sort_key(names, mask) == old
+
+
+def test_exact_decision_of_one_row_and_of_many():
+    rng = np.random.default_rng(89)
+    value = [2**53 + 1, 3, 7 * 2**60]
+    for n in (1, 1, 2, 9, 60):
+        counts = rng.integers(0, 3, size=(n, 6)).astype(float)
+        counts[:, 0] += 1  # every B is nonempty
+        masks = rng.permutation(1000)[:n].astype(np.int64)
+        for cap in (0, 2**62, 10**30):
+            want = min(((Fraction(sum(int(c) * v for c, v in zip(row[3:], value)),
+                                  sum(int(c) * v for c, v in zip(row[:3], value))), int(m), j)
+                        for j, (row, m) in enumerate(zip(counts.tolist(), masks.tolist()))
+                        if 2 * sum(int(c) * v for c, v in zip(row[:3], value)) <= cap),
+                       default=None)
+            got = isoperimetry._least_exact(counts, masks, value, cap)
+            assert (got is None) == (want is None)
+            if got is not None:  # the same Fraction and mask; the row may be any of a group
+                assert got[:2] == want[:2] and masks[got[2]] == got[1]
+
+
 def test_witnesses_are_table_rows():
     from graphcalc.heat import hypothesis_audit
 
