@@ -287,6 +287,13 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
+def _seed(text: str) -> int:
+    """A nonnegative integer seed: numpy's generators refuse negative ones."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"invalid seed: {text!r} is not a nonnegative integer")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error in one ``error:`` line, like every other refusal;
     the subcommand parsers are of this class too."""
@@ -299,9 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="graphcalc", description="calculus on weighted graphs")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, graph=True):
-        if graph:
-            p.add_argument("graph", help="graph JSON file")
+    def common(p):
+        p.add_argument("graph", help="graph JSON file")
         p.add_argument("--out", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("info", help="measures, degrees, connectivity")
@@ -335,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--suite", required=True)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gen", help="write a generated graph as JSON")
@@ -350,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=float, default=2.0)
     p.add_argument("-m", type=int, default=1, help="classical-radial multiplier")
     p.add_argument("--dirichlet", action="store_true", help="paths: mark the far end")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--out", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_gen)
@@ -375,11 +381,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except GraphError as exc:
+    except (GraphError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except MemoryError as exc:  # numpy's names the allocation it could not make
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return 2
 
 

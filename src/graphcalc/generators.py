@@ -33,6 +33,8 @@ __all__ = [
     "random_graph",
 ]
 
+MAX_MULTIPLIER = 10**4  # the largest vertex degree ell that classical_radial builds
+
 
 def path(n: int, boundary=()) -> WeightedGraph:
     """Path on vertices 1..n, traditional measures (V=1, a=l=1)."""
@@ -140,16 +142,14 @@ def _level_of(classical_vid: str) -> str:
     return classical_vid.split(":")[0]
 
 
-def classical_radial(
-    n: int, nu: float, m: int = 1, max_multiplier: int = 10**4
-) -> ClassicalRadial:
+def classical_radial(n: int, nu: float, m: int = 1) -> ClassicalRadial:
     """All-measures-one realization of the doubled radial graph.
 
     Level populations V(i) = floor(m i^(nu-1)) for i < n and V(n) =
     2 [V(n-1) - V(n-2) + ...]; levels i and i+1 are joined by E(i) copies of
     the complete bipartite graph, E(i) = ell D(i) / (V(i) V(i+1)) with D(i)
     the alternating sum, which makes every vertex degree exactly ell after
-    doubling.  The smallest ell <= max_multiplier with all multiplicities
+    doubling.  The smallest ell <= MAX_MULTIPLIER with all multiplicities
     integral is chosen.
     """
     if n < 3:
@@ -171,8 +171,8 @@ def classical_radial(
     for i in range(n - 1):
         prod = V[i] * V[i + 1]
         ell = math.lcm(ell, prod // math.gcd(D[i], prod))
-    if ell > max_multiplier:
-        raise GraphError(f"no valid multiplier ell <= {max_multiplier}")
+    if ell > MAX_MULTIPLIER:
+        raise GraphError(f"no valid multiplier ell <= {MAX_MULTIPLIER}")
     if n * max(V) > 10**5:
         raise GraphError("classical graph larger than the size budget")
 

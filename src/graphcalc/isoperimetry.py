@@ -9,9 +9,10 @@ One enumeration serves every subset scan: ``_connected_masks`` forms the
 connected sets of a graph on at most 63 bits by ESU (Wernicke 2006), all
 depths at once, so each set is formed once and nothing is deduplicated.  A
 subset is an int64 mask over a pool of vertices (bit j = j-th pool vertex);
-ORs over a mask, and the sums of the magnification scan, add per-byte table
-entries.  A scan that would visit more than SUBSET_CAP subsets raises
-``GraphError``: ESU counts its rows as it forms them.
+one kernel, ``_lookup``, combines per-byte table entries over the bytes of a
+mask or of a row of int64 words.  A scan that would visit more than
+SUBSET_CAP subsets raises ``GraphError``: ESU counts its rows as it forms
+them.
 
 - ``enumerate_connected_subsets`` builds the (mask, area, mass) table of the
   connected subsets of the free vertices; the rows run by (size, mask).
@@ -27,10 +28,12 @@ entries.  A scan that would visit more than SUBSET_CAP subsets raises
   the row's sums.
 - ``_least_ratio`` scans the sets of a vertex set that are connected under
   "Gamma(a) meets Gamma(b)", in chunks of CHUNK, with byte tables for V(B),
-  Gamma(B) and V(Gamma(B)).  For ``magnification`` and
+  Gamma(B) and V(Gamma(B)), in one pass.  For ``magnification`` and
   ``bounds.certified_magnification`` its float ratios pick the sets near the
-  least, and integer measures decide those exactly, once per group of sets
-  with the same count of each distinct measure.
+  least: only sets at most half under any rounding set the limit, and every
+  set not over half under any rounding within it is kept.  Integer measures
+  decide those exactly, once per group of sets with the same count of each
+  distinct measure.
 
 A vectorized interval sweep handles long paths instead.
 """
@@ -95,8 +98,10 @@ def _byte_tables(values: np.ndarray, combine) -> np.ndarray:
 
 
 def _lookup(tables: np.ndarray, subs: np.ndarray, combine) -> np.ndarray:
-    """Per int64 mask in ``subs``: ``combine`` of tables[k, byte k], ascending k."""
-    byts = subs.astype("<i8", copy=False).view(np.uint8).reshape(len(subs), 8)
+    """Per row of ``subs``, an int64 mask or a row of int64 words (byte k of
+    word i is byte 8i + k): ``combine`` of tables[k, byte k], ascending k."""
+    byts = np.ascontiguousarray(subs, "<i8").view(np.uint8)
+    byts = byts.reshape(len(subs), 8 * math.prod(subs.shape[1:]))
     # numpy converts uint8 indices before each gather; intp ones it reads as they are
     byts = np.ascontiguousarray(byts[:, :len(tables)].T, dtype=np.intp)
     acc = tables[0][byts[0]]
@@ -403,32 +408,26 @@ def _neighborhood_tables(g: WeightedGraph, idx: list[int], measures: np.ndarray)
     """(meet, gamma_t, used, mass_t, vol_t) for masks over the vertices
     ``idx`` (bit j selects idx[j]): bit k of meet[j] is set when
     Gamma(idx[j]) meets Gamma(idx[k]).  Gamma(B) ORs byte tables of the
-    members' neighbours within the vertex bytes ``used``; ``mass_t``,
-    ``vol_t`` sum ``measures``."""
+    members' neighbours within the vertex bytes ``used``, into int64 words;
+    ``mass_t``, ``vol_t`` sum ``measures``."""
     _check_pool(len(idx))
-    near = np.zeros((len(idx), g.n), dtype=bool)
-    near[[j for j, i in enumerate(idx) for _ in g.neighbors(i)],
-         [w for i in idx for w in g.neighbors(i)]] = True
+    local = np.full(g.n, -1)
+    local[idx] = np.arange(len(idx))
+    # near[j, w]: an edge joins idx[j] and w (row -1: off the pool)
+    near = np.zeros((len(idx) + 1, g.n), dtype=bool)
+    near[local[g.eu], g.ev] = near[local[g.ev], g.eu] = True
+    near = near[local[idx]]
     meet = (near @ near.T) @ np.left_shift(1, np.arange(len(idx), dtype=np.int64))
     near = np.packbits(near, axis=1, bitorder="little")
-    used = np.logical_or.reduce(near, axis=0).nonzero()[0]
+    # a pool without neighbours keeps one empty byte: ``_lookup`` needs a table
+    used = np.flatnonzero(np.logical_or.reduce(near, axis=0)).tolist() or [0]
     words = np.zeros((len(idx), 8 * -(-len(used) // 8)), np.uint8)
     words[:, :len(used)] = near[:, used]
     padded = np.zeros(8 * near.shape[1])
     padded[:g.n] = measures
-    return (meet, _byte_tables(words.view(np.uint64), np.bitwise_or), used,
+    return (meet, _byte_tables(words.view("<i8"), np.bitwise_or), used,
             _byte_tables(measures[idx], np.add),
             _byte_tables(padded.reshape(-1, 8)[used].ravel(), np.add))
-
-
-def _neighborhood_sums(sub: np.ndarray, gamma_t, mass_t, vol_t):
-    """(V(B), V(Gamma(B))) per mask of ``sub``: each sum adds its bytes'
-    table entries in ascending order."""
-    gamma = _lookup(gamma_t, sub, np.bitwise_or).view(np.uint8)
-    gmass = np.zeros(len(sub))
-    for k, t in enumerate(vol_t):
-        gmass += t[gamma[:, k]]
-    return _lookup(mass_t, sub, np.add), gmass
 
 
 def _least_exact(counts: np.ndarray, masks: np.ndarray, value: list, cap):
@@ -467,17 +466,17 @@ def _least_ratio(g: WeightedGraph, ids, half: bool):
     band = 2(n + |ids|) eps covers every error twice: a set with 2 V(B) >
     V(G)(1 + band) is over half under any rounding and drops out, and if r is
     an admissible set's float ratio, every set whose exact ratio is at most
-    that set's lies within r(1 + band) + TINY.  ``_least_exact`` decides the
-    sets within the band of the least float ratio on the integer column m of
-    the measures: 2 m(B) <= m(G) and the least Fraction.  If it finds the
-    set with the least float ratio over half, the scan runs again, and then
-    only the sets with 2 V(B) <= V(G)(1 - band), at most half under any
-    rounding, set the band.
+    that set's lies within r(1 + band) + TINY.  Only the sets with
+    2 V(B) <= V(G)(1 - band), at most half under any rounding, set that
+    limit, and the scan keeps every set within it that does not drop out;
+    each exact minimiser is among them.  ``_least_exact`` decides the kept
+    sets on the integer column m of the measures: 2 m(B) <= m(G) and the
+    least Fraction.
     """
     m = integer_column(g, "vmeasure")[1]
     idx = [g.index(v) for v in ids]
     measures = _scan_measures(g)
-    meet, gamma_t, used, *tables = _neighborhood_tables(g, idx, measures)
+    meet, gamma_t, used, mass_t, vol_t = _neighborhood_tables(g, idx, measures)
     masks = _connected_masks(meet)
     band = 2 * (g.n + len(idx)) * 2.0**-52  # 2(n + |ids|) eps
     mid, cap = (float(measures.sum()) / 2.0, sum(m)) if half else (math.inf, math.inf)
@@ -486,29 +485,23 @@ def _least_ratio(g: WeightedGraph, ids, half: bool):
     kinds[:g.n] = g.vmeasure[:, None] == list(distinct)
     near_kinds = kinds.reshape(-1, 8, len(distinct))[used].reshape(-1, len(distinct))
     value = list(distinct.values())
-    for strict in (False, True):
-        limit, subs, ratios = math.inf, [np.zeros(0, np.int64)], [np.zeros(0)]
-        for sub in (masks[lo:lo + CHUNK] for lo in range(0, len(masks), CHUNK)):
-            mass, gmass = _neighborhood_sums(sub, gamma_t, *tables)
-            with np.errstate(over="ignore"):  # inf lies outside any band
-                ratio = gmass / mass
-            ratio[mass > mid * (1.0 + band)] = math.nan  # over half under any rounding
-            if (least := np.fmin.reduce(ratio)) <= limit:
-                if strict:
-                    least = np.fmin.reduce(np.where(mass <= mid * (1.0 - band), ratio, math.nan))
-                limit = min(limit, least * (1.0 + band) + TINY)
-                rows = np.flatnonzero(ratio <= limit)
-                subs.append(sub[rows])
-                ratios.append(ratio[rows])
-        sub, ratio = np.concatenate(subs), np.concatenate(ratios)  # may hold sets past the band
-        gamma = np.unpackbits(_lookup(gamma_t, sub, np.bitwise_or).view(np.uint8)[:, :len(used)],
-                              axis=1, bitorder="little")
-        counts = np.concatenate([_unpack(sub, len(idx))[:, :len(idx)] @ kinds[idx],
-                                 gamma @ near_kinds], axis=1)
-        first = [np.argmin(ratio)] if len(sub) else []  # the least float ratio
-        if strict or not half or not first or _least_exact(
-                counts[first], sub[first], value, cap) is not None:  # it is at most half
-            break
+    limit, subs, ratios = math.inf, [], []  # nonempty ids make at least one chunk
+    for sub in (masks[lo:lo + CHUNK] for lo in range(0, len(masks), CHUNK)):
+        mass = _lookup(mass_t, sub, np.add)
+        gmass = _lookup(vol_t, _lookup(gamma_t, sub, np.bitwise_or), np.add)
+        with np.errstate(over="ignore"):  # inf lies outside any band
+            ratio = gmass / mass
+        ratio[mass > mid * (1.0 + band)] = math.nan  # over half under any rounding
+        least = np.fmin.reduce(ratio[mass <= mid * (1.0 - band)], initial=math.inf)
+        limit = min(limit, least * (1.0 + band) + TINY)
+        rows = np.flatnonzero(ratio <= limit)
+        subs.append(sub[rows])
+        ratios.append(ratio[rows])
+    sub, ratio = np.concatenate(subs), np.concatenate(ratios)  # may hold sets past the band
+    gamma = np.unpackbits(_lookup(gamma_t, sub, np.bitwise_or).view(np.uint8)[:, :len(used)],
+                          axis=1, bitorder="little")
+    counts = np.concatenate([_unpack(sub, len(idx))[:, :len(idx)] @ kinds[idx],
+                             gamma @ near_kinds], axis=1)
     found = _least_exact(counts, sub, value, cap)
     return None if found is None else (found[1], found[0], float(ratio[found[2]]))
 

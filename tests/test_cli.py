@@ -269,6 +269,34 @@ def test_verify_rejects_negative_trials(tmp_path, capsys):
     _assert_usage_error(*_run_err(capsys, "verify", g, "--suite", "ff", "--trials", "-1"))
 
 
+def test_negative_seeds_are_usage_errors(tmp_path, capsys):
+    # numpy refused them with a traceback and exit 1
+    g = _write_c4(tmp_path)
+    capsys.readouterr()
+    for argv in (["gen", "random", "10", "--seed", "-1"], ["gen", "random", "10", "--seed", "x"],
+                 ["verify", g, "--suite", "coarea", "--seed", "-3"]):
+        _assert_usage_error(*_run_err(capsys, *argv))
+    assert _run(capsys, "gen", "random", "3", "--seed", "0")[0] == 0
+
+
+def test_an_allocation_that_fails_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # verify --trials 100000000000 printed numpy's _ArrayMemoryError traceback
+    # ("Unable to allocate 2.91 TiB") with exit 1; the stand-in allocates nothing
+    from graphcalc import cli
+
+    g = _write_c4(tmp_path)
+    capsys.readouterr()
+    for exc, text in ((MemoryError("Unable to allocate 2.91 TiB"), "Unable to allocate 2.91 TiB"),
+                      (MemoryError(), "out of memory")):
+        def run_suite(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(cli, "run_suite", run_suite)
+        code, out, err = _run_err(capsys, "verify", g, "--suite", "coarea",
+                                  "--trials", "100000000000")
+        _assert_usage_error(code, out, err)
+        assert err == f"error: {text}\n"
+
+
 def test_flow_command(tmp_path, capsys):
     target = tmp_path / "k4.json"
     assert main(["gen", "complete", "4", "-o", str(target)]) == 0

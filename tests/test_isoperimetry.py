@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import tracemalloc
 from fractions import Fraction
 
@@ -224,6 +226,26 @@ def test_fold_tables_add_in_order():
     assert _ordered_sum([1.0] + [1e-16] * 19) == 1.0 != math.fsum([1.0] + [1e-16] * 19)
 
 
+def test_lookup_over_rows_of_several_words_and_an_empty_chunk():
+    rng = np.random.default_rng(73)
+    words = rng.integers(-2**63, 2**63, size=(40, 3), dtype=np.int64)
+    sums = rng.uniform(0.0, 1.0, (20, 256))
+    ors = rng.integers(-2**63, 2**63, size=(20, 256, 2), dtype=np.int64)
+    for subs in (words, words[:, 0], words[:0], words[:0, 0]):
+        width = subs.shape[1] if subs.ndim == 2 else 1
+        rows = subs.reshape(len(subs), width).tolist()
+        count = min(20, 8 * width)  # bytes past the tables are unread
+        # byte k of a row is byte k % 8 of its word k // 8
+        byts = [[row[k // 8] >> 8 * (k % 8) & 255 for k in range(count)] for row in rows]
+        got = isoperimetry._lookup(sums[:count], subs, np.add)
+        assert got.shape == (len(subs),)
+        assert got.tolist() == [_ordered_sum(sums[k, b] for k, b in enumerate(row)) for row in byts]
+        got = isoperimetry._lookup(ors[:count], subs, np.bitwise_or)
+        assert got.shape == (len(subs), 2)
+        assert got.tolist() == [[int(np.bitwise_or.reduce([ors[k, b, i] for k, b in enumerate(row)]))
+                                 for i in range(2)] for row in byts]
+
+
 def test_tie_key_reads_the_ids_of_the_set_bits():
     for g in (build_graph([3, "b", 10, "a", 2], [(3, "b"), ("b", 10), (10, "a"), ("a", 2)]),
               path(70)):
@@ -364,6 +386,33 @@ def test_magnification_matches_brute_force_across_chunks():
         assert abs(Fraction(c) + 1 - least) <= 8 * g.n * Fraction(2.0**-52) * least
         everywhere = _first_least_ratio(g, g.interior_indices().tolist(), False)[1]
         assert certified_magnification(g, pool) == everywhere - 1
+
+
+def test_only_sets_at_most_half_under_any_rounding_set_the_scan_limit():
+    # measures 1 and 2 moved by 2**-48 keep every sum exact and put some sets
+    # over half by less than the band; where one of those has the least float
+    # ratio of all, by more than the band, a limit it set would drop the
+    # exact minimiser
+    rng = np.random.default_rng(71)
+    over_half_least = 0
+    for _ in range(120):
+        n = int(rng.integers(3, 11))
+        base = random_graph(n, rng, weighted=False, extra_edges=int(rng.integers(0, n)))
+        g = build_graph(base.vertices, base.edges,
+                        measures=rng.choice([1.0, 1.0, 2.0], n) + rng.integers(-1, 2, n) * 2.0**-48)
+        sub, least = _first_least_ratio(g, list(range(n)), True)
+        assert isoperimetry._least_ratio(g, g.vertices, True)[:2] == (sub, least)
+        m = [int(x * 2**48) for x in g.vmeasure.tolist()]
+        nbr = [sum(1 << w for w in g.neighbors(v)) for v in range(n)]
+        band = 4 * n * 2.0**-52  # 2(n + |ids|) eps, as the scan takes it
+        over = math.inf
+        for b in range(1, 1 << n):
+            mb = sum(m[j] for j in range(n) if b >> j & 1)
+            if sum(m) < 2 * mb <= sum(m) * (1.0 + band):
+                gamma = functools.reduce(operator.or_, (nbr[j] for j in range(n) if b >> j & 1))
+                over = min(over, sum(m[w] for w in range(n) if gamma >> w & 1) / mb)
+        over_half_least += over * (1.0 + band) + isoperimetry.TINY < float(least)
+    assert over_half_least >= 2, over_half_least
 
 
 def test_magnification_admits_exactly_the_sets_of_at_most_half_the_measure():
