@@ -22,10 +22,15 @@ them.
   left fold of every subset of the first (at most 14) terms, so one lookup
   adds them, and each later term adds 0.0 or its value in order.  The
   table is kept in the graph's memo, one per pool, with the reports.  Every
-  (nu, variant) is one vectorized quotient over it: the whole vertex set
-  gets inf in the tilde variants, and the sorted-id tie rule sees only the
-  masks within 1e-12 of the minimum.  The winning row is the witness, with
-  the row's sums.
+  (nu, variant) is one vectorized quotient over it, and the sorted-id tie
+  rule sees only the masks within 1e-12 of the minimum.  The winning row is
+  the witness, with the row's sums.
+- A set of a closed graph and its complement have the same I~ and I~'
+  quotient, so those scans read one table over every vertex but one, r (a
+  vertex with the most distinct neighbours), with each complement's measure
+  added over its own vertices; ``_iso_constant`` proves that the sets
+  through r may go.  The open variant keeps its own table over every free
+  vertex.
 - ``_least_ratio`` scans the sets of a vertex set that are connected under
   "Gamma(a) meets Gamma(b)", in chunks of CHUNK, with byte tables for V(B),
   Gamma(B) and V(Gamma(B)), in one pass.  For ``magnification`` and
@@ -357,30 +362,66 @@ def _finite_constant(rep: IsoReport) -> float:
     return rep.value
 
 
+def _tilde_table(g: WeightedGraph) -> tuple:
+    """(table, comass) of a closed graph: the subset table over every vertex
+    but r, a vertex with the most distinct neighbours (the least index on
+    ties), as a vertex with more neighbours lies in more connected sets; and
+    V of each row's complement, added over the complement's vertices, never
+    as V(G) - V(S), which cancels when the complement is light.  Kept in the
+    graph's memo."""
+    def build():
+        r = max(range(g.n), key=lambda i: len(g.neighbors(i) - {i}))
+        table = enumerate_connected_subsets(g, ((1 << g.n) - 1) ^ (1 << r))
+        # uint64 holds the Python-int masks of 64 vertices; the complement's
+        # bits past n select the tables' zero padding
+        co = ~table["mask"].astype(np.uint64).view(np.int64)
+        return table, _lookup(_byte_tables(g.vmeasure, np.add), co, np.add)
+    return g.memo(("tilde",), build)
+
+
 def _iso_constant(g: WeightedGraph, nu: float, variant: str) -> IsoReport:
+    """The least quotient over the connected sets of the pool, witnessed by
+    the least sorted ids among the sets within 1e-12 of it.
+
+    The tilde variants scan only the sets that avoid the vertex r of
+    ``_tilde_table``.  Write their quotient as A(boundary S)/phi(V(S)), with
+    phi(m) = min(m, V - m)^(1 - 1/nu) for I~ and (m^(1 - nu) + (V -
+    m)^(1 - nu))^(-1/nu) for I~', both min(m, V - m) at nu = inf.  Each phi
+    is symmetric about V/2 and concave on [0, V] with phi(0) >= 0, so it is
+    subadditive.  (For I~', set s = nu - 1, x = 1/m and y = 1/(V - m):
+    phi'' <= 0 reduces to s(s + 2)(y^(s+1) - x^(s+1))^2 <= (s + 1)^2 (x^s +
+    y^s)(x^(s+2) + y^(s+2)), which Cauchy-Schwarz gives.)  Take a least
+    connected set S that holds r.  Its complement T avoids r and has the same
+    quotient, as A(boundary S) = A(boundary T).  The components C_i of T are
+    connected and avoid r, their areas add up to A(boundary T), and
+    sum phi(V(C_i)) >= phi(V(T)); so some C_i is at least as good as S.  The
+    whole vertex set is never a row, and a lone vertex leaves none: its
+    constant is inf, with no witness.  An open scan keeps every free vertex.
+    """
     if variant != "open" and not g.is_closed:
         raise GraphError("tilde variants require a closed graph")
     allowed = sum(1 << i for i in g.interior_indices().tolist())  # every vertex if closed
     if not allowed:
         raise GraphError("no interior vertices")
-    if variant == "open" and g.n > 64 and _is_simple_path(g) is not None:
-        return _iso_open_path(g, nu)
-    table = _subset_table(g, allowed)
-    total = g.total_measure()
+    if variant == "open":
+        if g.n > 64 and _is_simple_path(g) is not None:
+            return _iso_open_path(g, nu)
+        table, comass = _subset_table(g, allowed), None
+    else:
+        table, comass = _tilde_table(g)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = _quotient(table["area"], table["mass"], total - table["mass"], nu, variant)
-    if variant != "open":
-        vals[table["mask"] == allowed] = math.inf  # the whole vertex set has no complement
-    best = np.nanmin(vals)
+        vals = _quotient(table["area"], table["mass"], comass, nu, variant)
+    best = np.nanmin(vals, initial=math.inf)
     if best == math.inf:
-        return IsoReport(nu, variant, math.inf, None)  # a lone vertex: no proper subset
-    # the band absorbs rounding in the sums, so exact ties (e.g. complement
-    # pairs, whose sums add different terms) go to the least sorted-id key
+        return IsoReport(nu, variant, math.inf, None)  # a lone closed vertex: no row
+    # the band absorbs rounding in the sums, so exact ties (e.g. mirror-image
+    # sets, whose sums add different terms) go to the least sorted-id key
     near = np.flatnonzero(vals <= best + 1e-12 * abs(best))
     names, masks = list(map(str, g.vertices)), table["mask"][near].tolist()
-    wit = _witness(g, table[near[min(range(len(near)), key=lambda j: _sort_key(names, masks[j]))]])
-    value = float(_quotient(wit.area, wit.vmass, total - wit.vmass, nu, variant))
-    return IsoReport(nu, variant, value, wit)
+    row = near[min(range(len(near)), key=lambda j: _sort_key(names, masks[j]))]
+    wit = _witness(g, table[row])
+    co = None if comass is None else float(comass[row])
+    return IsoReport(nu, variant, float(_quotient(wit.area, wit.vmass, co, nu, variant)), wit)
 
 
 # -- magnification -------------------------------------------------------------

@@ -329,9 +329,14 @@ def test_past_the_subset_budget_every_scanning_command_exits_2(tmp_path, capsys,
     target = tmp_path / "k8.json"
     assert main(["gen", "complete", "8", "-o", str(target)]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(isoperimetry, "SUBSET_CAP", 254)  # complete(8) has 255 subsets
-    for argv in (["flow", "--set", "1,2,3,4,5,6,7,8"], ["verify", "--suite", "ff"],
-                 ["iso"], ["iso", "--nu", "2", "--variant", "tilde_prime"], ["bounds"]):
+    # complete(8) has 255 subsets; its I~ scans visit the 127 that avoid one vertex
+    iso_scans = (["verify", "--suite", "ff"], ["iso"],
+                 ["iso", "--nu", "2", "--variant", "tilde_prime"])
+    monkeypatch.setattr(isoperimetry, "SUBSET_CAP", 127)
+    for argv in iso_scans:
+        assert _run_err(capsys, argv[0], str(target), *argv[1:])[0] == 0
+    monkeypatch.setattr(isoperimetry, "SUBSET_CAP", 126)
+    for argv in (["flow", "--set", "1,2,3,4,5,6,7,8"], *iso_scans, ["bounds"]):
         _assert_usage_error(*_run_err(capsys, argv[0], str(target), *argv[1:]))
 
 
@@ -504,6 +509,20 @@ def test_iso_refuses_an_infinite_constant(tmp_path, capsys):
     target.write_text(json.dumps({"vertices": [1], "edges": []}))
     for extra in ([], ["--magnification"], ["--variant", "open", "--magnification"]):
         _assert_usage_error(*_run_err(capsys, "iso", str(target), *extra))
+
+
+def test_a_light_complement_keeps_its_digits(tmp_path, capsys):
+    # V(G) - V({b}) cancelled: iso printed 999992.38556461001 and the Dodziuk
+    # row 249996.19279679994, for Ĩ_∞ = 1e6 and I²/(4 rho_sup) = 250000
+    target = tmp_path / "light.json"
+    target.write_text(json.dumps({
+        "vertices": [{"id": "a", "measure": 1e-6}, {"id": "b", "measure": 1e6},
+                     {"id": "c", "measure": 1e-6}],
+        "edges": [{"u": "a", "v": "b"}, {"u": "b", "v": "c"}, {"u": "c", "v": "a"}]}))
+    code, out = _run(capsys, "iso", str(target))
+    assert code == 0 and (json.loads(out)["value"], json.loads(out)["witness"]) == (1e6, ["b"])
+    code, out = _run(capsys, "bounds", str(target))
+    assert code == 0 and json.loads(out)["dodziuk"]["value"] == 250000
 
 
 def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):

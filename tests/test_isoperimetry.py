@@ -309,8 +309,9 @@ def test_components_of_a_disconnected_graph_have_area_exactly_zero():
 
 
 def test_free_vertex_pool_of_64_is_refused():
-    # 64 free vertices of a cycle make few subsets, but no int64 mask holds them
-    for g in (cycle(64), with_boundary(cycle(70), list(range(1, 7)))):
+    # 64 free vertices of a cycle make few subsets, but no int64 mask holds
+    # them; the closed I~ pool of cycle(65) leaves one vertex out, 64 remain
+    for g in (cycle(65), with_boundary(cycle(70), list(range(1, 7)))):
         with pytest.raises(GraphError, match="63"):
             iso_constant(g, 2.0, "tilde" if g.is_closed else "open")
         with pytest.raises(GraphError, match="63"):
@@ -486,6 +487,94 @@ def test_tilde_excludes_whole_vertex_set():
     assert single.value == math.inf and single.witness is None
 
 
+def _brute_tilde(g, nu, variant):
+    """The least I~ or I~' quotient over every proper nonempty subset,
+    connected or not, with each complement's measure summed over its own
+    vertices (all terms positive, so no cancellation)."""
+    subs = np.arange(1, (1 << g.n) - 1)
+    inside = (subs[:, None] >> np.arange(g.n)) & 1 == 1
+    area = (inside[:, g.eu] != inside[:, g.ev]) @ g.ea
+    mass, comass = inside @ g.vmeasure, ~inside @ g.vmeasure
+    small = np.minimum(mass, comass)
+    if nu == math.inf:
+        vals = area / small
+    elif variant == "tilde":
+        vals = area / small ** (1.0 - 1.0 / nu)
+    else:
+        vals = area * (mass ** (1.0 - nu) + comass ** (1.0 - nu)) ** (1.0 / nu)
+    return float(vals.min(initial=math.inf))
+
+
+def _random_closed_graph(rng):
+    """1-9 vertices with measures over 10^+-6 and random edge ends: loops,
+    parallel edges and several components come up often."""
+    n = int(rng.integers(1, 10))
+    ends = rng.integers(0, n, size=(int(rng.integers(0, 2 * n + 1)), 2)).tolist()
+    return build_graph(rng.permutation(n).tolist(),
+                       [Edge(u, v, float(10.0 ** rng.uniform(-3, 3))) for u, v in ends],
+                       measures=(10.0 ** rng.uniform(-6, 6, n)).tolist())
+
+
+def test_tilde_scans_skip_one_vertex_and_match_a_brute_force_over_all_subsets():
+    # Ĩ and Ĩ' scan the connected sets that avoid a vertex r with the most
+    # distinct neighbours (least index on ties); every complement is summed
+    rng = np.random.default_rng(71)
+    kinds = {"disconnected": 0, "loop": 0, "parallel": 0}
+    for _ in range(240):
+        g = _random_closed_graph(rng)
+        pairs = list(zip(g.eu.tolist(), g.ev.tolist()))
+        kinds["loop"] += any(u == v for u, v in pairs)
+        kinds["parallel"] += len({frozenset(p) for p in pairs}) < len(pairs)
+        kinds["disconnected"] += not _connected_within(g, _all_mask(g))
+        r = max(range(g.n), key=lambda i: (len(g.neighbors(i) - {i}), -i))
+        table, comass = isoperimetry._tilde_table(g)
+        rows = {m: j for j, m in enumerate(table["mask"].tolist())}
+        assert not any(m >> r & 1 for m in rows)
+        for j, m in enumerate(rows):  # each complement, added over its vertices
+            direct = math.fsum(x for i, x in enumerate(g.vmeasure.tolist()) if not m >> i & 1)
+            assert abs(comass[j] - direct) <= 16 * 2.0**-52 * direct
+        for nu in (1.0, 1.5, 2.0, 3.0, 7.0, math.inf):
+            for variant in ("tilde", "tilde_prime"):
+                rep, want = iso_constant(g, nu, variant), _brute_tilde(g, nu, variant)
+                if want == math.inf:  # a lone vertex has no proper subset
+                    assert g.n == 1 and rep.value == math.inf and rep.witness is None
+                    continue
+                assert abs(rep.value - want) <= 1e-12 * want, (nu, variant)
+                mask = sum(1 << g.index(v) for v in rep.witness.vertices)
+                row = table[rows[mask]]
+                assert (rep.witness.area, rep.witness.vmass) == (row["area"], row["mass"])
+                assert rep.value == isoperimetry._quotient(row["area"], row["mass"],
+                                                           comass[rows[mask]], nu, variant)
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_light_complements_are_summed_not_subtracted():
+    # V(G) - V({b}) cancelled: Ĩ_∞ read 999992.38556461001 and Ĩ_2 was off by 3.8e-6
+    g = build_graph(["a", "b", "c"], [Edge("a", "b"), Edge("b", "c"), Edge("c", "a")],
+                    measures=[1e-6, 1e6, 1e-6])
+    light = 1e-6 + 1e-6  # V({a, c}), exact
+    wants = {(math.inf, "tilde"): 2.0 / light, (math.inf, "tilde_prime"): 2.0 / light,
+             (2.0, "tilde"): 2.0 / light ** 0.5,
+             (2.0, "tilde_prime"): 2.0 * (1e6 ** -1.0 + light ** -1.0) ** 0.5}
+    for (nu, variant), want in wants.items():
+        rep = iso_constant(g, nu, variant)
+        assert rep.value == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert rep.witness.vertices == {"b"}
+
+
+def test_closed_cycle_of_64_is_a_pool_of_63():
+    # the Ĩ pool leaves out vertex 0, so 63 bits remain; the open scan keeps all 64
+    g = cycle(64)
+    for nu, want in ((math.inf, 2.0 / 32), (2.0, 2.0 * 32 ** -0.5)):
+        rep = iso_constant(g, nu, "tilde")
+        assert rep.value == want and len(rep.witness.vertices) == 32
+        assert g.vertices[0] not in rep.witness.vertices
+    with pytest.raises(GraphError, match="63"):
+        iso_constant(g, 2.0, "open")
+    with pytest.raises(GraphError, match="63"):
+        iso_constant(cycle(65), 2.0, "tilde")
+
+
 def test_tilde_variants_need_closed_graph():
     g = path(3, boundary=[3])
     with pytest.raises(GraphError):
@@ -509,10 +598,13 @@ def test_every_constant_of_a_graph_shares_one_enumeration(monkeypatch):
     g = random_graph(9, np.random.default_rng(4), weighted=True)
     run_suite(g, "ff", trials=3)  # Ĩ and Ĩ' at four nu each
     assert len(calls) == 1
-    iso_constant(g, 1.0, "open")  # the open pool of a closed graph is every vertex too
-    assert len(calls) == 1
-    run_suite(with_boundary(g, [g.vertices[0]]), "ff", trials=3)  # I at four nu
+    # the open pool of a closed graph is every vertex, the Ĩ pool all but one
+    iso_constant(g, 1.0, "open")
+    assert len(calls) == 2 and calls[1] == (1 << g.n) - 1 and (calls[1] ^ calls[0]).bit_count() == 1
+    iso_constant(g, 7.0, "tilde_prime")
     assert len(calls) == 2
+    run_suite(with_boundary(g, [g.vertices[0]]), "ff", trials=3)  # I at four nu
+    assert len(calls) == 3
 
 
 def test_free_vertices_past_bit_63():
@@ -526,21 +618,24 @@ def test_free_vertices_past_bit_63():
 
 def test_subset_budget_counts_the_subsets_each_scan_visits(monkeypatch):
     # complete(8) has 255 connected subsets, and so has its "Gamma(a) meets
-    # Gamma(b)" graph, which is complete(8) too
+    # Gamma(b)" graph, which is complete(8) too; its I~ scan leaves one vertex
+    # out and visits the 127 of complete(7)
     from graphcalc.heat import hypothesis_audit
 
-    monkeypatch.setattr(isoperimetry, "SUBSET_CAP", 255)
+    monkeypatch.setattr(isoperimetry, "SUBSET_CAP", 127)
     assert iso_constant(complete(8), math.inf, "tilde").value == pytest.approx(4.0)
+    monkeypatch.setattr(isoperimetry, "SUBSET_CAP", 255)
     assert magnification(complete(8))[0] == pytest.approx(1.0)
-    monkeypatch.setattr(isoperimetry, "SUBSET_CAP", 254)
     g = complete(8)
     dirichlet = with_boundary(complete(9), [9])
-    refusals = [lambda: iso_constant(g, math.inf, "tilde"), lambda: magnification(g),
-                lambda: hypothesis_audit(dirichlet, lambda x: x),
-                lambda: certified_magnification(g, g.vertices)]
-    for refuse in refusals * 2:  # a refusal does not depend on what ran before it
-        with pytest.raises(GraphError, match="254 subsets"):
-            refuse()
+    refusals = {126: [lambda: iso_constant(g, math.inf, "tilde")],
+                254: [lambda: magnification(g), lambda: hypothesis_audit(dirichlet, lambda x: x),
+                      lambda: certified_magnification(g, g.vertices)]}
+    for cap, scans in refusals.items():
+        monkeypatch.setattr(isoperimetry, "SUBSET_CAP", cap)
+        for refuse in scans * 2:  # a refusal does not depend on what ran before it
+            with pytest.raises(GraphError, match=f"{cap} subsets"):
+                refuse()
 
 
 def test_subset_budget_is_per_class_and_counts_connected_sets():
@@ -560,8 +655,9 @@ def test_subset_budget_is_per_class_and_counts_connected_sets():
 
 def test_a_vertex_with_22_pool_neighbours_is_refused_before_the_table_build():
     # it and any subset of its neighbours are 2**22 connected sets, past the
-    # cap; the ESU rounds used to form about 4M rows (393 MB) before refusing
-    k = complete(23)
+    # cap; the ESU rounds used to form about 4M rows (393 MB) before refusing.
+    # The I~ pool of complete(24) is complete(23).
+    k = complete(24)
     tracemalloc.start()
     try:
         with pytest.raises(GraphError, match=f"more than {isoperimetry.SUBSET_CAP} subsets"):

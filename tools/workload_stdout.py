@@ -1,6 +1,6 @@
 """Fingerprint what every benchmark workload command prints.
 
-    python3 tools/workload_stdout.py [CHECKOUT] > prints.txt
+    python3 tools/workload_stdout.py [--stdout-dir DIR] [CHECKOUT] > prints.txt
 
 Prints one line per distinct command of the perfbench workloads at seeds 1-3:
 the workload, the seed and the command key, then the exit code and the
@@ -12,10 +12,14 @@ directory, and each command runs in this process through
 
 To see whether a change moves any printed byte or exit code, run it on a
 checkout of the parent commit and on the change, and ``diff`` the outputs.
+With ``--stdout-dir DIR`` each command's stdout is also written to
+``DIR/<workload>-<seed>/<command key>.out``, so that ``diff -r`` between the
+directories of two checkouts shows which fields moved.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -33,7 +37,11 @@ def _sha(text: str) -> str:
 
 
 def main(argv: list[str]) -> int:
-    root = os.path.abspath(argv[0] if argv else os.path.join(os.path.dirname(__file__), ".."))
+    p = argparse.ArgumentParser(description="Fingerprint the workload commands' outputs.")
+    p.add_argument("checkout", nargs="?", default=os.path.join(os.path.dirname(__file__), ".."))
+    p.add_argument("--stdout-dir", help="also write each command's stdout under this directory")
+    args = p.parse_args(argv)
+    root = os.path.abspath(args.checkout)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
@@ -65,6 +73,12 @@ def main(argv: list[str]) -> int:
                         except Exception:  # a traceback is an output too
                             rc = -1
                             traceback.print_exc()
+                    if args.stdout_dir:
+                        outdir = os.path.join(args.stdout_dir, f"{name}-{seed}")
+                        os.makedirs(outdir, exist_ok=True)
+                        with open(os.path.join(outdir, cmd.key.replace(os.sep, "_") + ".out"),
+                                  "w") as fh:
+                            fh.write(out.getvalue())
                     print(f"{name} {seed} {cmd.key}\t{rc}\t{_sha(out.getvalue())}\t"
                           f"{_sha(err.getvalue())}", flush=True)
     return 0
