@@ -235,7 +235,7 @@ def certified_magnification(g: WeightedGraph, A) -> Fraction:
     picks the candidates and the integer measures decide
     (``isoperimetry._least_ratio``).
     """
-    ids = sorted(A, key=str)
+    ids = sorted(set(A), key=str)
     if not ids:
         raise GraphError("A must be nonempty")
     return _least_ratio(g, ids, half=False)[1] - 1

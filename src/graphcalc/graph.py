@@ -241,7 +241,7 @@ class WeightedGraph:
             vspecs = [s if isinstance(s, Mapping) else {"id": s} for s in vspecs]
             vertices = [s["id"] for s in vspecs]
             measures = [float(s.get("measure", 1.0)) for s in vspecs]
-            boundary = [s["id"] for s in vspecs if s.get("boundary", False)]
+            flags = [s.get("boundary", False) for s in vspecs]
             tails = [s["u"] for s in especs]
             heads = [s["v"] for s in especs]
             a = [float(s.get("a", 1.0)) for s in especs]
@@ -258,6 +258,10 @@ class WeightedGraph:
             if unknown := set().union(*specs).difference(known):
                 raise GraphError(f"malformed graph document: unknown {where} keys "
                                  f"{sorted(map(str, unknown))}")
+        if bad := [f for f in flags if not isinstance(f, bool)]:
+            raise GraphError(f"malformed graph document: a boundary flag must be true or false, "
+                             f"not {bad[0]!r}")
+        boundary = [v for v, f in zip(vertices, flags) if f]
         return cls.from_columns(vertices, measures, tails, heads, a, length, boundary)
 
 

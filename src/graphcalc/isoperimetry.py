@@ -15,16 +15,16 @@ SUBSET_CAP subsets raises ``GraphError``: ESU counts its rows as it forms
 them.
 
 - ``enumerate_connected_subsets`` builds the (mask, area, mass) table of the
-  connected subsets of the free vertices; the rows run by (size, mask).
+  connected subsets of the free vertices; the rows run by mask.
   Area and mass are each summed once, in one order: edge by edge and vertex
   by vertex, from 0.0.  A set's cut edges are the XOR of its members' code
   words (one bit per edge with an end in the pool); a fold table holds the
   left fold of every subset of the first (at most 14) terms, so one lookup
   adds them, and each later term adds 0.0 or its value in order.  The
   table is kept in the graph's memo, one per pool, with the reports.  Every
-  (nu, variant) is one vectorized quotient over it, and the sorted-id tie
-  rule sees only the masks within 1e-12 of the minimum.  The winning row is
-  the witness, with the row's sums.
+  (nu, variant) is one vectorized quotient over it, and the first row
+  within 1e-12 of the minimum, the least mask, is the witness, with the
+  row's sums.
 - A set of a closed graph and its complement have the same I~ and I~'
   quotient, so those scans read one table over every vertex but one, r (a
   vertex with the most distinct neighbours), with each complement's measure
@@ -72,7 +72,6 @@ POOL_LIMIT = 63  # pool-local subset masks are int64
 CHUNK = 1 << 12  # subsets or table rows per numpy step; 2**16 raised peak RSS by a tenth
 TINY = 2.0**-1073  # twice the absolute error of a quotient below the normal range
 _BITS = (np.arange(256) >> np.arange(8)[:, None]) & 1 == 1  # [j, b]: bit j of byte b
-_POPCOUNT = _BITS.sum(axis=0, dtype=np.uint8)  # [b]: the set bits of byte b
 
 
 @dataclass(frozen=True)
@@ -209,7 +208,7 @@ def enumerate_connected_subsets(g: WeightedGraph, allowed_mask: int) -> np.ndarr
     ``allowed_mask``, each once: ``area`` = A(boundary S), ``mass`` = V(S).
 
     The sets are ``_connected_masks`` of the pool-local adjacency (bit j =
-    j-th allowed vertex); rows run by (size, mask).  ``area`` adds a_e over
+    j-th allowed vertex); rows run by mask.  ``area`` adds a_e over
     the edges with exactly one endpoint in S in edge order, and ``mass`` adds
     V(v) over S in ascending vertex order, both from 0.0, so a whole
     component has area exactly 0.  Both are ``_fold_sums``: of the cut edges
@@ -234,9 +233,7 @@ def enumerate_connected_subsets(g: WeightedGraph, allowed_mask: int) -> np.ndarr
     # the edges with exactly one end in S
     code_t = _byte_tables(np.packbits(inc, axis=1, bitorder="little").view("<i8"),
                           np.bitwise_xor)
-    masks = np.sort(_connected_masks(near))
-    sizes = _lookup(np.broadcast_to(_POPCOUNT, (-(-len(pool) // 8), 256)), masks, np.add)
-    masks = masks[np.argsort(sizes, kind="stable")]  # by (size, mask)
+    masks = np.sort(_connected_masks(near))  # the pool ascends, so the graph masks do too
     fold, later = _fold_tables([g.ea[cut], g.vmeasure[pool]], len(masks))
     table = np.empty(len(masks), dtype)
     for lo in range(0, len(masks), CHUNK):
@@ -264,11 +261,6 @@ def _witness(g: WeightedGraph, row) -> AdmissibleSet:
     """The admissible set of a subset-table row, with the row's sums."""
     mask, area, mass = row.item()
     return AdmissibleSet(frozenset(g.vertices[i] for i in _set_bits(mask)), area, mass)
-
-
-def _sort_key(names: list, mask: int) -> tuple:
-    """The sorted ids (``names``: str per vertex index) of a mask's vertices."""
-    return tuple(sorted(names[i] for i in _set_bits(mask)))
 
 
 def _quotient(area, mass, comass, nu: float, variant: str):
@@ -381,7 +373,7 @@ def _tilde_table(g: WeightedGraph) -> tuple:
 
 def _iso_constant(g: WeightedGraph, nu: float, variant: str) -> IsoReport:
     """The least quotient over the connected sets of the pool, witnessed by
-    the least sorted ids among the sets within 1e-12 of it.
+    the least mask among the sets within 1e-12 of it: the first such row.
 
     The tilde variants scan only the sets that avoid the vertex r of
     ``_tilde_table``.  Write their quotient as A(boundary S)/phi(V(S)), with
@@ -415,10 +407,8 @@ def _iso_constant(g: WeightedGraph, nu: float, variant: str) -> IsoReport:
     if best == math.inf:
         return IsoReport(nu, variant, math.inf, None)  # a lone closed vertex: no row
     # the band absorbs rounding in the sums, so exact ties (e.g. mirror-image
-    # sets, whose sums add different terms) go to the least sorted-id key
-    near = np.flatnonzero(vals <= best + 1e-12 * abs(best))
-    names, masks = list(map(str, g.vertices)), table["mask"][near].tolist()
-    row = near[min(range(len(near)), key=lambda j: _sort_key(names, masks[j]))]
+    # sets, whose sums add different terms) go to the least mask
+    row = int(np.argmax(vals <= best + 1e-12 * abs(best)))
     wit = _witness(g, table[row])
     co = None if comass is None else float(comass[row])
     return IsoReport(nu, variant, float(_quotient(wit.area, wit.vmass, co, nu, variant)), wit)

@@ -140,6 +140,10 @@ def test_certified_magnification_k4():
             for B in itertools.combinations(A, k)
         )
         assert certified_magnification(q3, A) == brute, A
+    # a repeated id is one vertex: on path(4), Γ({2}) = {1, 3} and Γ({2, 3}) is every vertex
+    p4 = path(4)
+    for A in ([2], [2, 2], [2, 3], [2, 3, 3], [3, 2, 2, 3]):
+        assert certified_magnification(p4, A) == Fraction(1), A
 
 
 def test_certified_magnification_with_integers_past_int64():

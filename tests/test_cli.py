@@ -239,6 +239,8 @@ def test_heat_rejects_negative_or_nonfinite_t(tmp_path, capsys):
         # misspelt keys and a top-level boundary list: read as a closed unit graph
         {"vertices": [{"id": 1, "mesure": 5}, {"id": 2}], "edges": [{"u": 1, "v": 2, "weight": 3}],
          "boundary": [2]},
+        # a string flag: "false" read as true made a boundary vertex
+        {"vertices": [{"id": 1, "boundary": "false"}, 2], "edges": [{"u": 1, "v": 2}]},
     ],
 )
 def test_malformed_document_is_usage_error(tmp_path, capsys, doc):

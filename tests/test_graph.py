@@ -381,6 +381,8 @@ def test_every_bad_weight_is_refused_without_a_warning():
         ({"vertices": [{"id": 1, "mesure": 5}, {"id": 2}],
           "edges": [{"u": 1, "v": 2, "weight": 3}], "boundary": [2]},
          "malformed graph document: unknown document keys ['boundary']"),
+        ({"vertices": [{"id": 1, "boundary": "false"}, 2], "edges": [{"u": 1, "v": 2}]},
+         "malformed graph document: a boundary flag must be true or false, not 'false'"),
     ],
 )
 def test_malformed_documents_keep_their_messages(doc, message):

@@ -208,8 +208,11 @@ def test_hypothesis_audit_reads_the_shared_table(monkeypatch):
     monkeypatch.setattr(isoperimetry, "enumerate_connected_subsets",
                         lambda g, mask: builds.append(mask) or real(g, mask))
     rng = np.random.default_rng(73)
-    for _ in range(6):
-        g = random_graph(9, rng, boundary_fraction=0.25)
+    graphs = [random_graph(9, rng, boundary_fraction=0.25) for _ in range(6)]
+    # {0, 1} and {2} fail, {0} and {1} pass: the least mask is not a smallest set
+    graphs.append(build_graph(range(4), [Edge(0, 1, a=2.0), Edge(1, 3, a=0.1), Edge(2, 3, a=0.5)],
+                              boundary=[3]))
+    for g in graphs:
         iso_constant(g, 2.0, "open")
         phi = lambda x: 0.9 * x ** 0.5
         out = hypothesis_audit(g, phi)
@@ -228,11 +231,10 @@ def test_hypothesis_audit_reads_the_shared_table(monkeypatch):
             area = sum(e.a for e in g.edges if (e.u in S) != (e.v in S))
             mass = sum(g.vmeasure[i] for i in idx)
             if seen == idx and area + 1e-12 < mass / phi(mass):
-                failing.append(S)
+                failing.append((sum(1 << i for i in idx), S))
         assert out["ok"] == (not failing)
-        if failing:  # the table lists the smallest sets first
-            assert out["witness"] in failing
-            assert len(out["witness"]) == min(map(len, failing))
+        if failing:  # the table runs by mask: the failing set with the least mask
+            assert out["witness"] == min(failing, key=lambda f: f[0])[1]
 
 
 def test_general_decay_bound():

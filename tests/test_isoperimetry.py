@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import operator
 import tracemalloc
@@ -114,11 +115,10 @@ def _check_table_against_brute_force(g):
 
 
 def _check_table(g, table, sets):
-    """One row per set of ``sets``, by (size, mask), with the ordered sums."""
+    """One row per set of ``sets``, by mask, with the ordered sums."""
     masks = table["mask"].tolist()
     assert len(masks) == len(set(masks)) and set(masks) == sets
-    keys = [(m.bit_count(), m) for m in masks]
-    assert keys == sorted(keys)
+    assert masks == sorted(masks)
     for mask, area, mass in table.tolist():
         assert (area, mass) == (_ordered_area(g, mask), _ordered_mass(g, mask))
 
@@ -244,15 +244,6 @@ def test_lookup_over_rows_of_several_words_and_an_empty_chunk():
         assert got.shape == (len(subs), 2)
         assert got.tolist() == [[int(np.bitwise_or.reduce([ors[k, b, i] for k, b in enumerate(row)]))
                                  for i in range(2)] for row in byts]
-
-
-def test_tie_key_reads_the_ids_of_the_set_bits():
-    for g in (build_graph([3, "b", 10, "a", 2], [(3, "b"), ("b", 10), (10, "a"), ("a", 2)]),
-              path(70)):
-        names = list(map(str, g.vertices))
-        for mask in (1, 0b10110, (1 << g.n) - 1, 1 << (g.n - 1) | 5):
-            old = tuple(sorted(map(str, (v for i, v in enumerate(g.vertices) if mask >> i & 1))))
-            assert isoperimetry._sort_key(names, mask) == old
 
 
 def test_exact_decision_of_one_row_and_of_many():
@@ -546,6 +537,62 @@ def test_tilde_scans_skip_one_vertex_and_match_a_brute_force_over_all_subsets():
                 assert rep.value == isoperimetry._quotient(row["area"], row["mass"],
                                                            comass[rows[mask]], nu, variant)
     assert min(kinds.values()) >= 20, kinds
+
+
+def _unit_quotients(g, nu, variant):
+    """{mask: quotient} over the sets a scan reads on a unit-weight graph:
+    the connected sets of the free vertices (open), or those that avoid r
+    (tilde variants); areas and masses are small integers, so exact."""
+    r = max(range(g.n), key=lambda i: (len(g.neighbors(i) - {i}), -i))
+    pool = sum(1 << i for i in g.interior_indices().tolist())
+    if variant != "open":
+        pool ^= 1 << r
+    pairs = list(zip(g.eu.tolist(), g.ev.tolist()))
+    vals = {}
+    for mask in range(1, 1 << g.n):
+        if mask & ~pool or not _connected_within(g, mask):
+            continue
+        area = sum((mask >> u & 1) != (mask >> v & 1) for u, v in pairs)
+        mass, co = mask.bit_count(), g.n - mask.bit_count()
+        if variant == "tilde_prime" and nu != math.inf:
+            vals[mask] = area * (mass ** (1.0 - nu) + co ** (1.0 - nu)) ** (1.0 / nu)
+        else:
+            small = mass if variant == "open" else min(mass, co)
+            vals[mask] = area / small ** (1.0 - 1.0 / nu)
+    return vals
+
+
+def test_witness_is_the_least_mask_within_the_band_on_unit_weight_graphs():
+    # unit weights make many sets tie exactly, and shuffled ids make the
+    # order of their ids differ from the order of their masks
+    rng = np.random.default_rng(97)
+    ties = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 10))
+        base = random_graph(n, rng, weighted=False, extra_edges=int(rng.integers(0, 2 * n)))
+        ids = rng.permutation(n).tolist()
+        g = build_graph(ids, [Edge(ids[e.u], ids[e.v]) for e in base.edges],
+                        boundary=ids[:int(rng.integers(0, 3))] if n > 2 else ())
+        variants = ["open"] + ["tilde", "tilde_prime"] * g.is_closed
+        for nu, variant in itertools.product((1.0, 2.0, math.inf), variants):
+            vals = _unit_quotients(g, nu, variant)
+            best = min(vals.values())
+            band = [m for m, v in vals.items() if v <= best + 1e-12 * best]
+            ties += len(band) > 1
+            rep = iso_constant(g, nu, variant)
+            assert rep.value == pytest.approx(best, rel=1e-12, abs=0.0)
+            assert rep.witness.vertices == {g.vertices[i] for i in range(n) if min(band) >> i & 1}
+    assert ties >= 60, ties
+
+
+def test_closed_complete_16_of_measures_one_tenth_ties_every_half():
+    # every 8-set has quotient 64 / 0.8 and the scan avoids vertex 0 (the
+    # least index among equals), so the witness is the least mask: indices 1-8
+    k = complete(16)
+    g = build_graph(k.vertices, k.edges, measures=np.full(16, 0.1))
+    rep = iso_constant(g, math.inf, "tilde")
+    assert rep.witness.vertices == frozenset(g.vertices[1:9])
+    assert rep.value == pytest.approx(80.0, rel=1e-15)
 
 
 def test_light_complements_are_summed_not_subtracted():
