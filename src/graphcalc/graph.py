@@ -240,12 +240,16 @@ class WeightedGraph:
         try:
             vspecs = [s if isinstance(s, Mapping) else {"id": s} for s in vspecs]
             vertices = [s["id"] for s in vspecs]
-            measures = [float(s.get("measure", 1.0)) for s in vspecs]
+            measures = [s.get("measure", 1.0) for s in vspecs]
             flags = [s.get("boundary", False) for s in vspecs]
             tails = [s["u"] for s in especs]
             heads = [s["v"] for s in especs]
-            a = [float(s.get("a", 1.0)) for s in especs]
-            length = [float(s.get("length", 1.0)) for s in especs]
+            a = [s.get("a", 1.0) for s in especs]
+            length = [s.get("length", 1.0) for s in especs]
+            for key, column in (("measure", measures), ("a", a), ("length", length)):
+                if bool in map(type, column):  # float(True) is 1.0
+                    raise TypeError(f"{key!r} must be a number, not true or false")
+            measures, a, length = (list(map(float, c)) for c in (measures, a, length))
         except KeyError as exc:
             raise GraphError(f"malformed graph document: missing key {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:

@@ -15,12 +15,11 @@ SUBSET_CAP subsets raises ``GraphError``: ESU counts its rows as it forms
 them.
 
 - ``enumerate_connected_subsets`` builds the (mask, area, mass) table of the
-  connected subsets of the free vertices; the rows run by mask.
-  Area and mass are each summed once, in one order: edge by edge and vertex
-  by vertex, from 0.0.  A set's cut edges are the XOR of its members' code
-  words (one bit per edge with an end in the pool); a fold table holds the
-  left fold of every subset of the first (at most 14) terms, so one lookup
-  adds them, and each later term adds 0.0 or its value in order.  The
+  connected subsets of the free vertices; the rows run by mask.  A set's
+  cut edges are the XOR of its members' code words (one bit per edge with an
+  end in the pool), and area and mass are ``_lookup`` sums over those bits
+  and over the mask.  A float sum of k positive terms errs by at most (k-1)u
+  relatively in any order (u = eps/2), far inside the 1e-12 band below.  The
   table is kept in the graph's memo, one per pool, with the reports.  Every
   (nu, variant) is one vectorized quotient over it, and the first row
   within 1e-12 of the minimum, the least mask, is the witness, with the
@@ -92,9 +91,10 @@ class IsoReport:
 def _byte_tables(values: np.ndarray, combine) -> np.ndarray:
     """Entry [k, b] folds ``combine`` over values[8k + j] for the set bits j of
     b, in ascending j (a reduction along the slow axis runs in order);
-    trailing axes of ``values`` are kept."""
+    trailing axes of ``values`` are kept.  No values still make one table, of
+    the identity, as ``_lookup`` reads at least one."""
     rest = values.shape[1:]
-    groups = np.zeros((-(-len(values) // 8), 8) + rest, values.dtype)
+    groups = np.zeros((max(1, -(-len(values) // 8)), 8) + rest, values.dtype)
     groups.reshape((8 * len(groups),) + rest)[:len(values)] = values
     groups = groups.swapaxes(0, 1)[:, :, None]  # [j, k, 1, ...]
     return combine.reduce(np.where(_BITS.reshape((8, 1, 256) + (1,) * len(rest)), groups, 0),
@@ -129,46 +129,6 @@ def _check_pool(size: int) -> None:
 def _check_subsets(count: int) -> None:
     if count > SUBSET_CAP:
         raise GraphError(f"the enumeration would visit more than {SUBSET_CAP} subsets")
-
-
-def _fold_tables(terms: list, rows: int) -> tuple:
-    """(fold, later): the tables with which ``_fold_sums`` adds the terms of
-    each vector terms[s] over ``rows`` rows.  The vectors are padded with
-    0.0, which leaves every sum as it is.
-
-    fold[s, c] adds terms[s][k] over the set bits k < b of c in ascending k,
-    from 0.0.  One ordered reduction along the slow axis (as in
-    ``_byte_tables``) folds the first 8 terms, and each doubling adds the
-    next term, last, to every fold of the earlier ones.  later[k - b, s, byte]
-    is terms[s][k] if the byte holds bit k % 8, else 0.0.  The fold takes
-    each term k with 2**k <= 4 rows (its 2**k new entries cost about what
-    adding the term later would), at least 8 and at most 14 of them: 15 and
-    16 built no faster on q4 and wclosed-18, and 16 took 0.7 MB more."""
-    w = np.zeros((8 * -(-max(map(len, terms)) // 8), len(terms)))  # [k, s], whole bytes
-    for s, t in enumerate(terms):
-        w[:len(t), s] = t
-    per = (_BITS[:, None] * w.reshape(-1, 8, len(terms), 1)).reshape(len(w), len(terms), 256)
-    b = min(len(w), 14, max(8, (4 * rows).bit_length()))
-    fold = np.empty((len(terms), 1 << b))
-    fold[:, :256] = np.add.reduce(per[:8], axis=0)
-    for k in range(8, b):
-        np.add(fold[:, :1 << k], w[k, :, None], out=fold[:, 1 << k:2 << k])
-    return fold, per[b:]
-
-
-def _fold_sums(words: np.ndarray, count: int, fold: np.ndarray, later: np.ndarray):
-    """Per row of int64 ``words`` (bit k of a row marks term k < count): the
-    marked terms of one vector of ``_fold_tables``, added in ascending k from
-    0.0.  The first b terms are one lookup in ``fold``; then each later term
-    adds 0.0 or its value, in order, which is exact: x + 0.0 is x."""
-    b = len(fold).bit_length() - 1
-    total = fold[words[:, 0] & (len(fold) - 1)]
-    if count > b:  # the bytes of bits b..count-1, as intp indices into ``later``
-        byts = words.astype("<i8", copy=False).view(np.uint8)[:, b // 8:-(-count // 8)]
-        byts = np.ascontiguousarray(byts.T, dtype=np.intp)
-        for k, term in zip(range(b, count), later):
-            total += term[byts[k // 8 - b // 8]]
-    return total
 
 
 def _connected_masks(near: np.ndarray) -> np.ndarray:
@@ -208,11 +168,10 @@ def enumerate_connected_subsets(g: WeightedGraph, allowed_mask: int) -> np.ndarr
     ``allowed_mask``, each once: ``area`` = A(boundary S), ``mass`` = V(S).
 
     The sets are ``_connected_masks`` of the pool-local adjacency (bit j =
-    j-th allowed vertex); rows run by mask.  ``area`` adds a_e over
-    the edges with exactly one endpoint in S in edge order, and ``mass`` adds
-    V(v) over S in ascending vertex order, both from 0.0, so a whole
-    component has area exactly 0.  Both are ``_fold_sums``: of the cut edges
-    marked by the XOR of the members' code words, and of the mask's vertices.
+    j-th allowed vertex); rows run by mask.  ``area`` adds a_e over the edges
+    with exactly one endpoint in S, marked by the XOR of the members' code
+    words, and ``mass`` adds V(v) over S; both are ``_lookup`` sums of byte
+    tables, so a whole component has area exactly 0.
     """
     pool = [i for i in range(g.n) if (allowed_mask >> i) & 1]
     _check_pool(len(pool))
@@ -233,14 +192,14 @@ def enumerate_connected_subsets(g: WeightedGraph, allowed_mask: int) -> np.ndarr
     # the edges with exactly one end in S
     code_t = _byte_tables(np.packbits(inc, axis=1, bitorder="little").view("<i8"),
                           np.bitwise_xor)
+    area_t, mass_t = _byte_tables(g.ea[cut], np.add), _byte_tables(g.vmeasure[pool], np.add)
     masks = np.sort(_connected_masks(near))  # the pool ascends, so the graph masks do too
-    fold, later = _fold_tables([g.ea[cut], g.vmeasure[pool]], len(masks))
     table = np.empty(len(masks), dtype)
     for lo in range(0, len(masks), CHUNK):
         part = masks[lo:lo + CHUNK]
-        table["area"][lo:lo + CHUNK] = _fold_sums(_lookup(code_t, part, np.bitwise_xor),
-                                                  len(cut), fold[0], later[:, 0])
-        table["mass"][lo:lo + CHUNK] = _fold_sums(part[:, None], len(pool), fold[1], later[:, 1])
+        table["area"][lo:lo + CHUNK] = _lookup(area_t, _lookup(code_t, part, np.bitwise_xor),
+                                               np.add)
+        table["mass"][lo:lo + CHUNK] = _lookup(mass_t, part, np.add)
     if pool == list(range(len(pool))):
         table["mask"] = masks
     else:
@@ -296,27 +255,25 @@ def _is_simple_path(g: WeightedGraph) -> list[int] | None:
 
 
 def _iso_open_path(g: WeightedGraph, nu: float) -> IsoReport:
-    """O(n^2) vectorized interval sweep for open-variant constants on paths."""
+    """O(n^2) vectorized interval sweep for open-variant constants on paths:
+    the admissible sets are the runs of free vertices along the path, and
+    each mass adds its run's measures in path order."""
     order = _is_simple_path(g)
     assert order is not None
-    pos_interior = [p for p, vi in enumerate(order) if g.interior_mask[vi]]
-    lo, hi = pos_interior[0], pos_interior[-1]
-    if hi - lo + 1 != len(pos_interior):
-        raise GraphError("interior not contiguous on the path")
     # w[p]: the weight of the edge between positions p and p + 1
     pos = np.empty(g.n, dtype=int)
     pos[order] = np.arange(g.n)
     w = np.empty(g.n - 1)
     w[np.minimum(pos[g.eu], pos[g.ev])] = g.ea
     meas = g.vmeasure[np.array(order)]
-    cmass = np.concatenate([[0.0], np.cumsum(meas)])
-    i = np.arange(lo, hi + 1)
-    I, J = np.meshgrid(i, i, indexing="ij")
-    valid = J >= I
+    free = g.interior_mask[order]
+    bnd = np.concatenate([[0], np.cumsum(~free)])  # boundary vertices before each position
+    I, J = np.meshgrid(*[np.flatnonzero(free)] * 2, indexing="ij")
+    valid = (J >= I) & (bnd[J + 1] == bnd[I])
     left = np.where(I > 0, w[np.maximum(I - 1, 0)], 0.0)
     right = np.where(J < g.n - 1, w[np.minimum(J, g.n - 2)], 0.0)
     area = left + right
-    mass = cmass[J + 1] - cmass[I]
+    mass = np.cumsum(np.where(J >= I, meas[J], 0.0), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         if nu == math.inf:
             vals = area / mass

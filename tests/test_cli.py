@@ -241,6 +241,10 @@ def test_heat_rejects_negative_or_nonfinite_t(tmp_path, capsys):
          "boundary": [2]},
         # a string flag: "false" read as true made a boundary vertex
         {"vertices": [{"id": 1, "boundary": "false"}, 2], "edges": [{"u": 1, "v": 2}]},
+        # JSON booleans: float(true) is 1.0, so they loaded as numbers
+        {"vertices": [{"id": 1, "measure": True}, 2], "edges": []},
+        {"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "a": True}]},
+        {"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "length": False}]},
     ],
 )
 def test_malformed_document_is_usage_error(tmp_path, capsys, doc):

@@ -383,6 +383,12 @@ def test_every_bad_weight_is_refused_without_a_warning():
          "malformed graph document: unknown document keys ['boundary']"),
         ({"vertices": [{"id": 1, "boundary": "false"}, 2], "edges": [{"u": 1, "v": 2}]},
          "malformed graph document: a boundary flag must be true or false, not 'false'"),
+        ({"vertices": [{"id": 1, "measure": True}, 2], "edges": []},
+         "malformed graph document: 'measure' must be a number, not true or false"),
+        ({"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "a": True}]},
+         "malformed graph document: 'a' must be a number, not true or false"),
+        ({"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "length": False}]},
+         "malformed graph document: 'length' must be a number, not true or false"),
     ],
 )
 def test_malformed_documents_keep_their_messages(doc, message):

@@ -68,7 +68,8 @@ def test_connected_subsets_match_brute_force():
         assert len(masks) == len(set(masks))
         assert set(masks) == brute
         for mask, a, mass in got:
-            assert (a, mass) == (_ordered_area(g, mask), _ordered_mass(g, mask))
+            assert (a, mass) == (_table_area(g, _all_mask(g), mask),
+                                 _table_mass(g, _all_mask(g), mask))
 
 
 def _connected_within(g, mask):
@@ -89,15 +90,25 @@ def _ordered_sum(terms):
     return total
 
 
-def _ordered_area(g, mask):
-    """a_e over the edges with exactly one endpoint in the mask, in edge order."""
-    return _ordered_sum(a for u, v, a in zip(g.eu.tolist(), g.ev.tolist(), g.ea.tolist())
-                        if ((mask >> u) & 1) != ((mask >> v) & 1))
+def _run_sum(terms):
+    """Each run of 8 terms added in order from 0.0, then the runs in order;
+    a term outside the set is 0.0, which leaves every sum as it is."""
+    return _ordered_sum(_ordered_sum(terms[k:k + 8]) for k in range(0, len(terms), 8))
 
 
-def _ordered_mass(g, mask):
-    """V(v) over the vertices of the mask, in ascending vertex order."""
-    return _ordered_sum(x for i, x in enumerate(g.vmeasure.tolist()) if (mask >> i) & 1)
+def _table_area(g, pool, mask):
+    """A(boundary) of the mask over the table of ``pool``: its terms are the
+    non-loop edges with an end in the pool, in edge order."""
+    return _run_sum([a if (mask >> u & 1) != (mask >> v & 1) else 0.0
+                     for u, v, a in zip(g.eu.tolist(), g.ev.tolist(), g.ea.tolist())
+                     if u != v and (pool >> u & 1 or pool >> v & 1)])
+
+
+def _table_mass(g, pool, mask):
+    """V of the mask over the table of ``pool``: its terms are the pool's
+    measures, ascending."""
+    return _run_sum([x if mask >> i & 1 else 0.0
+                     for i, x in enumerate(g.vmeasure.tolist()) if pool >> i & 1])
 
 
 def _check_table_against_brute_force(g):
@@ -110,17 +121,17 @@ def _check_table_against_brute_force(g):
         mask = sum(1 << v for j, v in enumerate(pool) if (sub >> j) & 1)
         if _connected_within(g, mask):
             brute.add(mask)
-    table = enumerate_connected_subsets(g, sum(1 << v for v in pool))
-    _check_table(g, table, brute)
+    allowed = sum(1 << v for v in pool)
+    _check_table(g, allowed, enumerate_connected_subsets(g, allowed), brute)
 
 
-def _check_table(g, table, sets):
-    """One row per set of ``sets``, by mask, with the ordered sums."""
+def _check_table(g, pool, table, sets):
+    """One row per set of ``sets``, by mask, with the reference sums."""
     masks = table["mask"].tolist()
     assert len(masks) == len(set(masks)) and set(masks) == sets
     assert masks == sorted(masks)
     for mask, area, mass in table.tolist():
-        assert (area, mass) == (_ordered_area(g, mask), _ordered_mass(g, mask))
+        assert (area, mass) == (_table_area(g, pool, mask), _table_mass(g, pool, mask))
 
 
 def test_subset_table_matches_brute_force_over_the_pool():
@@ -137,9 +148,11 @@ def test_subset_table_matches_brute_force_over_the_pool():
 
 
 def test_subset_table_on_a_dense_multigraph_and_a_lone_free_vertex():
-    # 320 edges take several edge blocks, each carrying the running area in;
-    # a lone free vertex makes a one-row table, whose sums still run in order:
-    # after its strong edge every weak one rounds away, added pairwise they would not
+    # 320 edges take several code words and byte runs; a lone free vertex
+    # makes a one-row table whose 40 terms are five runs: within the first
+    # run every weak term rounds away after the strong one, and the other
+    # runs add their weak terms first.  A free vertex whose only edge is a
+    # loop has no cut edge, and area 0.0
     rng = np.random.default_rng(61)
     ends = rng.integers(0, 12, size=(320, 2)).tolist()
     dense = build_graph(list(range(12)), [Edge(u, v, float(rng.uniform(0.1, 7.0)))
@@ -148,13 +161,16 @@ def test_subset_table_on_a_dense_multigraph_and_a_lone_free_vertex():
     assert len(dense.edges) >= 300 and bool(dense.loop_mask.any())
     star = build_graph(list(range(41)), [Edge(0, k, 1.0 if k == 1 else 1e-16)
                                          for k in range(1, 41)], boundary=range(1, 41))
-    for g in (dense, star):
+    looped = build_graph([1, 2], [Edge(1, 1, 3.0)], boundary=[2])
+    for g in (dense, star, looped):
         _check_table_against_brute_force(g)
     rep = iso_constant(dense, 2.0, "open")
     assert rep.value == pytest.approx(min(
-        _ordered_area(dense, m) * _ordered_mass(dense, m) ** -0.5
+        _table_area(dense, 1023, m) * _table_mass(dense, 1023, m) ** -0.5
         for m, _, _ in enumerate_connected_subsets(dense, 1023).tolist()), rel=1e-12, abs=0.0)
-    assert iso_constant(star, 1.0).witness.area == _ordered_area(star, 1) == 1.0
+    area = iso_constant(star, 1.0).witness.area
+    assert area == _table_area(star, 1, 1) == 1.0000000000000036
+    assert enumerate_connected_subsets(looped, 1).tolist() == [(1, 0.0, 1.0)]
 
 
 def _wide_weights(rng, size):
@@ -162,9 +178,9 @@ def _wide_weights(rng, size):
     return (10.0 ** rng.uniform(-8, 8, size)).tolist()
 
 
-def test_sums_past_the_fold_width_on_a_pool_of_17_to_20_free_vertices():
-    # more free vertices and cut edges than the fold takes: the later terms
-    # of both sums add in order after the fold lookup
+def test_sums_of_many_byte_runs_on_a_pool_of_17_to_20_free_vertices():
+    # three or more byte runs of measures and of cut edges, over weights
+    # that span 16 orders of magnitude
     rng = np.random.default_rng(71)
     for free in (17, 18, 20):
         ids = list(range(free + 3))
@@ -175,12 +191,10 @@ def test_sums_past_the_fold_width_on_a_pool_of_17_to_20_free_vertices():
                               zip(ends, _wide_weights(rng, len(ends)))],
                         measures=_wide_weights(rng, len(ids)), boundary=ids[free:])
         table = enumerate_connected_subsets(g, (1 << free) - 1)
-        fold, later = isoperimetry._fold_tables([g.ea, g.vmeasure[:free]], len(table))
-        assert len(fold[0]) < 1 << free and len(later) > 0
         # the free vertices span a ring: its connected sets are the arcs
         arcs = {sum(1 << (start + k) % free for k in range(size))
                 for start in range(free) for size in range(1, free)}
-        _check_table(g, table, arcs | {(1 << free) - 1})
+        _check_table(g, (1 << free) - 1, table, arcs | {(1 << free) - 1})
 
 
 def test_more_than_64_cut_edges_take_a_second_code_word():
@@ -203,27 +217,6 @@ def test_subset_table_spanning_several_chunks():
     table = enumerate_connected_subsets(g, _all_mask(g))
     assert len(table) > isoperimetry.CHUNK
     _check_table_against_brute_force(g)
-
-
-def test_fold_tables_add_in_order():
-    # 1 + 1e-16 rounds to 1, so a left fold after the 1 keeps 1.0 where
-    # pairwise sums of the small terms would not
-    rng = np.random.default_rng(83)
-    for terms in ([1.0] + [1e-16] * 19, _wide_weights(rng, 21), [3.0, 1e-16, 1e-16]):
-        w = np.array(terms)
-        for rows in (1, 300, 40_000):
-            fold, later = isoperimetry._fold_tables([w, w[::-1]], rows)
-            b = len(fold[0]).bit_length() - 1
-            assert 8 <= b <= 14 and len(later) == 8 * -(-len(w) // 8) - b
-            for c in rng.integers(0, len(fold[0]), 200).tolist() + [len(fold[0]) - 1]:
-                for s, x in enumerate((terms, terms[::-1])):
-                    bits = [k for k in range(min(b, len(x))) if c >> k & 1]
-                    assert fold[s, c] == _ordered_sum(x[k] for k in bits)
-            codes = rng.integers(0, 1 << len(w), 50)
-            sums = isoperimetry._fold_sums(codes[:, None], len(w), fold[0], later[:, 0])
-            for code, total in zip(codes.tolist(), sums.tolist()):
-                assert total == _ordered_sum(x for k, x in enumerate(terms) if code >> k & 1)
-    assert _ordered_sum([1.0] + [1e-16] * 19) == 1.0 != math.fsum([1.0] + [1e-16] * 19)
 
 
 def test_lookup_over_rows_of_several_words_and_an_empty_chunk():
@@ -315,7 +308,8 @@ def test_subset_table_of_a_63_cycle():
                     measures=1.0 + np.arange(63) / 11)
     arcs = {sum(1 << (start + k) % 63 for k in range(size))
             for start in range(63) for size in range(1, 63)}
-    _check_table(g, enumerate_connected_subsets(g, _all_mask(g)), arcs | {_all_mask(g)})
+    _check_table(g, _all_mask(g), enumerate_connected_subsets(g, _all_mask(g)),
+                 arcs | {_all_mask(g)})
 
 
 def _first_least_ratio(g, pool, half):
@@ -802,6 +796,29 @@ def test_long_path_lane_on_a_shuffled_weighted_path():
         assert rep.value == vals[best], nu
         assert rep.witness == isoperimetry.AdmissibleSet(
             frozenset(f"v{p}" for p in range(i, j + 1)), area[best], mass[best]), nu
+    # 100 vertices: boundary vertices of measure 1e12 at both ends (the
+    # sweep may start at either) must not enter any mass, and boundary
+    # vertices may sit anywhere on the path
+    rng = np.random.default_rng(100)
+    n = 100
+    for boundary in ([0, n - 1], list(range(41)) + [60, n - 1]):
+        w = rng.uniform(0.5, 2.0, n - 1)
+        meas = rng.uniform(0.5, 2.0, n)
+        meas[[0, n - 1]] = 1e12
+        g = build_graph([(p, meas[p]) for p in rng.permutation(n)],
+                        [Edge(p, p + 1, w[p]) for p in rng.permutation(n - 1)], boundary=boundary)
+        spans = [(i, j) for i in range(n) for j in range(i, n)
+                 if not set(range(i, j + 1)) & set(boundary)]
+        area = [math.fsum(w[p] for p in (i - 1, j) if 0 <= p < n - 1) for i, j in spans]
+        mass = [math.fsum(meas[i:j + 1]) for i, j in spans]
+        for nu in (1.0, 2.0, math.inf):
+            vals = [a * m ** (1.0 / nu - 1.0) for a, m in zip(area, mass)]
+            best = int(np.argmin(vals))
+            assert sorted(vals)[1] > vals[best] * (1 + 1e-9)  # one clear minimiser
+            rep = iso_constant(g, nu, "open")
+            i, j = spans[best]
+            assert rep.witness.vertices == frozenset(range(i, j + 1)), nu
+            assert rep.value == pytest.approx(vals[best], rel=1e-14, abs=0.0), nu
 
 
 def test_magnification_complete_graph():
