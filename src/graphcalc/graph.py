@@ -237,6 +237,9 @@ class WeightedGraph:
             especs = data.get("edges", [])
         except (KeyError, TypeError) as exc:
             raise GraphError(f"malformed graph document: {exc}") from exc
+        for key, specs in (("vertices", vspecs), ("edges", especs)):
+            if not isinstance(specs, list):
+                raise GraphError(f"malformed graph document: {key!r} must be an array")
         try:
             vspecs = [s if isinstance(s, Mapping) else {"id": s} for s in vspecs]
             vertices = [s["id"] for s in vspecs]
@@ -247,8 +250,10 @@ class WeightedGraph:
             a = [s.get("a", 1.0) for s in especs]
             length = [s.get("length", 1.0) for s in especs]
             for key, column in (("measure", measures), ("a", a), ("length", length)):
-                if bool in map(type, column):  # float(True) is 1.0
-                    raise TypeError(f"{key!r} must be a number, not true or false")
+                if bad := set(map(type, column)) - {int, float}:  # float(True) is 1.0
+                    x = next(x for x in column if type(x) in bad)
+                    raise TypeError(f"{key!r} must be a number, not "
+                                    + ("true or false" if type(x) is bool else repr(x)))
             measures, a, length = (list(map(float, c)) for c in (measures, a, length))
         except KeyError as exc:
             raise GraphError(f"malformed graph document: missing key {exc}") from exc

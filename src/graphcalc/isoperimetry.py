@@ -10,20 +10,21 @@ connected sets of a graph on at most 63 bits by ESU (Wernicke 2006), all
 depths at once, so each set is formed once and nothing is deduplicated.  A
 subset is an int64 mask over a pool of vertices (bit j = j-th pool vertex);
 one kernel, ``_lookup``, combines per-byte table entries over the bytes of a
-mask or of a row of int64 words.  A scan that would visit more than
-SUBSET_CAP subsets raises ``GraphError``: ESU counts its rows as it forms
-them.
+mask or of a row of int64 words.  One builder, ``_row_tables``, gives both
+scans their ESU graph and byte tables from one boolean row per pool vertex.
+A scan that would visit more than SUBSET_CAP subsets raises ``GraphError``:
+ESU counts its rows as it forms them.
 
 - ``enumerate_connected_subsets`` builds the (mask, area, mass) table of the
   connected subsets of the free vertices; the rows run by mask.  A set's
-  cut edges are the XOR of its members' code words (one bit per edge with an
-  end in the pool), and area and mass are ``_lookup`` sums over those bits
-  and over the mask.  A float sum of k positive terms errs by at most (k-1)u
-  relatively in any order (u = eps/2), far inside the 1e-12 band below.  The
-  table is kept in the graph's memo, one per pool, with the reports.  Every
-  (nu, variant) is one vectorized quotient over it, and the first row
-  within 1e-12 of the minimum, the least mask, is the witness, with the
-  row's sums.
+  cut edges are the XOR of its members' code words (their rows of cut
+  edges), and area and mass are ``_lookup`` sums over those bits and over
+  the mask.  A float sum of k positive terms errs by at most (k-1)u
+  relatively in any order (u = eps/2), far inside the 1e-12 band below, and
+  terms whose sum could overflow are refused.  The table is kept in the
+  graph's memo, one per pool, with the reports.  Every (nu, variant) is one
+  vectorized quotient over it, and the first row within 1e-12 of the
+  minimum, the least mask, is the witness, with the row's sums.
 - A set of a closed graph and its complement have the same I~ and I~'
   quotient, so those scans read one table over every vertex but one, r (a
   vertex with the most distinct neighbours), with each complement's measure
@@ -32,12 +33,12 @@ them.
   vertex.
 - ``_least_ratio`` scans the sets of a vertex set that are connected under
   "Gamma(a) meets Gamma(b)", in chunks of CHUNK, with byte tables for V(B),
-  Gamma(B) and V(Gamma(B)), in one pass.  For ``magnification`` and
-  ``bounds.certified_magnification`` its float ratios pick the sets near the
-  least: only sets at most half under any rounding set the limit, and every
-  set not over half under any rounding within it is kept.  Integer measures
-  decide those exactly, once per group of sets with the same count of each
-  distinct measure.
+  Gamma(B) and V(Gamma(B)) over the vertices of some Gamma(b), in one pass.
+  For ``magnification`` and ``bounds.certified_magnification`` its float
+  ratios pick the sets near the least: only sets at most half under any
+  rounding set the limit, and every set not over half under any rounding
+  within it is kept.  Integer measures decide those exactly, once per group
+  of sets with the same count of each distinct measure.
 
 A vectorized interval sweep handles long paths instead.
 """
@@ -114,16 +115,33 @@ def _lookup(tables: np.ndarray, subs: np.ndarray, combine) -> np.ndarray:
     return acc
 
 
-def _unpack(masks: np.ndarray, width: int) -> np.ndarray:
-    """Bits 0..width-1 of int64 masks, as a (len(masks), 8 ceil(width/8)) 0/1 array."""
-    byts = masks.astype("<i8", copy=False).view(np.uint8).reshape(len(masks), 8)
-    return np.unpackbits(byts[:, :-(-width // 8)], axis=1, bitorder="little")
+def _unpack(subs: np.ndarray, width: int) -> np.ndarray:
+    """Bits 0..width-1 of each row of ``subs``, read as ``_lookup`` reads it, in 0/1 columns."""
+    byts = np.ascontiguousarray(subs, "<i8").view(np.uint8)
+    byts = byts.reshape(len(subs), 8 * math.prod(subs.shape[1:]))
+    return np.unpackbits(byts, axis=1, count=width, bitorder="little")
 
 
-def _check_pool(size: int) -> None:
-    if size > POOL_LIMIT:
+def _row_tables(rows: np.ndarray, combine) -> tuple:
+    """(near, tables) of a boolean matrix with one row per pool vertex, at
+    most POOL_LIMIT: bit k of near[j] is set when rows j and k share a
+    column; ``tables`` are the ``_byte_tables`` for ``combine`` of the rows
+    packed into int64 words."""
+    if len(rows) > POOL_LIMIT:
         raise GraphError(
-            f"{size} free vertices exceed the {POOL_LIMIT} that int64 subset masks hold")
+            f"{len(rows)} free vertices exceed the {POOL_LIMIT} that int64 subset masks hold")
+    near = (rows @ rows.T) @ np.left_shift(1, np.arange(len(rows), dtype=np.int64))
+    words = np.zeros((len(rows), 64 * max(1, -(-rows.shape[1] // 64))), bool)
+    words[:, :rows.shape[1]] = rows
+    return near, _byte_tables(np.packbits(words, axis=1, bitorder="little").view("<i8"), combine)
+
+
+def _check_sums(*terms: np.ndarray) -> None:
+    """Refuse terms whose sum, with room for rounding, passes the float range;
+    a sum of k positive terms errs by at most (k-1)u in any order, so below
+    it no subset sum of them overflows."""
+    if not all(math.isfinite(sum(t.tolist()) * (1.0 + len(t) * 2.0**-51)) for t in terms):
+        raise GraphError("a subset's area or measure overflows the float range")
 
 
 def _check_subsets(count: int) -> None:
@@ -174,7 +192,6 @@ def enumerate_connected_subsets(g: WeightedGraph, allowed_mask: int) -> np.ndarr
     tables, so a whole component has area exactly 0.
     """
     pool = [i for i in range(g.n) if (allowed_mask >> i) & 1]
-    _check_pool(len(pool))
     dtype = [("mask", "i8" if g.n < 64 else object), ("area", "f8"), ("mass", "f8")]
     if not pool:
         return np.empty(0, dtype)
@@ -182,19 +199,16 @@ def enumerate_connected_subsets(g: WeightedGraph, allowed_mask: int) -> np.ndarr
     local[pool] = np.arange(len(pool))
     ju, jv = local[g.eu], local[g.ev]
     cut = np.flatnonzero((ju != jv) & (np.maximum(ju, jv) >= 0))  # local -1: off the pool
+    _check_sums(g.ea[cut], g.vmeasure[pool])
     # inc[j, k]: cut edge k has an end at pool vertex j (row -1: off the pool)
-    inc = np.zeros((len(pool) + 1, 64 * (len(cut) // 64 + 1)), bool)
+    inc = np.zeros((len(pool) + 1, len(cut)), bool)
     inc[ju[cut], np.arange(len(cut))] = inc[jv[cut], np.arange(len(cut))] = True
-    inc = inc[:-1]
-    # bit k of near[j]: a cut edge joins pool vertices j and k (ESU ignores bit j)
-    near = (inc @ inc.T) @ np.left_shift(1, np.arange(len(pool), dtype=np.int64))
-    # per pool vertex, a code word of its cut edges: their XOR over S marks
-    # the edges with exactly one end in S
-    code_t = _byte_tables(np.packbits(inc, axis=1, bitorder="little").view("<i8"),
-                          np.bitwise_xor)
-    area_t, mass_t = _byte_tables(g.ea[cut], np.add), _byte_tables(g.vmeasure[pool], np.add)
+    # bit k of near[j]: a cut edge joins pool vertices j and k; the XOR of the
+    # members' rows (code words) marks the edges with exactly one end in S
+    near, code_t = _row_tables(inc[:-1], np.bitwise_xor)
     masks = np.sort(_connected_masks(near))  # the pool ascends, so the graph masks do too
     table = np.empty(len(masks), dtype)
+    area_t, mass_t = _byte_tables(g.ea[cut], np.add), _byte_tables(g.vmeasure[pool], np.add)
     for lo in range(0, len(masks), CHUNK):
         part = masks[lo:lo + CHUNK]
         table["area"][lo:lo + CHUNK] = _lookup(area_t, _lookup(code_t, part, np.bitwise_xor),
@@ -319,6 +333,7 @@ def _tilde_table(g: WeightedGraph) -> tuple:
     as V(G) - V(S), which cancels when the complement is light.  Kept in the
     graph's memo."""
     def build():
+        _check_sums(g.vmeasure)
         r = max(range(g.n), key=lambda i: len(g.neighbors(i) - {i}))
         table = enumerate_connected_subsets(g, ((1 << g.n) - 1) ^ (1 << r))
         # uint64 holds the Python-int masks of 64 vertices; the complement's
@@ -392,47 +407,23 @@ def _scan_measures(g: WeightedGraph) -> np.ndarray:
     return scaled
 
 
-def _neighborhood_tables(g: WeightedGraph, idx: list[int], measures: np.ndarray):
-    """(meet, gamma_t, used, mass_t, vol_t) for masks over the vertices
-    ``idx`` (bit j selects idx[j]): bit k of meet[j] is set when
-    Gamma(idx[j]) meets Gamma(idx[k]).  Gamma(B) ORs byte tables of the
-    members' neighbours within the vertex bytes ``used``, into int64 words;
-    ``mass_t``, ``vol_t`` sum ``measures``."""
-    _check_pool(len(idx))
-    local = np.full(g.n, -1)
-    local[idx] = np.arange(len(idx))
-    # near[j, w]: an edge joins idx[j] and w (row -1: off the pool)
-    near = np.zeros((len(idx) + 1, g.n), dtype=bool)
-    near[local[g.eu], g.ev] = near[local[g.ev], g.eu] = True
-    near = near[local[idx]]
-    meet = (near @ near.T) @ np.left_shift(1, np.arange(len(idx), dtype=np.int64))
-    near = np.packbits(near, axis=1, bitorder="little")
-    # a pool without neighbours keeps one empty byte: ``_lookup`` needs a table
-    used = np.flatnonzero(np.logical_or.reduce(near, axis=0)).tolist() or [0]
-    words = np.zeros((len(idx), 8 * -(-len(used) // 8)), np.uint8)
-    words[:, :len(used)] = near[:, used]
-    padded = np.zeros(8 * near.shape[1])
-    padded[:g.n] = measures
-    return (meet, _byte_tables(words.view("<i8"), np.bitwise_or), used,
-            _byte_tables(measures[idx], np.add),
-            _byte_tables(padded.reshape(-1, 8)[used].ravel(), np.add))
-
-
 def _least_exact(counts: np.ndarray, masks: np.ndarray, value: list, cap):
     """The least (Fraction(g, m), mask, row) over the rows with 2 m <= cap,
     ties to the least mask, or None.  Row j counts the vertices of B (first
     half) and of Gamma(B) (second half) of each distinct measure, and m and g
     add those counts times its integer numerator (``value``, Python ints).
     Rows with equal counts have equal sums, so each group is decided once,
-    by its least mask."""
+    by its least mask (its first row once sorted)."""
     order = np.lexsort((masks, *counts.T))  # equal rows together, each group by mask
-    best, last, d = None, None, len(value)
-    for j, row in zip(order.tolist(), counts[order].astype(np.int64).tolist()):
-        if row != last:
-            last, mb = row, sum(map(operator.mul, row[:d], value))
-            if 2 * mb <= cap:
-                found = Fraction(sum(map(operator.mul, row[d:], value)), mb), int(masks[j]), j
-                best = found if best is None or found < best else best
+    rows = counts[order]
+    first = np.ones(len(rows), bool)  # the first row of each group, its least mask
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    best, d = None, len(value)
+    for j, row in zip(order[first].tolist(), rows[first].astype(np.int64).tolist()):
+        mb = sum(map(operator.mul, row[:d], value))
+        if 2 * mb <= cap:
+            found = Fraction(sum(map(operator.mul, row[d:], value)), mb), int(masks[j]), j
+            best = found if best is None or found < best else best
     return best
 
 
@@ -464,15 +455,20 @@ def _least_ratio(g: WeightedGraph, ids, half: bool):
     m = integer_column(g, "vmeasure")[1]
     idx = [g.index(v) for v in ids]
     measures = _scan_measures(g)
-    meet, gamma_t, used, mass_t, vol_t = _neighborhood_tables(g, idx, measures)
+    local = np.full(g.n, -1)
+    local[idx] = np.arange(len(idx))
+    # adj[j, w]: an edge joins idx[j] and w (row -1: off the pool)
+    adj = np.zeros((len(idx) + 1, g.n), dtype=bool)
+    adj[local[g.eu], g.ev] = adj[local[g.ev], g.eu] = True
+    cols = np.flatnonzero(adj[:-1].any(axis=0))  # the vertices of some Gamma(b)
+    # bit k of meet[j]: Gamma(idx[j]) meets Gamma(idx[k])
+    meet, gamma_t = _row_tables(adj[:-1, cols], np.bitwise_or)
+    mass_t, vol_t = _byte_tables(measures[idx], np.add), _byte_tables(measures[cols], np.add)
     masks = _connected_masks(meet)
     band = 2 * (g.n + len(idx)) * 2.0**-52  # 2(n + |ids|) eps
     mid, cap = (float(measures.sum()) / 2.0, sum(m)) if half else (math.inf, math.inf)
     distinct = dict(zip(g.vmeasure.tolist(), m))  # each distinct measure with its m
-    kinds = np.zeros((8 * -(-g.n // 8), len(distinct)))  # [v, c]: V(v) is the c-th of them
-    kinds[:g.n] = g.vmeasure[:, None] == list(distinct)
-    near_kinds = kinds.reshape(-1, 8, len(distinct))[used].reshape(-1, len(distinct))
-    value = list(distinct.values())
+    kinds = 1.0 * (g.vmeasure[:, None] == list(distinct))  # [v, c]: V(v) is the c-th of them
     limit, subs, ratios = math.inf, [], []  # nonempty ids make at least one chunk
     for sub in (masks[lo:lo + CHUNK] for lo in range(0, len(masks), CHUNK)):
         mass = _lookup(mass_t, sub, np.add)
@@ -486,11 +482,9 @@ def _least_ratio(g: WeightedGraph, ids, half: bool):
         subs.append(sub[rows])
         ratios.append(ratio[rows])
     sub, ratio = np.concatenate(subs), np.concatenate(ratios)  # may hold sets past the band
-    gamma = np.unpackbits(_lookup(gamma_t, sub, np.bitwise_or).view(np.uint8)[:, :len(used)],
-                          axis=1, bitorder="little")
-    counts = np.concatenate([_unpack(sub, len(idx))[:, :len(idx)] @ kinds[idx],
-                             gamma @ near_kinds], axis=1)
-    found = _least_exact(counts, sub, value, cap)
+    gamma = _unpack(_lookup(gamma_t, sub, np.bitwise_or), len(cols))
+    counts = np.concatenate([_unpack(sub, len(idx)) @ kinds[idx], gamma @ kinds[cols]], axis=1)
+    found = _least_exact(counts, sub, list(distinct.values()), cap)
     return None if found is None else (found[1], found[0], float(ratio[found[2]]))
 
 

@@ -187,6 +187,24 @@ def test_certified_magnification_when_the_float_total_overflows():
         certified_magnification(g, ["a", "c"])
 
 
+def test_certified_magnification_when_gamma_spans_two_words():
+    # a ring of 10 hubs, each with 7 private leaves: Gamma of the hubs is all
+    # 80 vertices, so Gamma(B) takes two int64 words
+    rng = np.random.default_rng(101)
+    hubs = list(range(10))
+    edges = ([(h, (h + 1) % 10) for h in hubs]
+             + [(h, 10 + 7 * h + k) for h in hubs for k in range(7)])
+    g = build_graph(range(80), edges, measures=rng.uniform(0.5, 2.0, 80))
+    assert len(neighborhood(g, hubs)) == 80
+    exact = [Fraction(x) for x in g.vmeasure.tolist()]
+    brute = min(
+        sum(exact[g.index(v)] for v in neighborhood(g, B)) / sum(exact[g.index(v)] for v in B)
+        for k in range(1, len(hubs) + 1)
+        for B in itertools.combinations(hubs, k)
+    ) - 1
+    assert certified_magnification(g, hubs) == brute
+
+
 def test_certified_magnification_is_below_what_alon_field_certifies():
     # B = {a, c} reaches only b; the identity slot lets a and c keep their own
     # measure, so the transport of (1 + 1/2) V into A's closed neighbourhood is feasible

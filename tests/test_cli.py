@@ -227,9 +227,10 @@ def test_heat_rejects_negative_or_nonfinite_t(tmp_path, capsys):
         {"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "a": "x"}]},
         {"vertices": [[1], 2], "edges": []},
         {"vertices": [1, 2], "edges": [{"u": [1], "v": 2}]},
-        {"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "a": "inf"}]},
-        {"vertices": [{"id": 1, "measure": "nan"}, 2], "edges": []},
-        {"vertices": [{"id": 1, "measure": "Infinity"}, 2], "edges": []},
+        # json writes these as Infinity and NaN, which it reads back as floats
+        {"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "a": math.inf}]},
+        {"vertices": [{"id": 1, "measure": math.nan}, 2], "edges": []},
+        {"vertices": [{"id": 1, "measure": math.inf}, 2], "edges": []},
         {"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "a": 1e308, "length": 1e308}]},
         # integer literals too large for a float
         {"vertices": [{"id": 1, "measure": 10**400}], "edges": []},
@@ -245,6 +246,15 @@ def test_heat_rejects_negative_or_nonfinite_t(tmp_path, capsys):
         {"vertices": [{"id": 1, "measure": True}, 2], "edges": []},
         {"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "a": True}]},
         {"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "length": False}]},
+        # a string, an object or a string number where JSON arrays and numbers belong
+        {"vertices": "abc"},
+        {"vertices": {"a": 1, "b": 2}, "edges": []},
+        {"vertices": [1, 2], "edges": ""},
+        {"vertices": [1, 2], "edges": {}},
+        {"vertices": [{"id": 1, "measure": "2"}], "edges": []},
+        {"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "a": "2"}]},
+        {"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "length": " 3 "}]},
+        {"vertices": [{"id": 1, "measure": "Infinity"}, 2], "edges": []},
     ],
 )
 def test_malformed_document_is_usage_error(tmp_path, capsys, doc):
@@ -265,7 +275,7 @@ def test_too_deeply_nested_json_is_usage_error(tmp_path, capsys):
 def test_nonfinite_weight_is_usage_error_for_spectrum(tmp_path, capsys):
     # an infinite conductance used to print NaN eigenvalues with exit 0
     target = tmp_path / "inf.json"
-    target.write_text(json.dumps({"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "a": "inf"}]}))
+    target.write_text(json.dumps({"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "a": math.inf}]}))
     _assert_usage_error(*_run_err(capsys, "spectrum", str(target)))
 
 

@@ -360,14 +360,14 @@ def test_every_bad_weight_is_refused_without_a_warning():
         ({"vertices": [{"measure": 1}], "edges": []}, "malformed graph document: missing key 'id'"),
         ({"vertices": [1, 2], "edges": [{"u": 1}]}, "malformed graph document: missing key 'v'"),
         ({"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "a": "x"}]},
-         "malformed graph document: could not convert string to float: 'x'"),
+         "malformed graph document: 'a' must be a number, not 'x'"),
         ({"vertices": [[1], 2], "edges": []}, "vertex ids must be hashable: unhashable type: 'list'"),
         ({"vertices": [1, 2], "edges": [{"u": [1], "v": 2}]}, "edge endpoint not in graph: [1]-2"),
-        ({"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "a": "inf"}]},
+        ({"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "a": math.inf}]},
          "edge weights and lengths must be positive, their product finite"),
-        ({"vertices": [{"id": 1, "measure": "nan"}, 2], "edges": []},
+        ({"vertices": [{"id": 1, "measure": math.nan}, 2], "edges": []},
          "vertex measures must be positive and finite"),
-        ({"vertices": [{"id": 1, "measure": "Infinity"}, 2], "edges": []},
+        ({"vertices": [{"id": 1, "measure": math.inf}, 2], "edges": []},
          "vertex measures must be positive and finite"),
         ({"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "a": 1e308, "length": 1e308}]},
          "edge weights and lengths must be positive, their product finite"),
@@ -389,6 +389,19 @@ def test_every_bad_weight_is_refused_without_a_warning():
          "malformed graph document: 'a' must be a number, not true or false"),
         ({"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "length": False}]},
          "malformed graph document: 'length' must be a number, not true or false"),
+        ({"vertices": "abc"}, "malformed graph document: 'vertices' must be an array"),
+        ({"vertices": {"a": 1, "b": 2}, "edges": []},
+         "malformed graph document: 'vertices' must be an array"),
+        ({"vertices": [1, 2], "edges": ""}, "malformed graph document: 'edges' must be an array"),
+        ({"vertices": [1, 2], "edges": {}}, "malformed graph document: 'edges' must be an array"),
+        ({"vertices": [{"id": 1, "measure": "2"}], "edges": []},
+         "malformed graph document: 'measure' must be a number, not '2'"),
+        ({"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "a": "2"}]},
+         "malformed graph document: 'a' must be a number, not '2'"),
+        ({"vertices": [1, 2], "edges": [{"u": 1, "v": 2, "length": " 3 "}]},
+         "malformed graph document: 'length' must be a number, not ' 3 '"),
+        ({"vertices": [{"id": 1, "measure": "Infinity"}, 2], "edges": []},
+         "malformed graph document: 'measure' must be a number, not 'Infinity'"),
     ],
 )
 def test_malformed_documents_keep_their_messages(doc, message):

@@ -242,7 +242,7 @@ def test_lookup_over_rows_of_several_words_and_an_empty_chunk():
 def test_exact_decision_of_one_row_and_of_many():
     rng = np.random.default_rng(89)
     value = [2**53 + 1, 3, 7 * 2**60]
-    for n in (1, 1, 2, 9, 60):
+    for n in (1, 1, 2, 9, 60, 0):  # no row: a lone closed vertex keeps none
         counts = rng.integers(0, 3, size=(n, 6)).astype(float)
         counts[:, 0] += 1  # every B is nonempty
         masks = rng.permutation(1000)[:n].astype(np.int64)
@@ -300,6 +300,31 @@ def test_free_vertex_pool_of_64_is_refused():
             iso_constant(g, 2.0, "tilde" if g.is_closed else "open")
         with pytest.raises(GraphError, match="63"):
             magnification(g)
+
+
+def test_both_scans_refuse_a_pool_of_64_with_one_message():
+    g = cycle(64)
+    messages = set()
+    for scan in (lambda: enumerate_connected_subsets(g, _all_mask(g)), lambda: magnification(g)):
+        with pytest.raises(GraphError) as info:
+            scan()
+        messages.add(str(info.value))
+    assert messages == {"64 free vertices exceed the 63 that int64 subset masks hold"}
+
+
+@pytest.mark.filterwarnings("error")
+def test_subset_sums_that_overflow_are_refused():
+    # every measure 1e308: V({b, c}) overflowed to inf, and I~_inf read 0.0
+    # with witness {b, c} and a RuntimeWarning; the true value is 1e-308
+    g = build_graph(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")],
+                    measures=[1e308] * 4)
+    # on the closed path a-b-c the scan avoids b: no set of its table weighs
+    # 2e308, but the complement measures V({b, c}) and V({a, b}) do
+    p = build_graph(list("abc"), [("a", "b"), ("b", "c")], measures=[1e308] * 3)
+    for h, nu, variant in ((g, math.inf, "tilde"), (g, 2.0, "tilde"), (g, 2.0, "tilde_prime"),
+                           (with_boundary(g, ["d"]), math.inf, "open"), (p, math.inf, "tilde")):
+        with pytest.raises(GraphError, match="^a subset's area or measure overflows the float"):
+            iso_constant(h, nu, variant)
 
 
 def test_subset_table_of_a_63_cycle():

@@ -1,12 +1,14 @@
 """Time the benchmark workload commands on two checkouts, paired in one process.
 
-    python3 tools/ab.py PARENT [CHANGE] [--seeds 1 2 3] [--repeat 5]
+    python3 tools/ab.py PARENT [CHANGE] [--seeds 1 2 3] [--repeat 5] [--kinds iso bounds]
 
 Loads ``src/graphcalc`` of both checkouts side by side, under the module
 names ``graphcalc_parent`` and ``graphcalc_change``, with one BLAS thread as
 in ``perfbench/run.py``.  CHANGE (by default the checkout that holds this
 script) supplies ``perfbench/workloads.py``; the documents are written to a
-temporary directory as ``tools/workload_stdout.py`` writes them.
+temporary directory as ``tools/workload_stdout.py`` writes them.  With
+``--kinds`` only the commands of those kinds (``workloads.KINDS``: iso,
+bounds, flow, verify, spectrum, heat, info) are paired; by default all are.
 
 Each distinct command first runs once on each side, and the commands whose
 exit code or stdout differ are listed.  Then each command runs ``--repeat``
@@ -62,6 +64,7 @@ def main(argv: list[str]) -> int:
     p.add_argument("change", nargs="?", default=os.path.join(os.path.dirname(__file__), ".."))
     p.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS))
     p.add_argument("--repeat", type=int, default=5, help="timed pairs per command")
+    p.add_argument("--kinds", nargs="+", help="pair only the commands of these kinds")
     args = p.parse_args(argv)
     if args.repeat < 1:
         p.error("--repeat must be at least 1")
@@ -71,8 +74,11 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, os.path.join(roots[1], "perfbench"))
     import workloads
 
+    if unknown := set(args.kinds or ()) - set(workloads.KINDS):
+        p.error(f"unknown kinds {sorted(unknown)}; choose from {', '.join(workloads.KINDS)}")
+    kinds = set(args.kinds or workloads.KINDS)
     with tempfile.TemporaryDirectory() as tmp:
-        commands = list(workload_commands(workloads, args.seeds, tmp))
+        commands = [c for c in workload_commands(workloads, args.seeds, tmp) if c[2].kind in kinds]
         differ = []
         for name, seed, cmd, path in commands:
             outs = [run_command(clis[s], cmd.argv(path))[:2] for s in SIDES]
