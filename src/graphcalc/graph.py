@@ -12,11 +12,10 @@ entry per vertex) and ``eu``, ``ev`` (tail and head vertex indices), ``ea``
 and ``elen`` (one entry per edge); ``n`` and ``m`` count the vertices and
 the edges.  Edges are stored with an orientation (tail ``u`` -> head ``v``)
 purely as a bookkeeping convention for vector fields; nothing downstream
-depends on the choice.  Two views are built on their first read and kept in
-the graph's memo: ``edges``, a tuple of ``Edge`` objects, and
-``adjacency``, the one neighbour structure: per vertex index, the frozenset
-of the indices it shares an edge with (itself too when it carries a loop);
-every module reads it through ``neighbors``.
+depends on the choice.  The edge columns are the one neighbour structure:
+every module reads neighbours from ``eu`` and ``ev`` in numpy.  One view,
+``edges``, a tuple of ``Edge`` objects, is built on its first read and kept
+in the graph's memo.
 """
 
 from __future__ import annotations
@@ -72,9 +71,8 @@ class Edge:
 class WeightedGraph:
     """Immutable: the graph is its columns, every array read-only (the
     columns passed in are copied), and attributes cannot be rebound.  The
-    views ``edges`` and ``adjacency`` are tuples, built on first read.  Data
-    derived from the graph is computed once and kept in one memo, with the
-    views."""
+    view ``edges`` is a tuple, built on first read.  Data derived from the
+    graph is computed once and kept in one memo, with the view."""
 
     def __init__(
         self,
@@ -174,18 +172,6 @@ class WeightedGraph:
         return self.memo(("edges",), lambda: tuple(map(
             Edge, *self.endpoint_ids(), self.ea.tolist(), self.elen.tolist())))
 
-    @property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        """Per vertex index, the frozenset of the indices it shares an edge
-        with (itself too when it carries a loop)."""
-        def build():
-            near = [set() for _ in self.vertices]
-            for iu, iv in zip(self.eu.tolist(), self.ev.tolist()):
-                near[iu].add(iv)
-                near[iv].add(iu)
-            return tuple(map(frozenset, near))
-        return self.memo(("adjacency",), build)
-
     def endpoint_ids(self) -> tuple[list, list]:
         """The tail ids and the head ids of the edges, in edge order."""
         ids = self.vertices
@@ -206,10 +192,6 @@ class WeightedGraph:
 
     def interior_indices(self) -> np.ndarray:
         return np.nonzero(self.interior_mask)[0]
-
-    def neighbors(self, i: int) -> frozenset[int]:
-        """Vertex indices joined to ``i`` by some edge (a loop makes i its own)."""
-        return self.adjacency[i]
 
     # -- (de)serialization -------------------------------------------------
 

@@ -11,9 +11,10 @@ depths at once, so each set is formed once and nothing is deduplicated.  A
 subset is an int64 mask over a pool of vertices (bit j = j-th pool vertex);
 one kernel, ``_lookup``, combines per-byte table entries over the bytes of a
 mask or of a row of int64 words.  One builder, ``_row_tables``, gives both
-scans their ESU graph and byte tables from one boolean row per pool vertex.
-A scan that would visit more than SUBSET_CAP subsets raises ``GraphError``:
-ESU counts its rows as it forms them.
+scans their ESU graph and byte tables from (pool vertex, column) pairs read
+off the edge columns ``eu`` and ``ev``, and refuses a pool past POOL_LIMIT
+before it allocates anything.  A scan that would visit more than SUBSET_CAP
+subsets raises ``GraphError``: ESU counts its rows as it forms them.
 
 - ``enumerate_connected_subsets`` builds the (mask, area, mass) table of the
   connected subsets of the free vertices; the rows run by mask.  A set's
@@ -40,7 +41,8 @@ ESU counts its rows as it forms them.
   within it is kept.  Integer measures decide those exactly, once per group
   of sets with the same count of each distinct measure.
 
-A vectorized interval sweep handles long paths instead.
+Paths of more than 64 vertices take an interval sweep instead: the left ends
+go in blocks of at most CHUNK**2 // 16 cells, each scored by ``_quotient``.
 """
 
 from __future__ import annotations
@@ -122,18 +124,25 @@ def _unpack(subs: np.ndarray, width: int) -> np.ndarray:
     return np.unpackbits(byts, axis=1, count=width, bitorder="little")
 
 
-def _row_tables(rows: np.ndarray, combine) -> tuple:
-    """(near, tables) of a boolean matrix with one row per pool vertex, at
-    most POOL_LIMIT: bit k of near[j] is set when rows j and k share a
-    column; ``tables`` are the ``_byte_tables`` for ``combine`` of the rows
-    packed into int64 words."""
-    if len(rows) > POOL_LIMIT:
+def _row_tables(size: int, rows: np.ndarray, cols: np.ndarray, combine) -> tuple:
+    """(near, tables, used) of the boolean matrix with ``size`` rows, one
+    per pool vertex, at most POOL_LIMIT, that holds True at each (rows[k],
+    cols[k]) with rows[k] >= 0.  ``used`` are the columns that hold a True,
+    ascending, and the matrix keeps only them: bit k of near[j] is set when
+    rows j and k share a column, and ``tables`` are the ``_byte_tables`` for
+    ``combine`` of the rows packed into int64 words.  A pool past the limit
+    is refused before anything is allocated."""
+    if size > POOL_LIMIT:
         raise GraphError(
-            f"{len(rows)} free vertices exceed the {POOL_LIMIT} that int64 subset masks hold")
-    near = (rows @ rows.T) @ np.left_shift(1, np.arange(len(rows), dtype=np.int64))
-    words = np.zeros((len(rows), 64 * max(1, -(-rows.shape[1] // 64))), bool)
-    words[:, :rows.shape[1]] = rows
-    return near, _byte_tables(np.packbits(words, axis=1, bitorder="little").view("<i8"), combine)
+            f"{size} free vertices exceed the {POOL_LIMIT} that int64 subset masks hold")
+    on = rows >= 0
+    rows, cols = rows[on], cols[on]
+    used = np.bincount(cols).nonzero()[0]
+    matrix = np.zeros((size, 64 * max(1, -(-len(used) // 64))), bool)
+    matrix[rows, used.searchsorted(cols)] = True
+    words = np.packbits(matrix, axis=1, bitorder="little").view("<i8")
+    near = (words[:, None] & words).any(axis=2) @ np.left_shift(1, np.arange(size, dtype=np.int64))
+    return near, _byte_tables(words, combine), used
 
 
 def _check_sums(*terms: np.ndarray) -> None:
@@ -185,8 +194,8 @@ def enumerate_connected_subsets(g: WeightedGraph, allowed_mask: int) -> np.ndarr
     """The (mask, area, mass) table of every nonempty connected subset S of
     ``allowed_mask``, each once: ``area`` = A(boundary S), ``mass`` = V(S).
 
-    The sets are ``_connected_masks`` of the pool-local adjacency (bit j =
-    j-th allowed vertex); rows run by mask.  ``area`` adds a_e over the edges
+    The sets are ``_connected_masks`` of the pool-local graph (bit j = j-th
+    allowed vertex); rows run by mask.  ``area`` adds a_e over the edges
     with exactly one endpoint in S, marked by the XOR of the members' code
     words, and ``mass`` adds V(v) over S; both are ``_lookup`` sums of byte
     tables, so a whole component has area exactly 0.
@@ -195,17 +204,16 @@ def enumerate_connected_subsets(g: WeightedGraph, allowed_mask: int) -> np.ndarr
     dtype = [("mask", "i8" if g.n < 64 else object), ("area", "f8"), ("mass", "f8")]
     if not pool:
         return np.empty(0, dtype)
-    local = np.full(g.n, -1)
+    local = np.full(g.n, -1)  # -1: off the pool
     local[pool] = np.arange(len(pool))
-    ju, jv = local[g.eu], local[g.ev]
-    cut = np.flatnonzero((ju != jv) & (np.maximum(ju, jv) >= 0))  # local -1: off the pool
+    # row j holds the non-loop edges with an end at pool vertex j: the cut
+    # edges are the used columns.  Bit k of near[j]: an edge joins pool
+    # vertices j and k; the XOR of the members' rows (code words) marks the
+    # edges with exactly one end in S
+    edge = np.flatnonzero(~g.loop_mask)
+    ends = np.concatenate([local[g.eu[edge]], local[g.ev[edge]]])
+    near, code_t, cut = _row_tables(len(pool), ends, np.concatenate([edge, edge]), np.bitwise_xor)
     _check_sums(g.ea[cut], g.vmeasure[pool])
-    # inc[j, k]: cut edge k has an end at pool vertex j (row -1: off the pool)
-    inc = np.zeros((len(pool) + 1, len(cut)), bool)
-    inc[ju[cut], np.arange(len(cut))] = inc[jv[cut], np.arange(len(cut))] = True
-    # bit k of near[j]: a cut edge joins pool vertices j and k; the XOR of the
-    # members' rows (code words) marks the edges with exactly one end in S
-    near, code_t = _row_tables(inc[:-1], np.bitwise_xor)
     masks = np.sort(_connected_masks(near))  # the pool ascends, so the graph masks do too
     table = np.empty(len(masks), dtype)
     area_t, mass_t = _byte_tables(g.ea[cut], np.add), _byte_tables(g.vmeasure[pool], np.add)
@@ -255,23 +263,25 @@ def _is_simple_path(g: WeightedGraph) -> list[int] | None:
     """Vertex order along the path if g is a simple path graph, else None."""
     if g.n < 2 or g.m != g.n - 1 or bool(g.loop_mask.any()):
         return None
-    ends = [i for i, near in enumerate(g.adjacency) if len(near) == 1]
-    if len(ends) != 2 or max(map(len, g.adjacency)) > 2:
+    degree = np.bincount(g.eu, minlength=g.n) + np.bincount(g.ev, minlength=g.n)
+    ends = np.flatnonzero(degree == 1).tolist()
+    if len(ends) != 2 or degree.max() > 2:
         return None
-    order, prev = [ends[0]], -1
-    while len(order) < g.n:
-        nxt = [x for x in g.adjacency[order[-1]] if x != prev]
-        if not nxt:
-            return None
-        prev = order[-1]
-        order.append(nxt[0])
-    return order
+    # the sum of each vertex's neighbours: a step goes to the one it did not come from
+    link = (np.bincount(g.eu, g.ev, g.n) + np.bincount(g.ev, g.eu, g.n)).astype(int).tolist()
+    order, prev = [ends[0]], 0
+    while order[-1] != ends[1]:  # the other end of the component of ends[0]
+        prev, nxt = order[-1], link[order[-1]] - prev
+        order.append(nxt)
+    return order if len(order) == g.n else None  # stuck: other components remain
 
 
 def _iso_open_path(g: WeightedGraph, nu: float) -> IsoReport:
-    """O(n^2) vectorized interval sweep for open-variant constants on paths:
-    the admissible sets are the runs of free vertices along the path, and
-    each mass adds its run's measures in path order."""
+    """Vectorized interval sweep for open-variant constants on paths: the
+    admissible sets are the runs of free vertices along the path, and each
+    mass adds its run's measures in path order.  The left ends go in blocks
+    of at most CHUNK**2 // 16 cells, each scored by ``_quotient``; the first
+    least quotient in (left, right) order is the witness."""
     order = _is_simple_path(g)
     assert order is not None
     # w[p]: the weight of the edge between positions p and p + 1
@@ -279,28 +289,25 @@ def _iso_open_path(g: WeightedGraph, nu: float) -> IsoReport:
     pos[order] = np.arange(g.n)
     w = np.empty(g.n - 1)
     w[np.minimum(pos[g.eu], pos[g.ev])] = g.ea
-    meas = g.vmeasure[np.array(order)]
-    free = g.interior_mask[order]
-    bnd = np.concatenate([[0], np.cumsum(~free)])  # boundary vertices before each position
-    I, J = np.meshgrid(*[np.flatnonzero(free)] * 2, indexing="ij")
-    valid = (J >= I) & (bnd[J + 1] == bnd[I])
-    left = np.where(I > 0, w[np.maximum(I - 1, 0)], 0.0)
-    right = np.where(J < g.n - 1, w[np.minimum(J, g.n - 2)], 0.0)
-    area = left + right
-    mass = np.cumsum(np.where(J >= I, meas[J], 0.0), axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if nu == math.inf:
-            vals = area / mass
-        elif nu == 1:
-            vals = area.astype(float)
-        else:
-            vals = area / mass ** (1.0 - 1.0 / nu)
-    vals = np.where(valid, vals, np.inf)
-    kmin = np.unravel_index(np.argmin(vals), vals.shape)
-    besti, bestj = int(I[kmin]), int(J[kmin])
-    ids = frozenset(g.vertices[order[p]] for p in range(besti, bestj + 1))
-    witness = AdmissibleSet(ids, float(area[kmin]), float(mass[kmin]))
-    return IsoReport(nu, "open", float(vals[kmin]), witness)
+    meas, free = g.vmeasure[order], np.flatnonzero(g.interior_mask[order])
+    # boundary vertices before each position, and the weights left and right of it
+    bnd = np.concatenate([[0], np.cumsum(~g.interior_mask[order])])
+    wl, wr = np.concatenate([[0.0], w]), np.concatenate([w, [0.0]])
+    step = max(1, CHUNK * CHUNK // 16 // len(free))
+    for lo in range(0, len(free), step):
+        I, J = free[lo:lo + step, None], free[None, lo:]
+        after = J >= I
+        area = wl[I] + wr[J]
+        mass = np.cumsum(np.where(after, meas[J], 0.0), axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = _quotient(area, mass, None, nu, "open")
+        vals[~after | (bnd[J + 1] != bnd[I])] = math.inf  # not a run of free vertices
+        k = np.unravel_index(np.argmin(vals), vals.shape)
+        if lo == 0 or vals[k] < best[0]:
+            best = float(vals[k]), int(I[k[0], 0]), int(J[0, k[1]]), float(area[k]), float(mass[k])
+    value, i, j, area, mass = best
+    ids = frozenset(g.vertices[order[p]] for p in range(i, j + 1))
+    return IsoReport(nu, "open", value, AdmissibleSet(ids, area, mass))
 
 
 def default_variant(g: WeightedGraph) -> str:
@@ -334,7 +341,14 @@ def _tilde_table(g: WeightedGraph) -> tuple:
     graph's memo."""
     def build():
         _check_sums(g.vmeasure)
-        r = max(range(g.n), key=lambda i: len(g.neighbors(i) - {i}))
+        # distinct neighbours: the ends of the distinct codes min * n + max of the non-loop edges
+        lo, hi = np.minimum(g.eu, g.ev), np.maximum(g.eu, g.ev)
+        code = (lo * g.n + hi)[lo != hi]
+        code.sort()
+        first = np.ones(len(code), bool)  # the first of each run of equal codes
+        first[1:] = code[1:] != code[:-1]
+        near = np.bincount(code // g.n, first, g.n) + np.bincount(code % g.n, first, g.n)
+        r = int(near.argmax())  # the least index on ties
         table = enumerate_connected_subsets(g, ((1 << g.n) - 1) ^ (1 << r))
         # uint64 holds the Python-int masks of 64 vertices; the complement's
         # bits past n select the tables' zero padding
@@ -391,7 +405,10 @@ def _iso_constant(g: WeightedGraph, nu: float, variant: str) -> IsoReport:
 
 def neighborhood(g: WeightedGraph, vertex_ids) -> frozenset:
     """Gamma(A): vertices (possibly inside A) having an edge to A."""
-    return frozenset(g.vertices[w] for v in vertex_ids for w in g.neighbors(g.index(v)))
+    inside = np.zeros(g.n, bool)
+    inside[[g.index(v) for v in vertex_ids]] = True
+    far = np.concatenate([g.ev[inside[g.eu]], g.eu[inside[g.ev]]])  # a loop's far end is itself
+    return frozenset(map(g.vertices.__getitem__, far.tolist()))
 
 
 def _scan_measures(g: WeightedGraph) -> np.ndarray:
@@ -452,17 +469,15 @@ def _least_ratio(g: WeightedGraph, ids, half: bool):
     sets on the integer column m of the measures: 2 m(B) <= m(G) and the
     least Fraction.
     """
-    m = integer_column(g, "vmeasure")[1]
     idx = [g.index(v) for v in ids]
-    measures = _scan_measures(g)
-    local = np.full(g.n, -1)
+    local = np.full(g.n, -1)  # -1: off the pool
     local[idx] = np.arange(len(idx))
-    # adj[j, w]: an edge joins idx[j] and w (row -1: off the pool)
-    adj = np.zeros((len(idx) + 1, g.n), dtype=bool)
-    adj[local[g.eu], g.ev] = adj[local[g.ev], g.eu] = True
-    cols = np.flatnonzero(adj[:-1].any(axis=0))  # the vertices of some Gamma(b)
-    # bit k of meet[j]: Gamma(idx[j]) meets Gamma(idx[k])
-    meet, gamma_t = _row_tables(adj[:-1, cols], np.bitwise_or)
+    # row j is Gamma(idx[j]), so the used columns are the vertices of some
+    # Gamma(b); bit k of meet[j]: Gamma(idx[j]) meets Gamma(idx[k])
+    meet, gamma_t, cols = _row_tables(len(idx), np.concatenate([local[g.eu], local[g.ev]]),
+                                      np.concatenate([g.ev, g.eu]), np.bitwise_or)
+    m = integer_column(g, "vmeasure")[1]
+    measures = _scan_measures(g)
     mass_t, vol_t = _byte_tables(measures[idx], np.add), _byte_tables(measures[cols], np.add)
     masks = _connected_masks(meet)
     band = 2 * (g.n + len(idx)) * 2.0**-52  # 2(n + |ids|) eps
@@ -547,16 +562,12 @@ def characteristic_approx(
         raise GraphError("S must be a nonempty subset of the vertices")
     if any(v in g.boundary for v in sids):
         raise GraphError("S must avoid the boundary")
-    if eps <= 0 or eps >= min((e.length for e in g.edges), default=1.0):
-        raise GraphError("eps must lie in (0, min edge length)")
+    cut = [(k, e) for k, e in enumerate(g.edges) if (e.u in sids) != (e.v in sids)]
+    if eps <= 0 or eps >= min((e.length for _, e in cut), default=math.inf):
+        raise GraphError("eps must lie in (0, min length of the edges leaving S)")
     cur = g
-    count = 0
-    for k, e in enumerate(list(g.edges)):
-        inu, inv = e.u in sids, e.v in sids
-        if inu == inv:
-            continue
-        frac = eps / e.length if inu else 1.0 - eps / e.length
+    for count, (k, e) in enumerate(cut):
+        frac = eps / e.length if e.u in sids else 1.0 - eps / e.length
         cur = subdivide_edge(cur, k, frac, f"__cut{count}", measure=1e-300)
-        count += 1
     values = np.array([1.0 if v in sids else 0.0 for v in cur.vertices])
     return cur, VertexFunction(cur, values)

@@ -22,6 +22,7 @@ from graphcalc.generators import cycle, path, random_graph
 from graphcalc.graph import component_labels, integer_column
 from graphcalc.isoperimetry import iso_constant, magnification
 from graphcalc.operators import eigenvalues
+from neighbours import neighbour_sets
 
 
 def test_edge_measure_and_loop():
@@ -206,8 +207,9 @@ def test_with_boundary_and_connectivity():
 
 
 def _dfs_labels(g, keep):
-    """Component labels by depth-first search over the adjacency sets, in
+    """Component labels by depth-first search over the neighbour sets, in
     order of the least vertex, -1 off keep."""
+    near = neighbour_sets(g)
     label = [-1] * g.n
     count = 0
     for start in range(g.n):
@@ -216,7 +218,7 @@ def _dfs_labels(g, keep):
         label[start] = count
         stack = [start]
         while stack:
-            for j in g.adjacency[stack.pop()]:
+            for j in near[stack.pop()]:
                 if keep[j] and label[j] < 0:
                     label[j] = count
                     stack.append(j)
@@ -271,19 +273,6 @@ def test_graph_is_immutable():
         g.vmeasure = np.ones(4)
 
 
-def test_adjacency_matches_the_edge_arrays():
-    # loops, parallel edges and an isolated vertex
-    rng = np.random.default_rng(29)
-    g = random_graph(9, rng, extra_edges=14, allow_loops=True)
-    g = build_graph(list(g.vertices) + [9], list(g.edges) + [g.edges[0], Edge(3, 3)])
-    assert len(g.adjacency) == g.n and bool(g.loop_mask.any())
-    for i in range(g.n):
-        near = {int(v) for u, v in zip(g.eu, g.ev) if u == i} | {
-            int(u) for u, v in zip(g.eu, g.ev) if v == i}
-        assert g.neighbors(i) is g.adjacency[i] == frozenset(near)
-    assert g.adjacency[9] == frozenset() and 3 in g.adjacency[3]
-
-
 def _random_document(rng):
     """A graph document with int and str ids, bare and full vertex entries,
     a boundary, loops, parallel edges and omitted a / length."""
@@ -331,19 +320,18 @@ def test_from_dict_matches_the_graph_built_from_edge_objects():
             assert np.array_equal(getattr(g, name), getattr(ref, name)), name
             assert getattr(g, name).dtype == getattr(ref, name).dtype, name
         assert g.edges == ref.edges
-        assert g.adjacency == ref.adjacency
         assert g.edges == tuple(
             Edge(s["u"], s["v"], s.get("a", 1.0), s.get("length", 1.0)) for s in doc["edges"])
 
 
-def test_the_sparse_solve_builds_neither_edges_nor_adjacency():
-    # the views are built on first read; a solve reads only the columns
+def test_the_sparse_solve_does_not_build_edges():
+    # the view is built on first read; a solve reads only the columns
     g = WeightedGraph.from_dict(random_graph(400, np.random.default_rng(5)).to_dict())
     assert g.is_closed and g.n > 300  # past SPARSE_ROWS
     eigenvalues(g, 2)
-    assert g.memoized(("edges",)) is None and g.memoized(("adjacency",)) is None
-    views = g.edges, g.adjacency
-    assert (g.memoized(("edges",)), g.memoized(("adjacency",))) == views
+    assert g.memoized(("edges",)) is None
+    edges = g.edges
+    assert g.memoized(("edges",)) is edges
 
 
 @pytest.mark.filterwarnings("error")

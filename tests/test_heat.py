@@ -39,6 +39,7 @@ from graphcalc.generators import (
     radial_graph,
     random_graph,
 )
+from neighbours import neighbour_sets
 
 
 def test_k2_closed_diagonal():
@@ -218,14 +219,14 @@ def test_hypothesis_audit_reads_the_shared_table(monkeypatch):
         out = hypothesis_audit(g, phi)
         assert len(builds) == 1
         builds.clear()
-        pool = [i for i in range(g.n) if g.interior_mask[i]]
+        pool, near = [i for i in range(g.n) if g.interior_mask[i]], neighbour_sets(g)
         failing = []  # every connected failing set, by brute force
         for sub in range(1, 1 << len(pool)):
             S = {g.vertices[v] for j, v in enumerate(pool) if (sub >> j) & 1}
             idx = {g.index(v) for v in S}
             seen, stack = {min(idx)}, [min(idx)]
             while stack:
-                for j in g.neighbors(stack.pop()) & idx - seen:
+                for j in near[stack.pop()] & idx - seen:
                     seen.add(j)
                     stack.append(j)
             area = sum(e.a for e in g.edges if (e.u in S) != (e.v in S))

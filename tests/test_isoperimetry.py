@@ -26,6 +26,7 @@ from graphcalc.bounds import certified_magnification
 from graphcalc.isoperimetry import _iso_open_path
 from graphcalc.verify import run_suite
 from graphcalc.generators import complete, cycle, hypercube, path, random_graph
+from neighbours import neighbour_sets
 
 
 def _all_mask(g):
@@ -50,7 +51,7 @@ def test_connected_subsets_match_brute_force():
     rng = np.random.default_rng(31)
     for _ in range(10):
         g = random_graph(int(rng.integers(2, 9)), rng)
-        nbrs = [g.neighbors(i) for i in range(g.n)]
+        nbrs = neighbour_sets(g)
 
         def connected(mask):
             verts = [i for i in range(g.n) if (mask >> i) & 1]
@@ -72,11 +73,12 @@ def test_connected_subsets_match_brute_force():
                                  _table_mass(g, _all_mask(g), mask))
 
 
-def _connected_within(g, mask):
-    verts = [i for i in range(g.n) if (mask >> i) & 1]
+def _connected_within(near, mask):
+    """Whether the vertices of ``mask`` are connected under the neighbour sets ``near``."""
+    verts = [i for i in range(len(near)) if (mask >> i) & 1]
     seen, stack = {verts[0]}, [verts[0]]
     while stack:
-        for j in g.neighbors(stack.pop()):
+        for j in near[stack.pop()]:
             if (mask >> j) & 1 and j not in seen:
                 seen.add(j)
                 stack.append(j)
@@ -115,11 +117,11 @@ def _check_table_against_brute_force(g):
     """The table over g's free vertices holds every connected subset once,
     with its ordered sums, exactly; bit j of a pool-local brute-force subset
     selects the j-th free vertex, the table holds vertex masks."""
-    pool = g.interior_indices().tolist()
+    pool, near = g.interior_indices().tolist(), neighbour_sets(g)
     brute = set()
     for sub in range(1, 1 << len(pool)):
         mask = sum(1 << v for j, v in enumerate(pool) if (sub >> j) & 1)
-        if _connected_within(g, mask):
+        if _connected_within(near, mask):
             brute.add(mask)
     allowed = sum(1 << v for v in pool)
     _check_table(g, allowed, enumerate_connected_subsets(g, allowed), brute)
@@ -312,6 +314,40 @@ def test_both_scans_refuse_a_pool_of_64_with_one_message():
     assert messages == {"64 free vertices exceed the 63 that int64 subset masks hold"}
 
 
+def test_a_pool_past_the_limit_is_refused_before_the_pool_matrix_is_built():
+    # 4,000 vertices and about 20,000 edges: a dense pool x columns matrix
+    # (80 MB for the I~ scan, 31 MB for magnification) was built before the refusal
+    g = random_graph(4000, np.random.default_rng(1), extra_edges=16000)
+    refusals = [lambda: iso_constant(g, 2.0, "tilde"), lambda: magnification(g)]
+    for refuse in refusals:
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError, match="exceed the 63 that int64 subset masks hold"):
+                refuse()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+
+
+def test_the_scan_vertex_r_has_the_most_distinct_neighbours_on_multigraphs():
+    # parallel edges and loops add degree but no distinct neighbour; r is the
+    # least index among the vertices with the most, and the I~ table holds
+    # every vertex but r as a singleton
+    rng = np.random.default_rng(83)
+    for _ in range(80):
+        n = int(rng.integers(2, 12))
+        ends = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2)).tolist()
+        ends += [ends[0]] * int(rng.integers(0, 4)) if ends else []  # parallel edges
+        ends += [[v, v] for v in rng.integers(0, n, size=int(rng.integers(0, 3))).tolist()]
+        g = build_graph(range(n), [Edge(u, v) for u, v in ends])
+        near = neighbour_sets(g)
+        r = max(range(n), key=lambda i: (len(near[i] - {i}), -i))
+        table, _ = isoperimetry._tilde_table(g)
+        seen = functools.reduce(operator.or_, table["mask"].tolist(), 0)
+        assert seen == _all_mask(g) ^ (1 << r)
+
+
 @pytest.mark.filterwarnings("error")
 def test_subset_sums_that_overflow_are_refused():
     # every measure 1e308: V({b, c}) overflowed to inf, and I~_inf read 0.0
@@ -348,7 +384,8 @@ def _first_least_ratio(g, pool, half):
     # byte tables of m, so that m(Gamma) is a few lookups per subset
     tables = [[sum(m[8 * k + j] for j in range(8) if b >> j & 1 and 8 * k + j < g.n)
                for b in range(256)] for k in range(-(-g.n // 8))]
-    nbr = [sum(1 << w for w in g.neighbors(v)) for v in pool]
+    near = neighbour_sets(g)
+    nbr = [sum(1 << w for w in near[v]) for v in pool]
     mass, gamma = [0] * (1 << len(pool)), [0] * (1 << len(pool))
     best = None
     for sub in range(1, 1 << len(pool)):
@@ -414,7 +451,7 @@ def test_only_sets_at_most_half_under_any_rounding_set_the_scan_limit():
         sub, least = _first_least_ratio(g, list(range(n)), True)
         assert isoperimetry._least_ratio(g, g.vertices, True)[:2] == (sub, least)
         m = [int(x * 2**48) for x in g.vmeasure.tolist()]
-        nbr = [sum(1 << w for w in g.neighbors(v)) for v in range(n)]
+        nbr = [sum(1 << w for w in near) for near in neighbour_sets(g)]
         band = 4 * n * 2.0**-52  # 2(n + |ids|) eps, as the scan takes it
         over = math.inf
         for b in range(1, 1 << n):
@@ -535,8 +572,9 @@ def test_tilde_scans_skip_one_vertex_and_match_a_brute_force_over_all_subsets():
         pairs = list(zip(g.eu.tolist(), g.ev.tolist()))
         kinds["loop"] += any(u == v for u, v in pairs)
         kinds["parallel"] += len({frozenset(p) for p in pairs}) < len(pairs)
-        kinds["disconnected"] += not _connected_within(g, _all_mask(g))
-        r = max(range(g.n), key=lambda i: (len(g.neighbors(i) - {i}), -i))
+        near = neighbour_sets(g)
+        kinds["disconnected"] += not _connected_within(near, _all_mask(g))
+        r = max(range(g.n), key=lambda i: (len(near[i] - {i}), -i))
         table, comass = isoperimetry._tilde_table(g)
         rows = {m: j for j, m in enumerate(table["mask"].tolist())}
         assert not any(m >> r & 1 for m in rows)
@@ -562,14 +600,15 @@ def _unit_quotients(g, nu, variant):
     """{mask: quotient} over the sets a scan reads on a unit-weight graph:
     the connected sets of the free vertices (open), or those that avoid r
     (tilde variants); areas and masses are small integers, so exact."""
-    r = max(range(g.n), key=lambda i: (len(g.neighbors(i) - {i}), -i))
+    near = neighbour_sets(g)
+    r = max(range(g.n), key=lambda i: (len(near[i] - {i}), -i))
     pool = sum(1 << i for i in g.interior_indices().tolist())
     if variant != "open":
         pool ^= 1 << r
     pairs = list(zip(g.eu.tolist(), g.ev.tolist()))
     vals = {}
     for mask in range(1, 1 << g.n):
-        if mask & ~pool or not _connected_within(g, mask):
+        if mask & ~pool or not _connected_within(near, mask):
             continue
         area = sum((mask >> u & 1) != (mask >> v & 1) for u, v in pairs)
         mass, co = mask.bit_count(), g.n - mask.bit_count()
@@ -846,6 +885,98 @@ def test_long_path_lane_on_a_shuffled_weighted_path():
             assert rep.value == pytest.approx(vals[best], rel=1e-14, abs=0.0), nu
 
 
+def _random_lane_path(rng, n):
+    """A weighted path of n vertices on shuffled ids and edges, about half the
+    edges flipped, with about one vertex in six on the boundary, anywhere;
+    and its weights w[p] (positions p, p + 1), measures and boundary flags by
+    position."""
+    w = rng.uniform(0.5, 2.0, n - 1)
+    meas = rng.uniform(0.5, 2.0, n)
+    bnd = rng.random(n) < 1 / 6
+    bnd[int(rng.integers(n))] = False
+    ends = [(p, p + 1)[::1 - 2 * int(rng.integers(2))] for p in range(n - 1)]
+    g = build_graph([(p, meas[p]) for p in rng.permutation(n)],
+                    [Edge(*ends[p], w[p]) for p in rng.permutation(n - 1)],
+                    boundary=np.flatnonzero(bnd).tolist())
+    return g, w, meas, bnd
+
+
+def test_long_path_lane_in_small_blocks_matches_a_brute_force_over_intervals(monkeypatch):
+    # CHUNK set so that each block of left ends holds 1-7 rows; the brute
+    # force scores every run of free vertices in (left, right) order along
+    # the lane's walk with the lane's sums: the weights beside the run, left
+    # then right, and the measures in walk order from 0.0
+    rng = np.random.default_rng(65)
+    blocks = set()
+    for k in range(21):
+        n = int(rng.integers(65, 121))
+        g, w, meas, bnd = _random_lane_path(rng, n)
+        free = int(np.count_nonzero(~bnd))
+        chunk = math.isqrt(16 * (1 + k % 7) * free - 1) + 1  # the least with 1 + k % 7 rows
+        blocks.add(chunk * chunk // 16 // free)
+        monkeypatch.setattr(isoperimetry, "CHUNK", chunk)
+        ids = np.arange(n)
+        if g.index(n - 1) < g.index(0):  # the lane walks from the end of least index
+            ids, w, meas, bnd = ids[::-1], w[::-1], meas[::-1], bnd[::-1]
+        spans, area, mass = [], [], []
+        for i in range(n):
+            total = 0.0
+            for j in range(i, n):
+                if bnd[j]:
+                    break
+                total += meas[j]
+                spans.append((i, j))
+                area.append((w[i - 1] if i > 0 else 0.0) + (w[j] if j < n - 1 else 0.0))
+                mass.append(total)
+        area, mass = np.array(area), np.array(mass)
+        for nu in (1.0, 1.5, 2.0, math.inf):
+            vals = area / mass if nu == math.inf else area * mass ** (1.0 / nu - 1.0)
+            best = int(np.argmin(vals))
+            rep = iso_constant(g, nu, "open")
+            i, j = spans[best]
+            assert rep.witness == isoperimetry.AdmissibleSet(
+                frozenset(ids[i:j + 1].tolist()), area[best], mass[best]), nu
+            if nu in (1.0, math.inf):
+                assert rep.value == vals[best], nu
+            else:
+                assert rep.value == pytest.approx(vals[best], rel=4 * 2.0**-52, abs=0.0), nu
+    assert blocks == set(range(1, 8))
+
+
+def test_long_path_lane_memory_is_linear_in_the_path():
+    # the lane used to build n x n grids: 559 MB at 3,000 vertices, 9x its
+    # peak at 1,000; its blocks of left ends hold at most CHUNK**2 / 16 cells
+    peaks = {}
+    for n in (1000, 3000):
+        g = path(n, boundary=[n])
+        tracemalloc.start()
+        try:
+            rep = iso_constant(g, 2.0, "open")
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.witness.vertices == frozenset(range(1, n))  # every free vertex
+    assert peaks[3000] < 100 * 2**20 and peaks[3000] < 2 * peaks[1000], peaks
+
+
+def test_simple_path_check_refuses_near_paths():
+    # a path plus a disjoint cycle has n - 1 edges, two ends and no vertex of
+    # degree 3: the walk from one end stops at the other before every vertex
+    near_paths = {
+        "path and cycle": build_graph(range(7), [Edge(0, 1), Edge(1, 2), Edge(3, 4), Edge(4, 5),
+                                                 Edge(5, 6), Edge(6, 3)]),
+        "path and double edge": build_graph(range(5), [Edge(0, 1), Edge(1, 2), Edge(3, 4),
+                                                       Edge(4, 3)]),
+        "doubled path edge": build_graph(range(4), [Edge(0, 1), Edge(1, 2), Edge(1, 2),
+                                                    Edge(2, 3)]),
+        "star": build_graph(range(5), [Edge(0, k) for k in range(1, 5)]),
+    }
+    for name, g in near_paths.items():
+        assert isoperimetry._is_simple_path(g) is None, name
+    g = build_graph([3, 0, 2, 1], [Edge(2, 1), Edge(0, 3), Edge(1, 3)])  # 0-3-1-2 on shuffled ids
+    assert [g.vertices[i] for i in isoperimetry._is_simple_path(g)] == [0, 3, 1, 2]
+
+
 def test_magnification_complete_graph():
     c, witness = magnification(complete(4))
     assert c == pytest.approx(1.0)
@@ -871,6 +1002,11 @@ def test_neighborhood():
     g = cycle(5)
     assert neighborhood(g, [1]) == frozenset({2, 5})
     assert neighborhood(g, [1, 2]) == frozenset({1, 2, 3, 5})
+    # a loop puts its vertex in its own neighbourhood; a parallel edge adds nothing
+    g = build_graph(list("abc"), [Edge("a", "b"), Edge("b", "a"), Edge("c", "c"), Edge("b", "c")])
+    assert neighborhood(g, ["a"]) == frozenset("b")
+    assert neighborhood(g, ["c"]) == frozenset("bc")
+    assert neighborhood(g, []) == frozenset()
 
 
 def test_sobolev_quotient_of_indicator_is_open_value():
@@ -910,6 +1046,17 @@ def test_characteristic_approx_validation():
         characteristic_approx(g, set(), 1e-6)
     with pytest.raises(GraphError):
         characteristic_approx(g, {1}, 2.0)  # eps longer than the edges
+
+
+def test_characteristic_approx_bounds_eps_by_the_edges_it_cuts():
+    # a loop of length 1e-9 at the boundary vertex c is not cut by S = {a}
+    g = build_graph(list("abc"), [Edge("a", "b"), Edge("b", "c"), Edge("c", "c", length=1e-9)],
+                    boundary=["c"])
+    sub, f = characteristic_approx(g, {"a"}, 1e-6)
+    assert sub.n == g.n + 1 and sub.m == g.m + 1
+    assert f.values.tolist() == [1.0 if v == "a" else 0.0 for v in sub.vertices]
+    with pytest.raises(GraphError, match="eps must lie in"):
+        characteristic_approx(g, {"a"}, 1.0)  # as long as the cut edge
 
 
 def test_ff_lower_bound_random_functions():
