@@ -119,7 +119,7 @@ def heat_grid(kern: HeatKernel, ts) -> tuple[list[dict], bool]:
     closed = g.is_closed
     phi, lam, vm = d.eigenfunctions, d.eigenvalues, g.vmeasure
     idx = None
-    if not closed:  # the rows laplacian_matrix solved for: the interior
+    if not closed:  # the solved rows of the decomposition: the interior
         idx = g.interior_indices()
         vm = vm[idx]
     zeros = len(vm) < g.n  # the boundary rows and columns of K are exact zeros

@@ -41,8 +41,9 @@ subsets raises ``GraphError``: ESU counts its rows as it forms them.
   within it is kept.  Integer measures decide those exactly, once per group
   of sets with the same count of each distinct measure.
 
-Paths of more than 64 vertices take an interval sweep instead: the left ends
-go in blocks of at most CHUNK**2 // 16 cells, each scored by ``_quotient``.
+Open scans of paths of more than POOL_LIMIT vertices take an interval sweep
+instead, so none is refused for its size: the left ends go in blocks of at
+most CHUNK**2 // 16 cells, each scored by ``_quotient``.
 """
 
 from __future__ import annotations
@@ -382,7 +383,7 @@ def _iso_constant(g: WeightedGraph, nu: float, variant: str) -> IsoReport:
     if not allowed:
         raise GraphError("no interior vertices")
     if variant == "open":
-        if g.n > 64 and _is_simple_path(g) is not None:
+        if g.n > POOL_LIMIT and _is_simple_path(g) is not None:
             return _iso_open_path(g, nu)
         table, comass = _subset_table(g, allowed), None
     else:

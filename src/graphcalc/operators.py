@@ -5,12 +5,15 @@ The Laplacian acts on vertex values by
     (Lap f)(v) = V(v)^-1 sum_{e ~ {u,v}} a_e (f(v) - f(u)) / l_e
 
 (self-loops drop out), which is V-symmetric and nonnegative.  Eigensolves go
-through the similarity-symmetrized matrix S = V^{1/2} M V^{-1/2}, symmetric
-up to rounding, of which every dense solve reads the lower triangle only:
-``eigenvalues`` solves for eigenvalues only, ``spectral_decomposition`` also
-for eigenfunctions, with a deterministic sign convention so reports are
-reproducible.  Both keep their read-only results in the graph's memo
-(``WeightedGraph.memo``), so each graph is solved at most once per routine.
+through the similarity-symmetrized matrix S = V^{1/2} M V^{-1/2}, assembled
+once (``_entries``): L(v) from ``L_stats`` on the diagonal, one entry per edge
+below it.  The dense S holds only its lower triangle, which every dense solve
+reads; the sparse S holds the same entries in both triangles, and
+``laplacian_matrix`` is V^{-1/2} S V^{1/2}.  ``eigenvalues`` solves for
+eigenvalues only, ``spectral_decomposition`` also for eigenfunctions, with a
+deterministic sign convention so reports are reproducible.  Both keep their
+read-only results in the graph's memo (``WeightedGraph.memo``), so each graph
+is solved at most once per routine.
 
 The graph decides the boundary condition.  The solves run over the solved
 rows, the interior vertices, which are all of a closed graph; on a graph with
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphError, WeightedGraph
+from .graph import GraphError, L_stats, WeightedGraph
 from .functions import VertexFunction
 
 __all__ = [
@@ -113,34 +116,43 @@ def _solved_rows(g: WeightedGraph) -> np.ndarray:
     return idx
 
 
-def _edge_rows(g: WeightedGraph, idx: np.ndarray):
-    """(i, j, w): per non-loop edge, the rows of its endpoints (-1 off idx)
-    and its conductance a_e / l_e, in stored edge order."""
-    pos = -np.ones(g.n, dtype=int)
+def _entries(g: WeightedGraph):
+    """(idx, s, diag, lo, hi, off): the one assembly of S = V^{1/2} M V^{-1/2}.
+
+    idx are the solved rows and s = V^{1/2} on them; diag is L(v) on them, as
+    ``L_stats`` sums it.  Each non-loop edge with both ends solved, in stored
+    edge order, gives the entry -(a_e/l_e)/(s_u s_v) at the lower-triangle
+    position (hi, lo).  Every weight may be finite while a sum overflows, so
+    the entries must be finite and, since the spectrum lies in [0, 2 max L],
+    so must twice the diagonal, or a solve returns inf or NaN.
+    """
+    idx = _solved_rows(g)
+    s = np.sqrt(g.vmeasure[idx])
+    pos = np.full(g.n, -1)
     pos[idx] = np.arange(len(idx))
-    keep = ~g.loop_mask
-    return pos[g.eu[keep]], pos[g.ev[keep]], g.ea[keep] / g.elen[keep]
+    i, j = pos[g.eu], pos[g.ev]
+    keep = (i >= 0) & (j >= 0) & ~g.loop_mask
+    i, j = i[keep], j[keep]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        diag = L_stats(g).values[idx]
+        off = -(g.ea[keep] / g.elen[keep]) / (s[i] * s[j])
+        if not (np.isfinite(off).all() and np.isfinite(2.0 * diag).all()):
+            raise GraphError("Laplacian overflows: a vertex's sum of a_e/l_e over its "
+                             "measure, or twice it, is not finite")
+    return idx, s, diag, np.minimum(i, j), np.maximum(i, j), off
 
 
 def laplacian_matrix(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     """(M, idx): the Laplacian matrix over the solved rows, the interior (the
-    boundary condition).  idx maps matrix rows back to vertex indices."""
-    idx = _solved_rows(g)
-    i, j, w = _edge_rows(g, idx)
-    nr = len(idx)
-    W = np.zeros(nr * nr)  # row-major, so entry (r, c) sits at r * nr + c
-    # np.add.at sums in index order, and the index lists below run edge by
-    # edge, so every entry adds its terms in stored edge order.  Diagonal:
-    # each endpoint kept by idx gains w; off-diagonal: edges inside idx only.
-    d = np.column_stack([i, j]).ravel()
-    on = d >= 0
-    np.add.at(W, d[on] * (nr + 1), np.repeat(w, 2)[on])
-    both = (i >= 0) & (j >= 0)
-    i, j = i[both], j[both]
-    np.add.at(W, np.column_stack([i * nr + j, j * nr + i]).ravel(), -np.repeat(w[both], 2))
-    W = W.reshape(nr, nr)
-    W /= g.vmeasure[idx][:, None]
-    return W, idx
+    boundary condition), formed from the entries of S as V^{-1/2} S V^{1/2};
+    idx maps matrix rows back to vertex indices.  Unlike the solves it is not
+    capped at MAX_DENSE vertices."""
+    idx, s, diag, lo, hi, off = _entries(g)
+    M = np.diag(diag)
+    np.add.at(M, (np.concatenate([hi, lo]), np.concatenate([lo, hi])), np.concatenate([off, off]))
+    M *= s
+    M /= s[:, None]
+    return M, idx
 
 
 def laplacian_apply(g: WeightedGraph, f: VertexFunction) -> VertexFunction:
@@ -170,28 +182,14 @@ class SpectralDecomposition:
 
 
 def _symmetrized(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S, idx, s): S = V^{1/2} M V^{-1/2}, scaled in place, s = V^{1/2} on idx.
-
-    S is symmetric up to rounding, and every solve reads its lower triangle
-    only.  Every weight may be finite while a sum overflows, so S must be
-    finite and, since the spectrum lies in [0, 2 max L], so must twice its
-    diagonal L(v), or the solve returns inf or NaN.
-    """
+    """(S, idx, s): the lower triangle of S, with zeros above the diagonal, and
+    s = V^{1/2} on idx.  Every dense solve reads that triangle only."""
     if g.n > MAX_DENSE:
         raise GraphError(f"dense eigensolve capped at {MAX_DENSE} vertices")
-    with np.errstate(over="ignore", invalid="ignore"):
-        S, idx = laplacian_matrix(g)
-        s = np.sqrt(g.vmeasure[idx])
-        S *= s[:, None]
-        S /= s
-        _check_finite(S, S.diagonal())
+    idx, s, diag, lo, hi, off = _entries(g)
+    S = np.diag(diag)
+    np.add.at(S, (hi, lo), off)
     return S, idx, s
-
-
-def _check_finite(S: np.ndarray, diag: np.ndarray) -> None:
-    if not (np.isfinite(S).all() and np.isfinite(2.0 * diag).all()):
-        raise GraphError("Laplacian overflows: a vertex's sum of a_e/l_e over its "
-                         "measure, or twice it, is not finite")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -238,27 +236,16 @@ def _lowest(g: WeightedGraph, k: int) -> np.ndarray:
 
 
 def _sparse_symmetrized(g: WeightedGraph):
-    """(S, L): S as a scipy CSC matrix, built from the edge arrays, with
-    L(v) on the diagonal and -(a_e/l_e)/(s_u s_v) off it (parallel edges
-    summed), s = V^{1/2}.  It is symmetric by construction and never
-    densified."""
+    """(S, L): S as a scipy CSC matrix of the same entries, in both triangles
+    (parallel edges summed), and L(v) on its diagonal.  It is symmetric by
+    construction and never densified."""
     from scipy.sparse import csc_matrix
 
-    idx = _solved_rows(g)
-    i, j, w = _edge_rows(g, idx)
-    nr = len(idx)
-    vm = g.vmeasure[idx]
-    s = np.sqrt(vm)
-    with np.errstate(over="ignore", invalid="ignore"):
-        diag = np.bincount(i[i >= 0], w[i >= 0], nr) + np.bincount(j[j >= 0], w[j >= 0], nr)
-        diag /= vm
-        both = (i >= 0) & (j >= 0)
-        i, j = i[both], j[both]
-        off = -w[both] / (s[i] * s[j])
-        S = csc_matrix((np.concatenate([diag, off, off]),
-                        (np.concatenate([np.arange(nr), i, j]),
-                         np.concatenate([np.arange(nr), j, i]))), shape=(nr, nr))
-        _check_finite(S.data, diag)
+    idx, s, diag, lo, hi, off = _entries(g)
+    r = np.arange(len(idx))
+    S = csc_matrix((np.concatenate([diag, off, off]),
+                    (np.concatenate([r, hi, lo]), np.concatenate([r, lo, hi]))),
+                   shape=(len(r), len(r)))
     return S, diag
 
 
@@ -361,9 +348,8 @@ class OperatorNormReport:
 
     @property
     def sandwich_holds(self) -> bool:
-        lo, hi = self.L_sup, 2.0 * self.L_sup
-        eps = 1e-9 * (1.0 + hi)
-        return lo - eps <= self.rayleigh_max <= hi + eps
+        hi = 2.0 * self.L_sup  # the slack is relative to it, so the test scales
+        return self.L_sup - 1e-9 * hi <= self.rayleigh_max <= hi + 1e-9 * hi
 
 
 def default_mode(g: WeightedGraph) -> str:
@@ -373,8 +359,7 @@ def default_mode(g: WeightedGraph) -> str:
 
 
 def operator_norm_report(g: WeightedGraph) -> OperatorNormReport:
-    """L_sup together with the top Dirichlet eigenvalue; L_sup <= ||Lap|| <= 2 L_sup."""
-    from .graph import L_stats
-
-    stats = L_stats(g)
-    return OperatorNormReport(stats.sup, float(eigenvalues(g)[-1]))
+    """L_sup, the sup of L over the solved rows, together with the top
+    eigenvalue of the graph's boundary condition: L_sup <= ||Lap|| <= 2 L_sup
+    (Rayleigh quotients at single vertices, and Gershgorin on M)."""
+    return OperatorNormReport(float(_entries(g)[2].max()), float(eigenvalues(g)[-1]))

@@ -885,15 +885,17 @@ def test_long_path_lane_on_a_shuffled_weighted_path():
             assert rep.value == pytest.approx(vals[best], rel=1e-14, abs=0.0), nu
 
 
-def _random_lane_path(rng, n):
+def _random_lane_path(rng, n, closed=False):
     """A weighted path of n vertices on shuffled ids and edges, about half the
-    edges flipped, with about one vertex in six on the boundary, anywhere;
-    and its weights w[p] (positions p, p + 1), measures and boundary flags by
-    position."""
+    edges flipped, with about one vertex in six on the boundary, anywhere,
+    unless it is closed; and its weights w[p] (positions p, p + 1), measures
+    and boundary flags by position."""
     w = rng.uniform(0.5, 2.0, n - 1)
     meas = rng.uniform(0.5, 2.0, n)
     bnd = rng.random(n) < 1 / 6
     bnd[int(rng.integers(n))] = False
+    if closed:
+        bnd[:] = False
     ends = [(p, p + 1)[::1 - 2 * int(rng.integers(2))] for p in range(n - 1)]
     g = build_graph([(p, meas[p]) for p in rng.permutation(n)],
                     [Edge(*ends[p], w[p]) for p in rng.permutation(n - 1)],
@@ -905,12 +907,14 @@ def test_long_path_lane_in_small_blocks_matches_a_brute_force_over_intervals(mon
     # CHUNK set so that each block of left ends holds 1-7 rows; the brute
     # force scores every run of free vertices in (left, right) order along
     # the lane's walk with the lane's sums: the weights beside the run, left
-    # then right, and the measures in walk order from 0.0
+    # then right, and the measures in walk order from 0.0.  The last two
+    # paths have 64 vertices, the fewest the lane takes, closed and with
+    # boundary: no path is left to the subset table's 63-vertex pool limit
     rng = np.random.default_rng(65)
     blocks = set()
-    for k in range(21):
-        n = int(rng.integers(65, 121))
-        g, w, meas, bnd = _random_lane_path(rng, n)
+    for k in range(23):
+        n = int(rng.integers(65, 121)) if k < 21 else 64
+        g, w, meas, bnd = _random_lane_path(rng, n, closed=k == 21)
         free = int(np.count_nonzero(~bnd))
         chunk = math.isqrt(16 * (1 + k % 7) * free - 1) + 1  # the least with 1 + k % 7 rows
         blocks.add(chunk * chunk // 16 // free)

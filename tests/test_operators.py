@@ -8,6 +8,7 @@ from graphcalc import (
     Edge,
     EdgeField,
     GraphError,
+    L_stats,
     VertexFunction,
     WeightedGraph,
     divergence,
@@ -23,8 +24,8 @@ from graphcalc import (
 )
 from graphcalc import heat_grid, heat_kernel, operators
 from graphcalc.generators import cycle, path, random_graph
-from graphcalc.operators import (MAX_DENSE, SPARSE_ROWS, _decompose, _sparse_lowest,
-                                 _symmetrized)
+from graphcalc.operators import (MAX_DENSE, SPARSE_ROWS, OperatorNormReport, _decompose,
+                                 _sparse_lowest, _symmetrized)
 
 
 def _multigraph(n, rng, dirichlet=False):
@@ -40,25 +41,20 @@ def _multigraph(n, rng, dirichlet=False):
     return g
 
 
-def _laplacian_by_edge_loop(g, mode):
-    """Reference: the Laplacian matrix accumulated one stored edge at a time."""
-    idx = np.arange(g.n) if mode == "closed" else g.interior_indices()
+def _lower_by_edge_loop(g):
+    """Reference: the lower triangle of S = V^{1/2} M V^{-1/2}, with L(v) from
+    L_stats on the diagonal and each entry -(a_e/l_e)/(s_u s_v) below it added
+    one stored edge at a time."""
+    idx = g.interior_indices()  # every vertex of a closed graph
     pos = -np.ones(g.n, dtype=int)
     pos[idx] = np.arange(len(idx))
-    W = np.zeros((len(idx), len(idx)))
-    for k in range(len(g.edges)):
-        if g.loop_mask[k]:
-            continue
+    s = np.sqrt(g.vmeasure[idx])
+    S = np.diag(L_stats(g).values[idx])
+    for k in range(g.m):
         i, j = pos[g.eu[k]], pos[g.ev[k]]
-        w = g.ea[k] / g.elen[k]
-        if i >= 0:
-            W[i, i] += w
-        if j >= 0:
-            W[j, j] += w
-        if i >= 0 and j >= 0:
-            W[i, j] -= w
-            W[j, i] -= w
-    return W / g.vmeasure[idx][:, None], idx
+        if i >= 0 and j >= 0 and i != j:  # a loop has i == j
+            S[max(i, j), min(i, j)] -= g.ea[k] / g.elen[k] / (s[i] * s[j])
+    return S, idx, s
 
 
 def test_gradient_field_values():
@@ -106,13 +102,37 @@ def test_laplacian_matrix_dirichlet_and_loops():
     for trial in range(40):
         mode = "dirichlet" if trial % 2 else "closed"
         g = _multigraph(int(rng.integers(2, 25)), rng, dirichlet=mode == "dirichlet")
-        M, idx = laplacian_matrix(g)
-        ref, ref_idx = _laplacian_by_edge_loop(g, mode)
-        assert np.array_equal(idx, ref_idx)
-        assert np.array_equal(M, ref)
+        S, idx, s = _symmetrized(g)
+        ref, ref_idx, ref_s = _lower_by_edge_loop(g)
+        assert np.array_equal(idx, ref_idx) and np.array_equal(s, ref_s)
+        assert np.array_equal(S, ref)  # nothing above the diagonal
+        # M = V^{-1/2} S V^{1/2}, formed from the same entries
+        M, M_idx = laplacian_matrix(g)
+        assert np.array_equal(M_idx, idx)
+        assert np.array_equal(M, (ref + np.tril(ref, -1).T) * s / s[:, None])
         # M acts as Lap on functions that vanish on the boundary
         f = VertexFunction(g, rng.standard_normal(g.n) * g.interior_mask)
         assert np.allclose(M @ f.values[idx], laplacian_apply(g, f).values[idx], atol=1e-12)
+
+
+def test_dense_and_sparse_solves_read_one_assembly():
+    # the dense S is the lower triangle of the sparse S, bit for bit
+    rng = np.random.default_rng(61)
+    graphs = [_multigraph(int(rng.integers(2, 41)), rng, dirichlet=mode == "dirichlet")
+              for mode in ("closed", "dirichlet") for _ in range(30)]
+    graphs += [_large(np.random.default_rng(41), mode) for mode in ("closed", "dirichlet")]
+    for g in graphs:
+        S = _symmetrized(g)[0]
+        assert np.array_equal(S, np.tril(operators._sparse_symmetrized(g)[0].toarray()))
+
+
+def test_laplacian_matrix_is_not_capped():
+    g = path(MAX_DENSE + 1)
+    M, idx = laplacian_matrix(g)
+    assert M.shape == (g.n, g.n) and np.array_equal(idx, np.arange(g.n))
+    assert not (M @ np.ones(g.n)).any()  # unit weights: the row sums are exact zeros
+    with pytest.raises(GraphError, match="capped"):
+        _symmetrized(g)
 
 
 def test_laplacian_is_v_symmetric_and_nonnegative():
@@ -203,10 +223,28 @@ def test_spectral_arrays_are_read_only():
 
 def test_operator_norm_sandwich():
     rng = np.random.default_rng(23)
-    for _ in range(10):
+    graphs = []
+    for trial in range(20):
         g = random_graph(int(rng.integers(2, 12)), rng, weighted=True)
+        if trial % 2:  # Dirichlet: a random proper subset of the vertices is the boundary
+            size = int(rng.integers(1, g.n))
+            g = with_boundary(g, [g.vertices[i] for i in rng.choice(g.n, size, replace=False)])
+        graphs.append(g)
+    # a star whose boundary centre has L = 3 while its free leaves have L = 1
+    star = WeightedGraph([0, 1, 2, 3], [1.0] * 4, [Edge(0, v) for v in (1, 2, 3)], boundary=[0])
+    graphs.append(star)
+    for g in list(graphs):  # the sandwich scales with a_e
+        for c in (1e-12, 1e12):
+            graphs.append(WeightedGraph.from_columns(g.vertices, g.vmeasure, *g.endpoint_ids(),
+                                                     g.ea * c, g.elen, g.boundary))
+    for g in graphs:
         rep = operator_norm_report(g)
-        assert rep.sandwich_holds
+        assert rep.sandwich_holds, (g.n, g.boundary, rep)
+    rep = operator_norm_report(star)
+    assert (rep.L_sup, rep.rayleigh_max) == (1.0, 1.0)
+    # false passes of an absolute slack: 250 times the upper end, and 0 below L_sup
+    assert not OperatorNormReport(L_sup=1e-12, rayleigh_max=5e-10).sandwich_holds
+    assert not OperatorNormReport(L_sup=1e-12, rayleigh_max=0.0).sandwich_holds
 
 
 def test_mode_validation():
@@ -409,9 +447,10 @@ def test_dense_solves_read_the_lower_triangle_only(monkeypatch, mode):
     # in-place scipy eigh above SPARSE_ROWS must all read the same triangle
     true_symmetrized = operators._symmetrized
 
-    def lower(*args):
+    def lower(*args):  # NaN above the diagonal: a solve that reads it returns NaN
         S, idx, s = true_symmetrized(*args)
-        return np.tril(S), idx, s
+        S[np.triu_indices(len(S), 1)] = np.nan
+        return S, idx, s
 
     builders = (lambda: _multigraph(40, np.random.default_rng(53), mode == "dirichlet"),
                 lambda: _large(np.random.default_rng(59), mode))

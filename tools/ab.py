@@ -11,13 +11,24 @@ temporary directory as ``tools/workload_stdout.py`` writes them.  With
 bounds, flow, verify, spectrum, heat, info) are paired; by default all are.
 
 Each distinct command first runs once on each side, and the commands whose
-exit code or stdout differ are listed.  Then each command runs ``--repeat``
-more times on each side, alternating which side goes first, through
-``cli.main`` as the CLI does, so each call loads its document afresh.  One
-line per command gives the parent's and the change's median in ms, their
-ratio change/parent and the pairs the change ran faster; one line per
-workload and seed gives the same for the sum over its commands.  A shared
-machine's speed drifts between runs, and paired calls cancel the drift.
+exit code or stdout differ are listed, each with what moved.  Where both
+stdouts parse as JSON objects with the same keys, a ``moved`` line gives each
+numeric leaf path that moved (``.grid[].max_mass``: ``[]`` stands for every
+list element) with its largest relative change, measured against the largest
+magnitude of its list for a number in a list of numbers (so an eigenvalue
+moves relative to lambda_max) and against its own magnitude otherwise.  A
+``changed`` line names each bool, string, null, infinity, list length or key
+set that moved, an exit code that moved, or a stdout that is not such a JSON
+object.  Last, one ``field`` line per leaf path gives the number of commands
+in which it moved and its largest relative change over all of them.
+
+Then each command runs ``--repeat`` more times on each side, alternating
+which side goes first, through ``cli.main`` as the CLI does, so each call
+loads its document afresh.  One line per command gives the parent's and the
+change's median in ms, their ratio change/parent and the pairs the change ran
+faster; one line per workload and seed gives the same for the sum over its
+commands.  A shared machine's speed drifts between runs, and paired calls
+cancel the drift.
 
 Exits 1 if any command's exit code or stdout differs, else 0.
 """
@@ -27,6 +38,8 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import json
+import math
 import os
 import statistics
 import sys
@@ -58,6 +71,50 @@ def _line(label: str, times: dict) -> str:
             f"{wins}/{len(times['change'])}")
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _walk(a, b, path: str, moved: dict, changed: list, scale: float = 0.0) -> None:
+    """Compare two parsed JSON values in step: the largest relative change of
+    the numbers at each leaf path goes into ``moved``, every other difference
+    into ``changed``."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        for key in a:
+            _walk(a[key], b[key], f"{path}.{key}", moved, changed)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        scale = max((abs(x) for x in a + b if _is_number(x)), default=0.0)
+        for x, y in zip(a, b):
+            _walk(x, y, path + "[]", moved, changed, scale)
+    elif _is_number(a) and _is_number(b):
+        if a != b:
+            moved[path] = max(moved.get(path, 0.0), abs(a - b) / max(scale, abs(a), abs(b)))
+    elif a != b:
+        changed.append(f"{path or '.'}\t{json.dumps(a)[:40]} -> {json.dumps(b)[:40]}")
+
+
+def _field_lines(label: str, outs: list, fields: dict) -> list[str]:
+    """The ``moved`` and ``changed`` lines of one differing command; its moved
+    paths also update ``fields``, path -> [commands, largest change]."""
+    (code_p, out_p), (code_c, out_c) = outs
+    moved, changed = {}, []
+    if code_p != code_c:
+        changed.append(f"exit code\t{code_p} -> {code_c}")
+    try:
+        docs = json.loads(out_p), json.loads(out_c)
+    except ValueError:
+        docs = None
+    if docs and all(isinstance(d, dict) for d in docs) and docs[0].keys() == docs[1].keys():
+        _walk(*docs, "", moved, changed)
+    elif out_p != out_c:
+        changed.append("stdout\tnot two JSON objects with the same keys")
+    for path, rel in moved.items():
+        field = fields.setdefault(path, [0, 0.0])
+        field[0], field[1] = field[0] + 1, max(field[1], rel)
+    return ([f"moved\t{label}\t{path}\t{rel:.2e}" for path, rel in moved.items()]
+            + [f"changed\t{label}\t{line}" for line in changed])
+
+
 def main(argv: list[str]) -> int:
     p = argparse.ArgumentParser(description="Pair the workload commands of two checkouts.")
     p.add_argument("parent")
@@ -79,14 +136,17 @@ def main(argv: list[str]) -> int:
     kinds = set(args.kinds or workloads.KINDS)
     with tempfile.TemporaryDirectory() as tmp:
         commands = [c for c in workload_commands(workloads, args.seeds, tmp) if c[2].kind in kinds]
-        differ = []
+        differ, fields = [], {}
         for name, seed, cmd, path in commands:
             outs = [run_command(clis[s], cmd.argv(path))[:2] for s in SIDES]
             if outs[0] != outs[1]:
-                differ.append(f"{name} {seed} {cmd.key}")
+                label = f"{name} {seed} {cmd.key}"
+                differ.append([f"differs\t{label}"] + _field_lines(label, outs, fields))
         print(f"# {len(differ)} of {len(commands)} commands differ in exit code or stdout")
-        for label in differ:
-            print(f"differs\t{label}")
+        for lines in differ:
+            print("\n".join(lines))
+        for path, (count, rel) in sorted(fields.items()):
+            print(f"field\t{path}\t{count} commands\t{rel:.2e}")
         print("# command\tparent ms\tchange ms\tchange/parent\tchange faster")
         totals = {}
         for i, (name, seed, cmd, path) in enumerate(commands):
