@@ -143,9 +143,11 @@ def bobkov_bound(g: WeightedGraph, c: float | None = None) -> BoundValue:
 
 
 def bound_report(g: WeightedGraph) -> BoundReport:
-    """The four bounds against lambda, both under the graph's boundary condition."""
-    return BoundReport(default_mode(g), true_lambda(g),
-                       [dodziuk_bound(g), mohar_bound(g), alon_bound(g), bobkov_bound(g)])
+    """The four bounds against lambda, both under the graph's boundary condition.
+    The bounds come first, so that a graph above the subset pool is refused
+    before the eigensolve."""
+    bounds = [dodziuk_bound(g), mohar_bound(g), alon_bound(g), bobkov_bound(g)]
+    return BoundReport(default_mode(g), true_lambda(g), bounds)
 
 
 # -- Rayleigh and transport quotients ------------------------------------------

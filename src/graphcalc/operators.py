@@ -6,9 +6,9 @@ The Laplacian acts on vertex values by
 
 (self-loops drop out), which is V-symmetric and nonnegative.  Eigensolves go
 through the similarity-symmetrized matrix S = V^{1/2} M V^{-1/2}, assembled
-once (``_entries``): L(v) from ``L_stats`` on the diagonal, one entry per edge
-below it.  The dense S holds only its lower triangle, which every dense solve
-reads; the sparse S holds the same entries in both triangles, and
+once (``_entries``): L(v) from ``L_stats`` on the diagonal, one entry per
+joined pair below it.  The dense S holds only its lower triangle, which every
+dense solve reads; the sparse S holds the same entries in both triangles, and
 ``laplacian_matrix`` is V^{-1/2} S V^{1/2}.  ``eigenvalues`` solves for
 eigenvalues only, ``spectral_decomposition`` also for eigenfunctions, with a
 deterministic sign convention so reports are reproducible.  Both keep their
@@ -120,11 +120,13 @@ def _entries(g: WeightedGraph):
     """(idx, s, diag, lo, hi, off): the one assembly of S = V^{1/2} M V^{-1/2}.
 
     idx are the solved rows and s = V^{1/2} on them; diag is L(v) on them, as
-    ``L_stats`` sums it.  Each non-loop edge with both ends solved, in stored
-    edge order, gives the entry -(a_e/l_e)/(s_u s_v) at the lower-triangle
-    position (hi, lo).  Every weight may be finite while a sum overflows, so
-    the entries must be finite and, since the spectrum lies in [0, 2 max L],
-    so must twice the diagonal, or a solve returns inf or NaN.
+    ``L_stats`` sums it.  Each pair of solved vertices joined by non-loop
+    edges gives one entry at the lower-triangle position (hi, lo): the sum of
+    -(a_e/l_e)/(s_u s_v) over its edges in stored edge order, so no builder
+    sums parallel edges in an order of its own.  Every weight may be finite
+    while a sum overflows, so the entries must be finite and, since the
+    spectrum lies in [0, 2 max L], so must twice the diagonal, or a solve
+    returns inf or NaN.
     """
     idx = _solved_rows(g)
     s = np.sqrt(g.vmeasure[idx])
@@ -135,11 +137,12 @@ def _entries(g: WeightedGraph):
     i, j = i[keep], j[keep]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         diag = L_stats(g).values[idx]
-        off = -(g.ea[keep] / g.elen[keep]) / (s[i] * s[j])
+        pair, at = np.unique(np.maximum(i, j) * len(idx) + np.minimum(i, j), return_inverse=True)
+        off = np.bincount(at, -(g.ea[keep] / g.elen[keep]) / (s[i] * s[j]))
         if not (np.isfinite(off).all() and np.isfinite(2.0 * diag).all()):
             raise GraphError("Laplacian overflows: a vertex's sum of a_e/l_e over its "
                              "measure, or twice it, is not finite")
-    return idx, s, diag, np.minimum(i, j), np.maximum(i, j), off
+    return idx, s, diag, pair % len(idx), pair // len(idx), off
 
 
 def laplacian_matrix(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -149,7 +152,7 @@ def laplacian_matrix(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     capped at MAX_DENSE vertices."""
     idx, s, diag, lo, hi, off = _entries(g)
     M = np.diag(diag)
-    np.add.at(M, (np.concatenate([hi, lo]), np.concatenate([lo, hi])), np.concatenate([off, off]))
+    M[hi, lo] = M[lo, hi] = off
     M *= s
     M /= s[:, None]
     return M, idx
@@ -188,7 +191,7 @@ def _symmetrized(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise GraphError(f"dense eigensolve capped at {MAX_DENSE} vertices")
     idx, s, diag, lo, hi, off = _entries(g)
     S = np.diag(diag)
-    np.add.at(S, (hi, lo), off)
+    S[hi, lo] = off
     return S, idx, s
 
 
@@ -236,9 +239,8 @@ def _lowest(g: WeightedGraph, k: int) -> np.ndarray:
 
 
 def _sparse_symmetrized(g: WeightedGraph):
-    """(S, L): S as a scipy CSC matrix of the same entries, in both triangles
-    (parallel edges summed), and L(v) on its diagonal.  It is symmetric by
-    construction and never densified."""
+    """(S, L): S as a scipy CSC matrix of the same entries, in both triangles,
+    and L(v) on its diagonal.  It is symmetric by construction and never densified."""
     from scipy.sparse import csc_matrix
 
     idx, s, diag, lo, hi, off = _entries(g)

@@ -25,6 +25,7 @@ from graphcalc import (
     rayleigh_quotient,
     true_lambda,
 )
+from graphcalc import bounds
 from graphcalc.graph import integer_column
 from graphcalc.bounds import AlonField, BoundReport, BoundValue, _max_flow, _traditional
 from graphcalc.isoperimetry import enumerate_connected_subsets
@@ -55,6 +56,17 @@ def test_bounds_without_edges():
     rep = bound_report(build_graph([1, 2], []))
     assert rep.lam == 0.0 and rep.sound
     assert [b.value for b in rep.bounds] == [0.0, 0.0, 0.0, 0.0]
+
+
+def test_bound_report_refuses_at_the_pool_before_the_eigensolve(monkeypatch):
+    g = random_graph(800, np.random.default_rng(1), boundary_fraction=0.1)
+
+    def no_eigensolve(g):
+        raise AssertionError("lambda solved before the pool refusal")
+
+    monkeypatch.setattr(bounds, "true_lambda", no_eigensolve)
+    with pytest.raises(GraphError, match="720 free vertices exceed the 63"):
+        bound_report(g)
 
 
 def test_mohar_at_least_dodziuk_unit_lengths():

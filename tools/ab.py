@@ -1,4 +1,4 @@
-"""Time the benchmark workload commands on two checkouts, paired in one process.
+"""Fingerprint and time the benchmark workload commands of two checkouts in one process.
 
     python3 tools/ab.py PARENT [CHANGE] [--seeds 1 2 3] [--repeat 5] [--kinds iso bounds]
 
@@ -6,21 +6,30 @@ Loads ``src/graphcalc`` of both checkouts side by side, under the module
 names ``graphcalc_parent`` and ``graphcalc_change``, with one BLAS thread as
 in ``perfbench/run.py``.  CHANGE (by default the checkout that holds this
 script) supplies ``perfbench/workloads.py``; the documents are written to a
-temporary directory as ``tools/workload_stdout.py`` writes them.  With
-``--kinds`` only the commands of those kinds (``workloads.KINDS``: iso,
-bounds, flow, verify, spectrum, heat, info) are paired; by default all are.
+temporary directory.  With ``--kinds`` only the commands of those kinds
+(``workloads.KINDS``: iso, bounds, flow, verify, spectrum, heat, info) run;
+by default all do.
 
-Each distinct command first runs once on each side, and the commands whose
-exit code or stdout differ are listed, each with what moved.  Where both
-stdouts parse as JSON objects with the same keys, a ``moved`` line gives each
-numeric leaf path that moved (``.grid[].max_mass``: ``[]`` stands for every
-list element) with its largest relative change, measured against the largest
-magnitude of its list for a number in a list of numbers (so an eigenvalue
-moves relative to lambda_max) and against its own magnitude otherwise.  A
-``changed`` line names each bool, string, null, infinity, list length or key
-set that moved, an exit code that moved, or a stdout that is not such a JSON
-object.  Last, one ``field`` line per leaf path gives the number of commands
-in which it moved and its largest relative change over all of them.
+Each distinct command first runs once on each side, and one ``print`` line
+fingerprints it on the CHANGE side: the workload, the seed and the command
+key, then the exit code and the sha256 of stdout and of stderr,
+tab-separated.  ``python3 tools/ab.py X X --repeat 1 | grep ^print``
+fingerprints checkout X alone; ``diff`` the lines of two such runs to compare
+two checkouts run in two processes, or one checkout under two
+``PYTHONHASHSEED`` values, so that no printed byte follows the per-process
+salt of ``str`` hashes (the order of a set of strings).
+
+The commands whose exit code or stdout differ between the sides are listed
+next, each with what moved.  Where both stdouts parse as JSON objects with
+the same keys, a ``moved`` line gives each numeric leaf path that moved
+(``.grid[].max_mass``: ``[]`` stands for every list element) with its
+largest relative change, measured against the largest magnitude of its list
+for a number in a list of numbers (so an eigenvalue moves relative to
+lambda_max) and against its own magnitude otherwise.  A ``changed`` line
+names each bool, string, null, infinity, list length or key set that moved,
+an exit code that moved, or a stdout that is not such a JSON object.  One
+``field`` line per leaf path then gives the number of commands in which it
+moved and its largest relative change over all of them.
 
 Then each command runs ``--repeat`` more times on each side, alternating
 which side goes first, through ``cli.main`` as the CLI does, so each call
@@ -36,8 +45,11 @@ Exits 1 if any command's exit code or stdout differs, else 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
 import importlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -45,10 +57,53 @@ import statistics
 import sys
 import tempfile
 import time
+import traceback
 
-from workload_stdout import SEEDS, one_blas_thread, run_command, workload_commands
-
+SEEDS = (1, 2, 3)
 SIDES = ("parent", "change")
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def one_blas_thread() -> None:
+    """One BLAS thread, as in ``perfbench/run.py``; set before numpy loads."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+
+
+def workload_commands(workloads, seeds, tmp: str):
+    """(workload, seed, command, document path) of each distinct command of
+    every workload of the ``workloads`` module at ``seeds``, in order; each
+    workload's documents are written under ``tmp`` before its commands."""
+    for name, build in workloads.BUILDERS.items():
+        for seed in seeds:
+            w = build(seed)
+            docdir = os.path.join(tmp, f"{name}-{seed}")
+            os.mkdir(docdir)
+            for doc_name, doc in w.docs.items():
+                with open(os.path.join(docdir, doc_name + ".json"), "w") as fh:
+                    json.dump(doc, fh)
+            seen = set()
+            for cmd in w.commands:
+                if cmd.key in seen:
+                    continue
+                seen.add(cmd.key)
+                yield name, seed, cmd, os.path.join(docdir, cmd.doc + ".json")
+
+
+def run_command(cli, argv: list) -> tuple:
+    """(exit code, stdout, stderr) of ``cli.main(argv)`` run in this process;
+    a traceback is an output too, with exit code -1."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except Exception:
+            rc = -1
+            traceback.print_exc()
+    return rc, out.getvalue(), err.getvalue()
 
 
 def load_cli(root: str, name: str):
@@ -138,10 +193,13 @@ def main(argv: list[str]) -> int:
         commands = [c for c in workload_commands(workloads, args.seeds, tmp) if c[2].kind in kinds]
         differ, fields = [], {}
         for name, seed, cmd, path in commands:
-            outs = [run_command(clis[s], cmd.argv(path))[:2] for s in SIDES]
-            if outs[0] != outs[1]:
-                label = f"{name} {seed} {cmd.key}"
-                differ.append([f"differs\t{label}"] + _field_lines(label, outs, fields))
+            label = f"{name} {seed} {cmd.key}"
+            outs = [run_command(clis[s], cmd.argv(path)) for s in SIDES]
+            rc, out, err = outs[1]
+            print(f"print\t{label}\t{rc}\t{_sha(out)}\t{_sha(err)}", flush=True)
+            if outs[0][:2] != (rc, out):
+                differ.append([f"differs\t{label}"]
+                              + _field_lines(label, [o[:2] for o in outs], fields))
         print(f"# {len(differ)} of {len(commands)} commands differ in exit code or stdout")
         for lines in differ:
             print("\n".join(lines))
