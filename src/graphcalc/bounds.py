@@ -171,7 +171,7 @@ def q2_quotient(f: VertexFunction, X: EdgeField) -> float:
     from .functions import _edge_abs_power_integrals
 
     g = f.graph
-    per_edge = _edge_abs_power_integrals(f, 2.0)[0]  # the one row of a single f
+    per_edge = _edge_abs_power_integrals(f, 2.0)[0][0]  # the one row of a single f
     num = math.sqrt(float(np.sum(per_edge * X.values**2)))
     return num / lp_norm_vertex(f, 2)
 

@@ -114,24 +114,28 @@ def _edge_values(f: VertexFunction) -> tuple[np.ndarray, np.ndarray]:
     return X.take(g.eu, axis=1), X.take(g.ev, axis=1)
 
 
-def _edge_abs_power_integrals(f: VertexFunction, p: float) -> np.ndarray:
-    """Exact per-edge integral of |f|^p against E, as (B, m) rows.
+def _edge_abs_power_integrals(f: VertexFunction, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact per-edge integral of |f|^p against E, as (B, m) rows, and the
+    scale of its rounding (``graph.at_most``), the same shape.
 
     On an edge from value b to value c, f(s) = b + (c-b)s for s in [0,1] and
     d/ds {f}^{p+1} = (p+1)(c-b)|f|^p, valid across a sign change (the
     antiderivative is C^1 for p >= 1), so a single endpoint evaluation works
-    whatever the signs.
+    whatever the signs.  That difference cancels: it rounds on the scale
+    (|b|^(p+1) + |c|^(p+1)) / ((p+1)|c-b|), not on the integral's.
     """
     g = f.graph
     b, c = _edge_values(f)
     m = c - b
-    out = np.empty(b.shape)
+    out, scale = np.empty(b.shape), np.empty(b.shape)
     flat = np.abs(m) <= 1e-15 * (np.abs(b) + np.abs(c))
     flat |= m == 0.0
-    out[flat] = np.abs(b[flat]) ** p
+    out[flat] = scale[flat] = np.abs(b[flat]) ** p
     nz = ~flat
-    out[nz] = (_spow(c[nz], p + 1.0) - _spow(b[nz], p + 1.0)) / ((p + 1.0) * m[nz])
-    return out * g.emeasure
+    hi, lo, den = _spow(c[nz], p + 1.0), _spow(b[nz], p + 1.0), (p + 1.0) * m[nz]
+    out[nz] = (hi - lo) / den
+    scale[nz] = (np.abs(hi) + np.abs(lo)) / np.abs(den)
+    return out * g.emeasure, scale * g.emeasure
 
 
 def lp_norm_edge(f: VertexFunction, p):
@@ -141,7 +145,7 @@ def lp_norm_edge(f: VertexFunction, p):
         b, c = _edge_values(f)
         top = np.maximum(np.abs(b).max(axis=1, initial=0.0), np.abs(c).max(axis=1, initial=0.0))
         return _per_draw(f, top)
-    return _per_draw(f, _edge_abs_power_integrals(f, p).sum(axis=1) ** (1.0 / p))
+    return _per_draw(f, _edge_abs_power_integrals(f, p)[0].sum(axis=1) ** (1.0 / p))
 
 
 def edge_integral(f: VertexFunction):

@@ -43,6 +43,7 @@ __all__ = [
     "with_boundary",
     "is_connected",
     "component_labels",
+    "at_most",
 ]
 
 VertexId = Hashable
@@ -50,6 +51,19 @@ VertexId = Hashable
 
 class GraphError(ValueError):
     """Raised for ill-formed graph data (bad weights, unknown vertices, ...)."""
+
+
+_TINY = np.finfo(float).tiny
+
+
+def at_most(lhs, rhs, terms, scale):
+    """lhs <= rhs + terms eps scale + tiny elementwise (False at a NaN), the one
+    slack rule of every check: eps = 2**-52, tiny the least normal float.
+    ``terms`` counts the rounded operations of both sides, an error that x**a
+    or exp(x) amplifies |a| or |x| times, as k of them err by gamma_k <= k eps
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3); ``scale``
+    is the check's magnitude: the absolute values of the terms, |rhs|, max|K|."""
+    return lhs <= rhs + terms * 2.0**-52 * scale + _TINY
 
 
 @dataclass(frozen=True)
@@ -298,10 +312,11 @@ class HalfDegreeStats:
     rho: np.ndarray  # read-only
     rho_sup: float
     rho_inf: float
-    regularity: float | None  # r such that rho == r/2, or None
+    regularity: float | None  # r such that rho == r/2 within rounding, or None
+    terms: int  # rounded operations in each rho(v)
 
-    def is_regular(self, r: float, tol: float = 1e-12) -> bool:
-        return bool(np.all(np.abs(self.rho - r / 2.0) <= tol * (1.0 + abs(r))))
+    def is_regular(self, r: float) -> bool:  # rho's terms and one subtraction
+        return bool(np.all(at_most(np.abs(self.rho - r / 2.0), 0.0, self.terms + 1, abs(r) / 2.0)))
 
 
 def half_degrees(g: WeightedGraph) -> HalfDegreeStats:
@@ -321,10 +336,11 @@ def half_degrees(g: WeightedGraph) -> HalfDegreeStats:
         rho.setflags(write=False)
         sup = float(rho.max()) if g.n else 0.0
         inf = float(rho.min()) if g.n else 0.0
+        terms = g.m + 1  # each rho(v) adds at most m products E(e)/2 and divides once
         reg = None
-        if g.n and sup - inf <= 1e-12 * (1.0 + sup):
+        if g.n and at_most(sup, inf, 2 * terms, sup):
             reg = 2.0 * float(rho.mean())
-        return HalfDegreeStats(rho, sup, inf, reg)
+        return HalfDegreeStats(rho, sup, inf, reg, terms)
     return g.memo(("half_degrees",), build)
 
 

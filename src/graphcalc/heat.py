@@ -12,7 +12,7 @@ Every kernel matrix is the symmetric product B B^T with B = Phi e^{-t Lambda/2}
 solved rows only (the interior, where the boundary rows and columns are
 exact zeros), the semigroup product as C^T C with C = V^{1/2} K(t/2), and
 judges positivity and the semigroup law relative to max|K(t)|, since K
-scales like 1/V.
+scales like 1/V.  Every check decides through ``graph.at_most``.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import GraphError, WeightedGraph, component_labels, half_degrees, with_boundary
+from .graph import GraphError, WeightedGraph, at_most, component_labels, half_degrees, with_boundary
 from .functions import VertexFunction, grad_lp_norm
 from .operators import SpectralDecomposition, eigenvalues, laplacian_apply, spectral_decomposition
 from .isoperimetry import _subset_table, _witness, default_variant, iso_constant
+from .sobolev import _terms
 
 __all__ = [
     "HeatKernel",
@@ -52,7 +53,12 @@ def default_t_grid(lo: float = 1e-2, hi: float = 1e2, per_decade: int = 32) -> n
     return np.logspace(math.log10(lo), math.log10(hi), n)
 
 
-_TINY = np.finfo(float).tiny
+def _kernel_terms(d: SpectralDecomposition, t):
+    """``at_most``'s terms for two kernel values at time t on the k solved rows
+    of d: k products each, and a backward-stable eigensolve's k eps lambda_max
+    in each eigenvalue, which e^{-t lambda} amplifies t times, and k eps in
+    the basis."""
+    return 2.0 * len(d.eigenvalues) * (4.0 + t * float(np.max(d.eigenvalues, initial=0.0)))
 
 
 def _kernel_block(phi: np.ndarray, lam: np.ndarray, t: float, rows=None) -> np.ndarray:
@@ -107,11 +113,11 @@ def heat_grid(kern: HeatKernel, ts) -> tuple[list[dict], bool]:
     max |K(t/2) V K(t/2) - K(t)| entrywise, with both products computed.
     The products run over the solved rows only; on a graph with boundary
     the boundary's exact zeros enter the minima and the maximum mass as 0.
-    A row passes when min_entry >= -1e-12 s and the residual <= 1e-10 s,
-    with s = max|K(t)| (K scales like 1/V; each bound is widened by the
-    smallest normal float), and when every mass is within 1e-10 of 1
-    (closed graph) or at most 1 + 1e-10 (with boundary); a NaN fails every
-    check.
+    A row passes when -min_entry and the residual are at most 0 and every
+    mass is 1 (closed graph) or at most 1 (with boundary), each to within
+    the rounding of ``_kernel_terms`` (``at_most``), on the scale max|K(t)|
+    for the entries (K scales like 1/V) and 1 for the masses; a NaN fails
+    every check.
     Returns the rows and whether every row passed.
     """
     d = kern.decomposition
@@ -125,7 +131,8 @@ def heat_grid(kern: HeatKernel, ts) -> tuple[list[dict], bool]:
     zeros = len(vm) < g.n  # the boundary rows and columns of K are exact zeros
     sv = np.sqrt(vm)[:, None]
     rows, passed = [], True
-    for t in map(float, ts):
+    ts = np.asarray(ts, dtype=float)
+    for t, terms in zip(map(float, ts), _kernel_terms(d, ts)):
         K = _kernel_block(phi, lam, t, idx)
         mass = K @ vm
         lo, hi = float(K.min()), float(K.max())
@@ -147,15 +154,10 @@ def heat_grid(kern: HeatKernel, ts) -> tuple[list[dict], bool]:
         }
         del K, semi
         rows.append(row)
-        # below the smallest normal float rounding is absolute, so both
-        # bounds also allow that much (K underflows for t lambda_1 > ~708)
-        ok = (row["min_entry"] >= -1e-12 * scale - _TINY
-              and row["semigroup_residual"] <= 1e-10 * scale + _TINY)
-        if closed:
-            ok = ok and abs(row["max_mass"] - 1.0) <= 1e-10 and abs(float(mass.min()) - 1.0) <= 1e-10
-        else:
-            ok = ok and row["max_mass"] <= 1.0 + 1e-10
-        passed = passed and ok
+        off = float(np.abs(mass - 1.0).max()) if closed else high_mass - 1.0  # the mass's excess
+        passed = passed and bool(at_most(-lo, 0.0, terms, scale)
+                                 and at_most(row["semigroup_residual"], 0.0, terms, scale)
+                                 and at_most(off, 0.0, terms, 1.0))
     return rows, passed
 
 
@@ -189,8 +191,9 @@ def exhaustion_check(
 
     Each A_i induces the graph with boundary = everything outside A_i; the
     table must be non-decreasing in i and bounded by the kernel of g itself,
-    each up to 1e-12 max|K| over the table and the limit (K scales like 1/V)
-    plus the smallest normal float; a NaN fails both.
+    each to within the rounding of ``_kernel_terms`` (an induced graph's
+    eigenvalues lie below g's) on the scale max|K| over the table and the
+    limit (K scales like 1/V); a NaN fails both.
     """
     sets = [set(a) for a in chain]
     for a, b in zip(sets, sets[1:]):
@@ -211,9 +214,10 @@ def exhaustion_check(
     full = heat_kernel(g)
     limit = [full.evaluate(x, y, t) for (x, y, t) in probes]
     rows, top = np.array(table), np.array(limit)
-    slack = 1e-12 * np.max(np.abs(np.r_[rows.ravel(), top]), initial=0.0) + _TINY
-    monotone = bool(np.all(np.diff(rows, axis=0) >= -slack))
-    bounded = bool(np.all(rows <= top[None, :] + slack))
+    scale = np.max(np.abs(np.r_[rows.ravel(), top]), initial=0.0)
+    terms = _kernel_terms(full.decomposition, np.array([t for _, _, t in probes]))
+    monotone = bool(np.all(at_most(rows[:-1], rows[1:], terms, scale)))
+    bounded = bool(np.all(at_most(rows, top[None, :], terms, scale)))
     return {"table": rows, "limit": limit, "monotone": monotone, "bounded": bounded}
 
 
@@ -240,15 +244,16 @@ def nash_diagonal_bound(g: WeightedGraph, nu: float) -> dict:
     ker = heat_kernel(g)
     worst = -math.inf
     shift = 1.0 / g.total_measure() if g.is_closed else 0.0
-    for t in default_t_grid():
+    ts = default_t_grid()
+    for t in ts:
         diag = ker.diagonal(t) - shift
         worst = max(worst, float(np.max(diag[g.interior_mask]) * t ** (nu / 2.0)))
-    return {
-        "applicable": True,
-        "C2": C2,
-        "max_scaled_diag": worst,
-        "passed": worst <= C2 * (1.0 + 1e-9),
-    }
+    # K(x, x, t) at t <= ts[-1] less 1/V(G), on the scale of K, and C2, which
+    # raises I and rho_sup to the power nu
+    terms = _kernel_terms(ker.decomposition, ts[-1]) + _terms(g, nu)
+    scale = max(C2, worst + shift * ts[-1] ** (nu / 2.0))
+    return {"applicable": True, "C2": C2, "max_scaled_diag": worst,
+            "passed": bool(at_most(worst, C2, terms, scale))}
 
 
 def eigenvalue_lower_bounds(g: WeightedGraph, nu: float) -> dict:
@@ -264,14 +269,9 @@ def eigenvalue_lower_bounds(g: WeightedGraph, nu: float) -> dict:
     ks = np.arange(1, g.n)
     bounds = (ks / vol) ** (2.0 / nu) * base
     lams = eigenvalues(g)[1:]
-    # a dense eigensolve errs by about eps * lambda_max in every eigenvalue
-    slack = 1e-9 * np.max(lams, initial=0.0)
-    return {
-        "k": ks,
-        "bounds": bounds,
-        "eigenvalues": lams,
-        "sound": bool(np.all(bounds <= lams + slack)),
-    }
+    # the bounds, and the eigensolve's n eps lambda_max in each eigenvalue
+    sound = at_most(bounds, lams, _terms(g) + g.n, np.max(lams, initial=0.0))
+    return {"k": ks, "bounds": bounds, "eigenvalues": lams, "sound": bool(np.all(sound))}
 
 
 # -- generalized phi-decay --------------------------------------------------------
@@ -340,7 +340,8 @@ def hypothesis_audit(g: WeightedGraph, phi: Callable[[float], float]) -> dict:
     mass = table["mass"]
     phis = np.fromiter(map(phi, mass.tolist()), float, len(mass))
     need = mass / phis
-    failing = np.flatnonzero(table["area"] < need * (1.0 - 1e-12))  # slack relative to V/phi(V)
+    # phi taken as a power of at most 2; on the scale of the area, as V/phi(V) may be inf
+    failing = np.flatnonzero(~at_most(need, table["area"], _terms(g), table["area"]))
     if failing.size:  # the first failing row: the failing set with the least mask
         wit = _witness(g, table[failing[0]])
         return {"ok": False, "witness": wit.vertices, "area": wit.area, "vmass": wit.vmass}
@@ -357,13 +358,16 @@ def general_decay_bound(
     if not audit["ok"]:
         return {"hypothesis": audit, "passed": False}
     ker = heat_kernel(g)
+    # F^{-1}(C t) raises C = 1/(32 rho) to the power nu/2 (a quadrature
+    # profile's relative tolerance is its own)
+    terms = _terms(g, 1.0 if profile.power is None else profile.power / 2.0)
     rows = []
     ok = True
     for x, t in probes:
         lhs = ker.evaluate(x, x, t)
         rhs = profile.F_inverse(profile.C * t)
         rows.append((x, t, lhs, rhs))
-        ok = ok and lhs <= rhs * (1.0 + 1e-9)
+        ok = ok and bool(at_most(lhs, rhs, _kernel_terms(ker.decomposition, t) + terms, rhs))
     return {"hypothesis": audit, "rows": rows, "passed": ok}
 
 
@@ -426,7 +430,7 @@ def finite_uniqueness_check(
         expect = -2.0 * grad_lp_norm(u, 2) ** 2
         worst = max(worst, abs(dE - expect) / (1.0 + abs(expect)))
     zero = heat_solve(g, VertexFunction(g, np.zeros(g.n)), t0)
-    zero_ok = float(np.max(np.abs(zero.values), initial=0.0)) <= 1e-12
+    zero_ok = bool(at_most(np.max(np.abs(zero.values), initial=0.0), 0.0, 0, 0.0))  # exact zeros
     ker = heat_kernel(g)
     diag_pos = True
     interior = g.interior_indices()
@@ -436,5 +440,6 @@ def finite_uniqueness_check(
         c = component_labels(g, g.interior_mask)[interior]
         K = ker.matrix(t0)[np.ix_(interior, interior)]
         same = c[:, None] == c[None, :]
-        diag_pos = bool(np.all(np.where(same, K > 0, np.abs(K) <= 1e-12)))
+        zero = at_most(np.abs(K), 0.0, _kernel_terms(ker.decomposition, t0), np.abs(K).max())
+        diag_pos = bool(np.all(np.where(same, K > 0, zero)))
     return {"energy_residual": worst, "zero_stays_zero": zero_ok, "positivity": diag_pos}

@@ -74,6 +74,7 @@ SUBSET_CAP = 2**22 - 1  # subsets one scan may visit: the nonempty subsets of 22
 POOL_LIMIT = 63  # pool-local subset masks are int64
 CHUNK = 1 << 12  # subsets or table rows per numpy step; 2**16 raised peak RSS by a tenth
 TINY = 2.0**-1073  # twice the absolute error of a quotient below the normal range
+BAND = 1e-12  # the witnesses: the least mask within BAND |best| of the least quotient
 _BITS = (np.arange(256) >> np.arange(8)[:, None]) & 1 == 1  # [j, b]: bit j of byte b
 
 
@@ -281,8 +282,10 @@ def _iso_open_path(g: WeightedGraph, nu: float) -> IsoReport:
     """Vectorized interval sweep for open-variant constants on paths: the
     admissible sets are the runs of free vertices along the path, and each
     mass adds its run's measures in path order.  The left ends go in blocks
-    of at most CHUNK**2 // 16 cells, each scored by ``_quotient``; the first
-    least quotient in (left, right) order is the witness."""
+    of at most CHUNK**2 // 16 cells, each scored by ``_quotient``.  As in
+    ``_iso_constant`` the witness is the least mask within BAND of the least
+    quotient, so it has the least top (largest vertex index): a run is kept
+    while no run of at most its quotient has a lesser top."""
     order = _is_simple_path(g)
     assert order is not None
     # w[p]: the weight of the edge between positions p and p + 1
@@ -294,7 +297,9 @@ def _iso_open_path(g: WeightedGraph, nu: float) -> IsoReport:
     # boundary vertices before each position, and the weights left and right of it
     bnd = np.concatenate([[0], np.cumsum(~g.interior_mask[order])])
     wl, wr = np.concatenate([[0.0], w]), np.concatenate([w, [0.0]])
+    index = np.append(order, -1)  # the vertex index at each position
     step = max(1, CHUNK * CHUNK // 16 // len(free))
+    best, kept = math.inf, np.empty((0, 6))  # rows (value, top, i, j, area, mass)
     for lo in range(0, len(free), step):
         I, J = free[lo:lo + step, None], free[None, lo:]
         after = J >= I
@@ -303,12 +308,24 @@ def _iso_open_path(g: WeightedGraph, nu: float) -> IsoReport:
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = _quotient(area, mass, None, nu, "open")
         vals[~after | (bnd[J + 1] != bnd[I])] = math.inf  # not a run of free vertices
-        k = np.unravel_index(np.argmin(vals), vals.shape)
-        if lo == 0 or vals[k] < best[0]:
-            best = float(vals[k]), int(I[k[0], 0]), int(J[0, k[1]]), float(area[k]), float(mass[k])
-    value, i, j, area, mass = best
-    ids = frozenset(g.vertices[order[p]] for p in range(i, j + 1))
-    return IsoReport(nu, "open", value, AdmissibleSet(ids, area, mass))
+        best = min(best, float(vals.min()))
+        near = vals <= best + BAND * abs(best)
+        if np.count_nonzero(near) > len(near):  # ties: a row's first run in the band is a
+            rows, first = np.arange(len(near)), near.argmax(axis=1)  # subset of the later ones
+            lead = near[rows, first]
+            near &= vals < vals[rows, first][:, None]
+            near[rows, first] = lead
+        r, c = np.divmod(np.flatnonzero(near), vals.shape[1])
+        i, j = I[r, 0], J[0, c]
+        top = np.maximum.reduceat(index, np.column_stack([i, j + 1]).ravel())[::2]
+        kept = np.vstack([kept, np.column_stack([vals[r, c], top, i, j, area[r, c], mass[r, c]])])
+        kept = kept[kept[:, 0] <= best + BAND * abs(best)]  # and at most a least run's top:
+        kept = kept[kept[:, 1] <= kept[kept[:, 0] == best, 1].min()]
+    kept = kept[kept[:, 1] == kept[:, 1].min()]  # the runs through the least top
+    masks = [sum(1 << v for v in order[int(i):int(j) + 1]) for i, j in kept[:, 2:4]]
+    value, _, i, j, area, mass = kept[masks.index(min(masks))]
+    ids = frozenset(g.vertices[order[p]] for p in range(int(i), int(j) + 1))
+    return IsoReport(nu, "open", float(value), AdmissibleSet(ids, float(area), float(mass)))
 
 
 def default_variant(g: WeightedGraph) -> str:
@@ -395,7 +412,7 @@ def _iso_constant(g: WeightedGraph, nu: float, variant: str) -> IsoReport:
         return IsoReport(nu, variant, math.inf, None)  # a lone closed vertex: no row
     # the band absorbs rounding in the sums, so exact ties (e.g. mirror-image
     # sets, whose sums add different terms) go to the least mask
-    row = int(np.argmax(vals <= best + 1e-12 * abs(best)))
+    row = int(np.argmax(vals <= best + BAND * abs(best)))
     wit = _witness(g, table[row])
     co = None if comass is None else float(comass[row])
     return IsoReport(nu, variant, float(_quotient(wit.area, wit.vmass, co, nu, variant)), wit)

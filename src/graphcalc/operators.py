@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphError, L_stats, WeightedGraph
+from .graph import GraphError, L_stats, WeightedGraph, at_most
 from .functions import VertexFunction
 
 __all__ = [
@@ -347,11 +347,13 @@ def spectral_decomposition(g: WeightedGraph) -> SpectralDecomposition:
 class OperatorNormReport:
     L_sup: float
     rayleigh_max: float  # largest eigenvalue = ||Lap|| on a finite graph
+    terms: int = 0  # the rounded operations behind both (0: exact)
 
     @property
     def sandwich_holds(self) -> bool:
-        hi = 2.0 * self.L_sup  # the slack is relative to it, so the test scales
-        return self.L_sup - 1e-9 * hi <= self.rayleigh_max <= hi + 1e-9 * hi
+        hi = 2.0 * self.L_sup  # the spectral bound: the slack is relative to it
+        return bool(at_most(self.L_sup, self.rayleigh_max, self.terms, hi)
+                    and at_most(self.rayleigh_max, hi, self.terms, hi))
 
 
 def default_mode(g: WeightedGraph) -> str:
@@ -364,4 +366,6 @@ def operator_norm_report(g: WeightedGraph) -> OperatorNormReport:
     """L_sup, the sup of L over the solved rows, together with the top
     eigenvalue of the graph's boundary condition: L_sup <= ||Lap|| <= 2 L_sup
     (Rayleigh quotients at single vertices, and Gershgorin on M)."""
-    return OperatorNormReport(float(_entries(g)[2].max()), float(eigenvalues(g)[-1]))
+    # the eigensolve errs by n eps 2 L_sup; S's entries and L(v) add m quotients a_e/l_e
+    return OperatorNormReport(float(_entries(g)[2].max()), float(eigenvalues(g)[-1]),
+                              g.n + 2 * (g.m + 4))

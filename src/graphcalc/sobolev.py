@@ -1,12 +1,13 @@
 """The gradient-inequality ladder as executable checks.
 
 Every routine evaluates both sides of one inequality from graph data and
-returns an InequalityCheck; an in-hypothesis instance must pass (lhs >=
-rhs - 1e-9 |rhs|, relative as each check is homogeneous in f).  Closed-graph
-variants run on split inputs (pre-shifted by the midpoint of the L^1 balance
-interval) with the shifted constant I~_nu.  A block of functions (values of
-shape (n, B)) is checked in one call: the sides are then (B,) arrays and the
-check counts the failing draws.
+returns an InequalityCheck; an in-hypothesis instance must pass: rhs <= lhs
+within the rounding of both sides, ``graph.at_most`` on the scale |rhs| with
+``_terms`` operations (more where stated), so rescaling f or the weights
+moves no verdict.  Closed-graph variants run on split inputs (pre-shifted
+by the midpoint of the L^1 balance interval) with the shifted constant
+I~_nu.  A block of functions (values of shape (n, B)) is checked in one
+call: the sides are then (B,) arrays and the check counts the failing draws.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import GraphError, WeightedGraph, half_degrees
+from .graph import GraphError, WeightedGraph, at_most, half_degrees
 from .functions import (
     VertexFunction,
+    _edge_abs_power_integrals,
     _spow,
     conjugate,
     grad_lp_norm,
@@ -41,27 +43,35 @@ __all__ = [
     "sharpness_experiment",
 ]
 
-TOL = 1e-9
-
 
 @dataclass
 class InequalityCheck:
-    """Both sides of one inequality: floats, or (B,) arrays for a block."""
+    """Both sides of one inequality: floats, or (B,) arrays for a block, and
+    ``terms``, the rounded operations behind them (0: both sides exact)."""
 
     name: str
     lhs: float | np.ndarray
     rhs: float | np.ndarray
     inputs: dict = field(default_factory=dict)
+    terms: float | np.ndarray = 0
 
     @property
     def failures(self) -> int:
-        """The number of draws with lhs < rhs - TOL |rhs|; 0 or 1 for one function."""
-        ok = self.lhs >= self.rhs - TOL * np.abs(self.rhs)
+        """The number of draws with lhs < rhs beyond rounding; 0 or 1 for one function."""
+        ok = at_most(self.rhs, self.lhs, self.terms, np.abs(self.rhs))
         return int(np.count_nonzero(np.logical_not(ok)))
 
     @property
     def passed(self) -> bool:
         return self.failures == 0
+
+
+def _terms(g: WeightedGraph, power: float = 2.0) -> float:
+    """``at_most``'s terms for two sides of at most five factors (I_nu, rho_sup,
+    norms, sums), each of at most n + m + 7 rounded operations (sums over the
+    vertices and the edges, a few products and powers per term, a root) and
+    raised to a power of at most ``power`` in absolute value."""
+    return 5 * (power * (g.n + g.m + 7) + 1)
 
 
 def _iso_for(g: WeightedGraph, nu: float) -> tuple[float, bool, float]:
@@ -93,7 +103,7 @@ def general_F_check(
     lhs = rho ** (1.0 / pp) * grad_lp_norm(phi, p) * lp_norm_vertex(dF, pp)
     rhs = I * lp_norm_vertex(Fphi, nup)
     return InequalityCheck(
-        "general_F", lhs, rhs, {"r": r, "p": p, "nu": nu, "I": I, "rho_sup": rho}
+        "general_F", lhs, rhs, {"r": r, "p": p, "nu": nu, "I": I, "rho_sup": rho}, _terms(g)
     )
 
 
@@ -110,7 +120,7 @@ def sobolev_check(f: VertexFunction, p: float, nu: float) -> InequalityCheck:
     lhs = grad_lp_norm(phi, p)
     rhs = c * lp_norm_vertex(phi, q)
     return InequalityCheck(
-        "sobolev", lhs, rhs, {"p": p, "nu": nu, "I": I, "rho_sup": rho, "c": c}
+        "sobolev", lhs, rhs, {"p": p, "nu": nu, "I": I, "rho_sup": rho, "c": c}, _terms(g)
     )
 
 
@@ -132,7 +142,7 @@ def nash_check(f: VertexFunction, nu: float) -> InequalityCheck:
     if np.count_nonzero(n2 == 0):
         raise GraphError("f must not be (a.e.) constant")
     rhs = (I / (2.0 * math.sqrt(rho))) * n2 ** (1.0 + 2.0 / nu) * n1 ** (-2.0 / nu)
-    return InequalityCheck("nash", lhs, rhs, {"nu": nu, "I": I, "rho_sup": rho})
+    return InequalityCheck("nash", lhs, rhs, {"nu": nu, "I": I, "rho_sup": rho}, _terms(g))
 
 
 def trudinger_check(
@@ -162,10 +172,11 @@ def trudinger_check(
     inputs = {"gamma": gamma, "nu": nu, "I": I, "rho_sup": rho, "measure": measure}
     if measure == "vertex":
         lhs_total = vertex_integral(VertexFunction(g, np.exp(nup * gamma * tilde)))
-        kappa = 1.0
+        kappa, cancel = 1.0, 1.0
     elif measure == "edge":
         expf = VertexFunction(g, np.exp(gamma * tilde))
         lhs_total = lp_norm_edge(expf, nup) ** nup
+        cancel = _edge_abs_power_integrals(expf, nup)[1].sum(axis=1) / lhs_total
         ends = np.zeros(g.n)  # E(e)/2 at each end: a loop gives E(e) to its vertex
         np.add.at(ends, g.eu, g.emeasure / 2.0)
         np.add.at(ends, g.ev, g.emeasure / 2.0)
@@ -173,8 +184,12 @@ def trudinger_check(
     else:
         raise GraphError("measure must be 'vertex' or 'edge'")
     rhs_bound = kappa * g.total_measure() * (1.0 - gamma) ** (-nup)
+    # the bound, the exponent x = nu' gamma tilde, which exp amplifies x
+    # times, and the integral, which the edge integrals' cancellation amplifies
+    x = nup * gamma * np.max(tilde, axis=0, initial=0.0)
+    terms = (1 + x + cancel) * _terms(g, max(nup, 2.0))
     # the INEQUALITY direction here is lhs <= rhs; report with sides swapped
-    return InequalityCheck("trudinger", rhs_bound, lhs_total, inputs)
+    return InequalityCheck("trudinger", rhs_bound, lhs_total, inputs, terms)
 
 
 def iteration_constant(p: float, nu: float) -> tuple[float, float]:
@@ -193,16 +208,12 @@ def iteration_constant(p: float, nu: float) -> tuple[float, float]:
         raise GraphError("delta = nu'/p' must exceed 1")
     c2 = pp * (nup - pp) / (nup * nup)
     logc1 = 0.0
-    i = 0
-    while True:
+    for i in range(10_001):
         gamma_i = (delta ** (i + 2) - 1.0) / (delta - 1.0)
         term = math.log(gamma_i) / delta**i
         logc1 += term
         # remaining tail is bounded by a geometric-ish series; stop when tiny
         if term < 1e-14 and i > 4:
-            break
-        i += 1
-        if i > 10_000:
             break
     return math.exp(logc1), c2
 
@@ -226,9 +237,12 @@ def sup_embedding_check(f: VertexFunction, p: float, nu: float) -> InequalityChe
         * rho ** (-1.0 / pp)
         * lp_norm_vertex(phi, math.inf)
     )
+    # and c* = exp(-c2 log c1): log c1 adds at most 10,001 positive terms, the
+    # i-th with a power delta^(i+2), which exp amplifies c2 log c1 times
+    terms = _terms(g) + c2 * math.log(c1) * 10_006
     return InequalityCheck(
         "sup_embedding", lhs, rhs,
-        {"p": p, "nu": nu, "I": I, "rho_sup": rho, "c_star": cstar},
+        {"p": p, "nu": nu, "I": I, "rho_sup": rho, "c_star": cstar}, terms,
     )
 
 
@@ -240,7 +254,7 @@ def gennash_check(f: VertexFunction, nu: float) -> InequalityCheck:
     if not g.boundary:
         raise GraphError("the general Nash form is for graphs with boundary")
     I = iso_constant(g, nu, "open").value
-    if I < 1.0 - 1e-12:
+    if not at_most(1.0, I, _terms(g), 1.0):  # weights scaled to I = 1 carry I's rounding
         raise GraphError("hypothesis fails: I_nu < 1 (rescale the edge weights)")
     rho = half_degrees(g).rho_sup
     n1, n2 = lp_norm_vertex(f, 1), lp_norm_vertex(f, 2)
@@ -249,7 +263,9 @@ def gennash_check(f: VertexFunction, nu: float) -> InequalityCheck:
     phi_val = (4.0 * n1 * n1 / (n2 * n2)) ** (1.0 / nu)
     lhs = 32.0 * rho * phi_val**2 * grad_lp_norm(f, 2) ** 2
     rhs = n2 * n2
-    return InequalityCheck("gennash", lhs, rhs, {"nu": nu, "I": I, "rho_sup": rho})
+    # phi^2 raises each norm to the power 4/nu
+    terms = _terms(g, max(2.0, 4.0 / nu))
+    return InequalityCheck("gennash", lhs, rhs, {"nu": nu, "I": I, "rho_sup": rho}, terms)
 
 
 def sharpness_experiment(nu: float, p: float, m_grid, n: int = 1024) -> dict:

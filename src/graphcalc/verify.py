@@ -6,7 +6,9 @@ with a failure count; determinism is total given the seed.  A suite draws
 all its trials as one block, row k of ``rng.standard_normal((trials, n))``
 being the k-th draw (``green`` puts f, X and h side by side in one row), the
 same numbers as drawing the trials one at a time, and evaluates the block in
-one call per check.
+one call per check.  Every check decides through ``graph.at_most`` on the
+absolute values of its terms (or a bound on them), so rescaling the weights
+moves no verdict.
 """
 
 from __future__ import annotations
@@ -15,16 +17,16 @@ import math
 
 import numpy as np
 
-from .graph import WeightedGraph, half_degrees, GraphError
+from .graph import WeightedGraph, at_most, half_degrees, GraphError
 from .functions import (
     VertexFunction,
+    _edge_abs_power_integrals,
     balance_interval,
     balance_point,
     coarea,
     conjugate,
     edge_integral,
     grad_lp_norm,
-    lp_norm_edge,
     lp_norm_vertex,
     midpoint_l2_sq,
     split_shift,
@@ -35,12 +37,6 @@ from .isoperimetry import _finite_constant, iso_constant, sobolev_quotient
 from . import sobolev as sb
 
 __all__ = ["run_suite", "SUITES"]
-
-# An exact identity fails when its residual exceeds REL_TOL times the sum of
-# the absolute values of the terms it adds, and an inequality when its lower
-# side falls short by more than REL_TOL times the upper one, so no check
-# moves when every weight is rescaled.
-REL_TOL = 1e-12
 
 
 def _draws(g: WeightedGraph, trials: int, rng, dirichlet=False) -> np.ndarray:
@@ -61,21 +57,30 @@ def _nonzero(rows: np.ndarray) -> np.ndarray:
     return rows[rows.any(axis=1)]
 
 
-def _below(lhs, rhs) -> int:
-    """How many lhs fall below rhs by more than REL_TOL * |rhs|."""
-    return int(np.count_nonzero(lhs < rhs - REL_TOL * np.abs(rhs)))
-
-
 def _worst(residuals) -> float:
     return float(np.max(residuals, initial=0.0))
+
+
+def _residuals(pairs, terms) -> dict:
+    """max_residual, the largest residual over its scale (the absolute values
+    of the terms, or a bound on them), and failures: 1 if one is past
+    rounding.  A residual is |lhs - rhs| of an identity, lhs - rhs of an
+    inequality lhs <= rhs."""
+    gap, scale = np.array(pairs).swapaxes(0, 1)  # each (checks, draws)
+    worst = _worst(np.divide(gap, scale, out=np.zeros_like(gap), where=gap != 0))
+    return {"max_residual": worst, "failures": int(not np.all(at_most(gap, 0.0, terms, scale)))}
 
 
 def _suite_coarea(g, trials, rng):
     f = _block(g, _draws(g, trials, rng))
     grad = grad_lp_norm(f, 1)
-    residual = np.abs(coarea(f).integral() - grad)
-    # the sweep adds the same terms a_e |f(u) - f(v)| as grad, in another order
-    return {"max_residual": _worst(residual), "failures": int(np.any(residual > REL_TOL * grad))}
+    sweep = coarea(f)
+    residual = np.abs(sweep.integral() - grad)
+    # the sweep's running areas add 2m events a_e, times level gaps that span
+    # its levels; 2m more for the products and the sum; grad m + 3
+    span = sweep.levels[:, -1] - sweep.levels[:, 0] if g.m else 0.0
+    ok = at_most(residual, 0.0, 6 * g.m + 4, g.ea.sum() * span)
+    return {"max_residual": _worst(residual), "failures": int(not np.all(ok))}
 
 
 def _suite_green(g, trials, rng):
@@ -88,27 +93,31 @@ def _suite_green(g, trials, rng):
     mask = ~g.loop_mask
     eu, ev = g.eu[mask], g.ev[mask]
     jump = np.take(F, ev, axis=1) - np.take(F, eu, axis=1)
-    terms = g.ea[mask] * np.compress(mask, X, axis=1) * jump
-    green = np.abs(pair + np.sum(terms, axis=1))
+    aX = g.ea[mask] * np.compress(mask, X, axis=1)
+    green = np.abs(pair + np.sum(aX * jump, axis=1))
     # V-symmetry of the Laplacian on the same draws
     lf, lh = laplacian_apply(g, f), laplacian_apply(g, h)
     s1 = vertex_integral(VertexFunction(g, lf.values * h.values))
     s2 = vertex_integral(VertexFunction(g, f.values * lh.values))
-    sym = np.abs(s1 - s2) / (1.0 + np.abs(s1))
-    # Green's residual is the rounding of sums of the terms a_e X_e jump_e
-    fails = np.any(green > REL_TOL * np.abs(terms).sum(axis=1)) or np.any(sym > 1e-11)
-    return {"max_residual": max(_worst(green), _worst(sym)), "failures": int(fails)}
+    # the sides add a_e X_e f(u), a_e X_e f(v) and a_e/l_e (f(u) - f(v)) h(u) and the
+    # like, at most 2 max|f| sum |a_e X_e| and 4 max|f| max|h| sum a_e/l_e
+    top_f, top_h = (np.abs(A).max(axis=1, initial=0.0) for A in (F, H))
+    return _residuals([(green, 2 * top_f * np.abs(aX).sum(axis=1)),
+                        (np.abs(s1 - s2), 4 * top_f * top_h * np.sum(g.ea[mask] / g.elen[mask]))],
+                       sb._terms(g))
 
 
 def _suite_ff(g, trials, rng):
     """Federer-Fleming: s_nu(f) >= I_nu (open) / I~-variants (closed)."""
     failures = 0
     nus = [1.5, 2.0, 3.0, math.inf]
+    terms = sb._terms(g)
     if g.boundary:
         consts = {nu: _finite_constant(iso_constant(g, nu, "open")) for nu in nus}
         f = _block(g, _nonzero(_draws(g, trials, rng, dirichlet=True)))
         for nu in nus:
-            failures += _below(sobolev_quotient(f, nu), consts[nu])
+            failures += sb.InequalityCheck("ff", sobolev_quotient(f, nu), consts[nu],
+                                           terms=terms).failures
     else:
         tilde = {nu: _finite_constant(iso_constant(g, nu, "tilde")) for nu in nus}
         prime = {nu: _finite_constant(iso_constant(g, nu, "tilde_prime")) for nu in nus}
@@ -117,11 +126,12 @@ def _suite_ff(g, trials, rng):
         grad_f, grad_fs = grad_lp_norm(f, 1), grad_lp_norm(fs, 1)
         for nu in nus:
             nup = conjugate(nu)
-            failures += _below(grad_fs, tilde[nu] * lp_norm_vertex(fs, nup))
+            failures += sb.InequalityCheck("ff", grad_fs, tilde[nu] * lp_norm_vertex(fs, nup),
+                                           terms=terms).failures
             # the min-shift quotient needs the true nu'-balancing shift
             a = balance_interval(f)[0] if nup == 1.0 else balance_point(f, nup)
             best = lp_norm_vertex(f.shifted(a), nup)
-            failures += _below(grad_f, prime[nu] * best)
+            failures += sb.InequalityCheck("ff", grad_f, prime[nu] * best, terms=terms).failures
     return {"failures": failures}
 
 
@@ -170,7 +180,10 @@ def _suite_gennash(g, trials, rng):
 
 
 def _suite_identities(g, trials, rng):
-    """rho-integral identity, the two edge-norm identities, and positivity."""
+    """rho-integral identity, the two edge-norm identities, Laplacian
+    positivity, and the rho-concavity comparison ||f||_{E,p}^p <= rho_sup
+    ||f||_{V,p}^p, each residual over the absolute values of its terms (or
+    a bound on them)."""
     stats = half_degrees(g)
     rho = stats.rho
     unit = bool(np.all(g.elen == 1.0))
@@ -178,29 +191,27 @@ def _suite_identities(g, trials, rng):
     rows = _draws(g, trials, rng)
     f = _block(g, rows)
     grad2 = grad_lp_norm(f, 2) ** 2
-
-    def rel(a, b):
-        return _worst(np.abs(a - b) / (1.0 + np.abs(b)))
-
-    worst = 0.0
+    terms = sb._terms(g)  # each side is a sum, a norm to the power p or a sum of both
+    checks = []  # (residual, scale)
     if loopfree:
-        rhs = np.sum(rho * rows * g.vmeasure, axis=1)
-        worst = max(worst, rel(edge_integral(f), rhs))
+        vsum = rho * rows * g.vmeasure
+        checks.append((np.abs(edge_integral(f) - vsum.sum(axis=1)), np.abs(vsum).sum(axis=1)))
     if unit and loopfree:
         rhs = np.sum(rho * rows**2 * g.vmeasure, axis=1)
-        worst = max(worst, rel(lp_norm_edge(f, 2) ** 2 + grad2 / 6.0, rhs))
-        worst = max(worst, rel(midpoint_l2_sq(f) + grad2 / 4.0, rhs))
-    # rho-concavity comparison and Laplacian positivity
-    if loopfree:
-        for p in (1.0, 2.0, 3.0):
-            lhsn = lp_norm_edge(f, p)
-            rhsn = stats.rho_sup ** (1.0 / p) * lp_norm_vertex(f, p)
-            over = lhsn > rhsn + 1e-9 * (1 + rhsn)
-            worst = max(worst, _worst((lhsn - rhsn)[over]))
+        edge, at = (x.sum(axis=1) for x in _edge_abs_power_integrals(f, 2.0))  # ||f||_{E,2}^2
+        checks.append((np.abs(edge + grad2 / 6.0 - rhs), at + grad2 / 6.0 + rhs))
+        mid = midpoint_l2_sq(f) + grad2 / 4.0
+        checks.append((np.abs(mid - rhs), mid + rhs))
     lf = laplacian_apply(g, f)
     quad = vertex_integral(VertexFunction(g, lf.values * f.values))
-    worst = max(worst, _worst(np.abs(quad - grad2) / (1.0 + quad)))
-    return {"max_residual": worst, "failures": int(worst > 1e-11)}
+    # the Laplacian pairs a_e/l_e (f(u) - f(v)) with f(u) and f(v): at most 4 max f^2 sum a_e/l_e
+    top = np.abs(rows).max(axis=1, initial=0.0)
+    checks.append((np.abs(quad - grad2), 4 * top * top * np.sum(g.ea / g.elen)))
+    for p in (1.0, 2.0, 3.0) if loopfree else ():
+        edge, at = (x.sum(axis=1) for x in _edge_abs_power_integrals(f, p))
+        rhs = stats.rho_sup * lp_norm_vertex(f, p) ** p
+        checks.append((edge - rhs, at + rhs))
+    return _residuals(checks, terms)
 
 
 SUITES = {

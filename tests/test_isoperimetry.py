@@ -12,6 +12,7 @@ from graphcalc import (
     Edge,
     GraphError,
     VertexFunction,
+    WeightedGraph,
     build_graph,
     characteristic_approx,
     enumerate_connected_subsets,
@@ -883,6 +884,27 @@ def test_long_path_lane_on_a_shuffled_weighted_path():
             i, j = spans[best]
             assert rep.witness.vertices == frozenset(range(i, j + 1)), nu
             assert rep.value == pytest.approx(vals[best], rel=1e-14, abs=0.0), nu
+
+
+@pytest.mark.parametrize("chunk", [isoperimetry.CHUNK, 33])  # 33: one left end per block
+def test_long_path_lane_takes_the_least_mask_of_tied_runs(monkeypatch, chunk):
+    # a 71-vertex unit path with boundary positions 0, 35 and 70 has two
+    # mirror runs of 34 vertices at I_inf = 1/17; whatever the vertex order,
+    # the witness is the one of least mask, as in every subset scan (the
+    # walk from the end of least index took the first in 8 of these 20)
+    monkeypatch.setattr(isoperimetry, "CHUNK", chunk)
+    rng = np.random.default_rng(0)
+    n = 71
+    for _ in range(20):
+        g = WeightedGraph(rng.permutation(n).tolist(), np.ones(n),
+                          [Edge(p, p + 1) for p in range(n - 1)], boundary=[0, 35, n - 1])
+        runs = [frozenset(range(1, 35)), frozenset(range(36, n - 1))]
+        rep = iso_constant(g, math.inf, "open")
+        assert rep.value == 1 / 17
+        assert rep.witness.vertices == min(runs, key=lambda r: sum(1 << g.index(p) for p in r))
+        # at nu = 1 every run inside has area 2: the least mask is the free vertex of least index
+        least = min((p for p in range(n) if p not in (0, 35, n - 1)), key=g.index)
+        assert iso_constant(g, 1.0, "open").witness.vertices == {least}
 
 
 def _random_lane_path(rng, n, closed=False):

@@ -103,6 +103,7 @@ def _per_trial(g, suite, trials, seed):
     from graphcalc import verify
     from graphcalc.functions import (VertexFunction, balance_interval, balance_point,
                                      grad_lp_norm, lp_norm_vertex, split_shift)
+    from graphcalc.graph import at_most
     from graphcalc.isoperimetry import sobolev_quotient
 
     rng = np.random.default_rng(seed)
@@ -114,8 +115,8 @@ def _per_trial(g, suite, trials, seed):
     out = {"failures": 0}
     fails = 0
 
-    def below(lhs, rhs):  # the suites' relative slack, as in verify._below
-        return lhs < rhs - verify.REL_TOL * abs(rhs)
+    def below(lhs, rhs):  # the ff suite's decision: rhs <= lhs within its rounding
+        return not at_most(rhs, lhs, sb._terms(g), abs(rhs))
 
     if suite == "ff":
         nus = (1.5, 2.0, 3.0, math.inf)
@@ -208,10 +209,17 @@ def test_block_suites_match_per_trial_reference(monkeypatch, suite, inflate):
 
 
 def test_residual_suites_match_per_trial_reference():
-    from graphcalc.functions import (VertexFunction, edge_integral, grad_lp_norm,
-                                     lp_norm_edge, lp_norm_vertex, midpoint_l2_sq)
-    from graphcalc.graph import half_degrees
+    # each residual is |lhs - rhs| over the scale of the identity's terms
+    # (their absolute values or a bound on them), and a draw fails beyond the
+    # rounding at_most allows
+    from graphcalc.functions import (VertexFunction, _edge_abs_power_integrals, edge_integral,
+                                     grad_lp_norm, lp_norm_vertex, midpoint_l2_sq)
+    from graphcalc.graph import at_most, half_degrees
     from graphcalc.operators import EdgeField, divergence, laplacian_apply
+    from graphcalc.sobolev import _terms
+
+    def ratio(gap, scale):
+        return gap / scale if gap else 0.0
 
     rng = np.random.default_rng(6)
     graphs = [cycle(6), path(7, boundary=[7])]
@@ -222,45 +230,58 @@ def test_residual_suites_match_per_trial_reference():
         loopfree = not g.loop_mask.any()
         unit = bool(np.all(g.elen == 1.0))
         mask = ~g.loop_mask
+        w = np.sum(g.ea[mask] / g.elen[mask])
         for seed in (0, 3):
             rng = np.random.default_rng(seed)
-            green = 0.0
+            green, ok = 0.0, True
             for _ in range(20):
                 f = VertexFunction(g, rng.standard_normal(g.n) * g.interior_mask)
                 X = EdgeField(g, rng.standard_normal(len(g.edges)))
                 h = VertexFunction(g, rng.standard_normal(g.n) * g.interior_mask)
                 pair = np.sum(divergence(g, X).values * f.values * g.vmeasure)
-                jump = f.values[g.ev[mask]] - f.values[g.eu[mask]]
-                green = max(green, abs(pair + np.sum(g.ea[mask] * X.values[mask] * jump)))
+                aX = g.ea[mask] * X.values[mask]
+                gap = abs(pair + np.sum(aX * (f.values[g.ev[mask]] - f.values[g.eu[mask]])))
+                top_f, top_h = np.abs(f.values).max(), np.abs(h.values).max()
+                scale = 2 * top_f * np.sum(np.abs(aX))
+                green = max(green, ratio(gap, scale))
+                ok = ok and at_most(gap, 0.0, _terms(g), scale)
                 s1 = np.sum(laplacian_apply(g, f).values * h.values * g.vmeasure)
                 s2 = np.sum(f.values * laplacian_apply(g, h).values * g.vmeasure)
-                green = max(green, abs(s1 - s2) / (1.0 + abs(s1)))
-            got = run_suite(g, "green", trials=20, seed=seed)["max_residual"]
-            assert got == pytest.approx(green, rel=1e-9, abs=1e-15)
+                scale = 4 * top_f * top_h * w
+                green = max(green, ratio(abs(s1 - s2), scale))
+                ok = ok and at_most(abs(s1 - s2), 0.0, _terms(g), scale)
+            got = run_suite(g, "green", trials=20, seed=seed)
+            assert got["max_residual"] == pytest.approx(green, rel=1e-9, abs=1e-15)
+            assert got["failures"] == (not ok)
 
             rng = np.random.default_rng(seed)
-            ident = 0.0
+            ident, ok, terms = 0.0, True, _terms(g)
             for _ in range(20):
                 f = VertexFunction(g, rng.standard_normal(g.n))
-                rel = []
+                pairs = []
                 g2 = grad_lp_norm(f, 2) ** 2
                 if loopfree:
-                    rhs = np.sum(rho * f.values * g.vmeasure)
-                    rel.append((edge_integral(f), rhs))
+                    vsum = rho * f.values * g.vmeasure
+                    pairs.append((edge_integral(f), np.sum(vsum), np.sum(np.abs(vsum))))
                     rhs = np.sum(rho * f.values**2 * g.vmeasure)
                     if unit:
-                        rel += [(lp_norm_edge(f, 2) ** 2 + g2 / 6.0, rhs),
-                                (midpoint_l2_sq(f) + g2 / 4.0, rhs)]
-                    for p in (1.0, 2.0, 3.0):
-                        lhsn = lp_norm_edge(f, p)
-                        rhsn = rho_sup ** (1.0 / p) * lp_norm_vertex(f, p)
-                        if lhsn > rhsn + 1e-9 * (1 + rhsn):
-                            ident = max(ident, lhsn - rhsn)
-                ident = max([ident] + [abs(a - b) / (1.0 + abs(b)) for a, b in rel])
+                        edge, at = (x.sum() for x in _edge_abs_power_integrals(f, 2.0))
+                        pairs += [(edge + g2 / 6.0, rhs, at + g2 / 6.0 + rhs),
+                                  (midpoint_l2_sq(f) + g2 / 4.0, rhs,
+                                   midpoint_l2_sq(f) + g2 / 4.0 + rhs)]
                 quad = np.sum(laplacian_apply(g, f).values * f.values * g.vmeasure)
-                ident = max(ident, abs(quad - g2) / (1.0 + quad))
-            got = run_suite(g, "identities", trials=20, seed=seed)["max_residual"]
-            assert got == pytest.approx(ident, rel=1e-9, abs=1e-15)
+                pairs.append((quad, g2, 4 * np.abs(f.values).max() ** 2 * np.sum(g.ea / g.elen)))
+                for lhs, rhs, scale in pairs:
+                    ident = max(ident, ratio(abs(lhs - rhs), scale))
+                    ok = ok and at_most(abs(lhs - rhs), 0.0, terms, scale)
+                for p in (1.0, 2.0, 3.0) if loopfree else ():  # rho-concavity, lhs <= rhs
+                    edge, at = (x.sum() for x in _edge_abs_power_integrals(f, p))
+                    rhs = rho_sup * lp_norm_vertex(f, p) ** p
+                    ident = max(ident, ratio(edge - rhs, at + rhs))
+                    ok = ok and at_most(edge - rhs, 0.0, terms, at + rhs)
+            got = run_suite(g, "identities", trials=20, seed=seed)
+            assert got["max_residual"] == pytest.approx(ident, rel=1e-9, abs=1e-15)
+            assert got["failures"] == (not ok)
 
 
 def test_negative_trials_rejected():
